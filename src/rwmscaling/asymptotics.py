@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import bdtrc
 
 from .quadrature import adaptive_quad
 from .special import gaussian_cdf, gaussian_pdf
@@ -134,7 +135,16 @@ def _validate_no_zero_mass(dist: MixingDistribution) -> MixingDistribution:
     # with P(R <= 1e-6) = 2e-6) would be rejected.
     eps = _ZERO_MASS_EPS if dist.kind != "density" else 1e-9
     mass = dist.mass_below(eps)
-    if mass > _ZERO_MASS_EPS:
+    if dist.kind == "samples":
+        # n radii resolve a mass only to about 1/n, so one radius below eps
+        # in 200k is noise.  Reject only a count that a law with mass
+        # _ZERO_MASS_EPS below eps would reach with probability under 1e-9.
+        n = dist.samples.size
+        count = int(round(mass * n))
+        has_atom = count > 0 and bdtrc(count - 1, n, _ZERO_MASS_EPS) < 1e-9
+    else:
+        has_atom = mass > _ZERO_MASS_EPS
+    if has_atom:
         raise AsymptoticsError(
             f"mixing law {dist.label!r} carries mass {mass:.3g} below {eps:g}; "
             "laws with an atom at zero are not supported")
@@ -246,34 +256,26 @@ def mixing_from_spec(spec: str, *, seed: int = 0,
 
 def _density_expectation(model: RadialModel, x: np.ndarray, kernel,
                          epsabs: float, epsrel: float) -> np.ndarray:
-    """E[kernel(x, R)] for density-kind R, chunking x so that each adaptive
-    integral carries few components of similar scale (a single wide-spanning
-    vector integral would force one huge shared subdivision)."""
+    """E[kernel(x, R)] for density-kind R, integrated in t = log r.
+
+    In t a power-law tail of R decays exponentially, so a heavy-tailed law
+    needs few panels where in r it would need fine panels over many decades.
+    x is chunked so that each adaptive integral carries few components of
+    similar scale (a single wide-spanning vector integral would force one
+    huge shared subdivision)."""
     out = np.empty(x.size)
+    t_pts = np.log(model.breakpoints())
     for start in range(0, x.size, _DENSITY_CHUNK):
         block = x[start:start + _DENSITY_CHUNK]
 
-        def f(r):
-            return model.radial_pdf(r)[:, None] * kernel(block[None, :], r[:, None])
+        def f(t):
+            r = np.exp(t)
+            return (r * model.radial_pdf(r))[:, None] * kernel(block[None, :], r[:, None])
 
-        res = adaptive_quad(f, model.r_lo, model.r_hi, epsabs=epsabs,
-                            epsrel=epsrel, points=model.breakpoints())
-        out[start:start + _DENSITY_CHUNK] = np.atleast_1d(res.value)
+        res = adaptive_quad(f, np.log(model.r_lo), np.log(model.r_hi),
+                            epsabs=epsabs, epsrel=epsrel, points=t_pts)
+        out[start:start + _DENSITY_CHUNK] = res.value
     return out
-
-
-def _theta_density(model: RadialModel, x: np.ndarray, *, epsabs: float = 1e-12,
-                   epsrel: float = 1e-11) -> np.ndarray:
-    return _density_expectation(model, x, lambda xs, r: gaussian_cdf(xs / r),
-                                epsabs, epsrel)
-
-
-def _theta_prime_density(model: RadialModel, mu: np.ndarray, *,
-                         epsabs: float = 1e-12,
-                         epsrel: float = 1e-11) -> np.ndarray:
-    return _density_expectation(model, mu,
-                                lambda ms, r: gaussian_pdf(ms / r) / r,
-                                epsabs, epsrel)
 
 
 def _chunked_sample_mean(samples: np.ndarray, x: np.ndarray, fn) -> np.ndarray:
@@ -284,17 +286,23 @@ def _chunked_sample_mean(samples: np.ndarray, x: np.ndarray, fn) -> np.ndarray:
     return out
 
 
+def _mixing_expectation(dist: MixingDistribution, x: np.ndarray, kernel,
+                        epsabs: float, epsrel: float) -> np.ndarray:
+    """E[kernel(x, R)] for each x: a weighted sum over atoms, a plug-in mean
+    over samples, or a quadrature over a density."""
+    if dist.kind == "atoms":
+        return kernel(x[:, None], dist.atom_values[None, :]) @ dist.atom_weights
+    if dist.kind == "samples":
+        return _chunked_sample_mean(dist.samples, x, kernel)
+    return _density_expectation(dist.model, x, kernel, epsabs, epsrel)
+
+
 def theta(dist: MixingDistribution, x, *, epsabs: float = 1e-12,
           epsrel: float = 1e-11) -> float | np.ndarray:
     """Limiting one-coordinate marginal CDF Theta(x) = E[Phi(x/R)]."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if dist.kind == "atoms":
-        out = gaussian_cdf(x_arr[:, None] / dist.atom_values[None, :]) @ dist.atom_weights
-    elif dist.kind == "density":
-        out = _theta_density(dist.model, x_arr, epsabs=epsabs, epsrel=epsrel)
-    else:
-        out = _chunked_sample_mean(dist.samples, x_arr,
-                                   lambda xs, r: gaussian_cdf(xs / r))
+    out = _mixing_expectation(dist, x_arr, lambda xs, r: gaussian_cdf(xs / r),
+                              epsabs, epsrel)
     return out if np.ndim(x) else float(out[0])
 
 
@@ -304,15 +312,9 @@ def theta_prime_neg(dist: MixingDistribution, mu, *, epsabs: float = 1e-12,
     mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
     if np.any(mu_arr < 0.0):
         raise ValueError("mu must be nonnegative")
-    if dist.kind == "atoms":
-        vals = gaussian_pdf(mu_arr[:, None] / dist.atom_values[None, :])
-        out = (vals / dist.atom_values[None, :]) @ dist.atom_weights
-    elif dist.kind == "density":
-        out = _theta_prime_density(dist.model, mu_arr, epsabs=epsabs,
-                                   epsrel=epsrel)
-    else:
-        out = _chunked_sample_mean(dist.samples, mu_arr,
-                                   lambda ms, r: gaussian_pdf(ms / r) / r)
+    out = _mixing_expectation(dist, mu_arr,
+                              lambda ms, r: gaussian_pdf(ms / r) / r,
+                              epsabs, epsrel)
     return out if np.ndim(mu) else float(out[0])
 
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,6 @@ import numpy as np
 from . import __version__
 from .asymptotics import AsymptoticsError, mixing_from_spec, solve_aots
 from .elliptical import (
-    EllipticalError,
     EllipticalSpec,
     eccentricity_condition,
     elliptical_aos,
@@ -98,11 +98,19 @@ def parse_dims(spec: str) -> list[int]:
     return dims
 
 
+@contextmanager
+def _output(args):
+    """The --out stream: stdout for '-' (left open), else the named file."""
+    if args.out in (None, "-"):
+        yield sys.stdout
+    else:
+        with open(args.out, "w", encoding="utf-8") as out:
+            yield out
+
+
 def _emit(args, columns: Sequence[str], rows: Sequence[Sequence],
           comments: Sequence[str] = ()) -> None:
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w",
-                                                          encoding="utf-8")
-    try:
+    with _output(args) as out:
         if args.format == "csv":
             for c in comments:
                 out.write(f"# {c}\n")
@@ -119,9 +127,6 @@ def _emit(args, columns: Sequence[str], rows: Sequence[Sequence],
             }
             json.dump(payload, out, indent=2)
             out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def _gnuplot_hint(args, using: str, title: str) -> None:
@@ -281,14 +286,9 @@ def cmd_simulate(args) -> int:
     keys = ["target", "proposal", "d", "lambda", "n_iters", "seed",
             "accept_rate", "accept_se", "esjd", "esjd_se"]
     if args.format == "json":
-        out = sys.stdout if args.out in (None, "-") else open(
-            args.out, "w", encoding="utf-8")
-        try:
+        with _output(args) as out:
             json.dump({k: _json_value(v) for k, v in zip(keys, record)}, out)
             out.write("\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
     else:
         _emit(args, keys, [record])
     return 0
@@ -391,10 +391,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (EllipticalError, ValueError) as exc:
-        if isinstance(exc, _NUMERIC_ERRORS):
-            sys.stderr.write(f"numerical failure: {exc}\n")
-            return 3
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except _NUMERIC_ERRORS as exc:

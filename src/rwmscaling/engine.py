@@ -16,10 +16,11 @@ Two evaluation routes are provided and are kept mutually checkable:
 
 * ear/esjd: literal nested adaptive quadrature of the double integral
   (absolute error <= 1e-8; raises on budget exhaustion);
-* curve: a cached per-target table of W (built once by stacked adaptive
-  quadrature, interpolated as a cubic spline of log W with a measured
-  midpoint-error certificate), after which each lambda costs one 1-d
-  adaptive integral.  Table and nested routes agree to < 1e-7 by test.
+* curve: a per-target table of W (built once by stacked adaptive
+  quadrature and kept on the target model, interpolated as a cubic spline
+  of log W with a measured midpoint-error certificate), after which each
+  lambda costs one 1-d adaptive integral.  Table and nested routes agree
+  to < 1e-7 by test.
 """
 
 from __future__ import annotations
@@ -193,17 +194,13 @@ class MarginalTable:
         return out if out.ndim else float(out)
 
 
-_TABLE_CACHE: dict[int, tuple[RadialModel, MarginalTable]] = {}
-
-
 def get_marginal_table(model: RadialModel) -> MarginalTable:
-    key = id(model)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None and hit[0] is model:
-        return hit[1]
-    table = MarginalTable(model)
-    _TABLE_CACHE[key] = (model, table)
-    return table
+    """The model's W table: built on first use and kept on the model, so it
+    lives exactly as long as the model does."""
+    cache = vars(model)
+    if "_marginal_table" not in cache:
+        cache["_marginal_table"] = MarginalTable(model)
+    return cache["_marginal_table"]
 
 
 def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float, *,

@@ -222,13 +222,6 @@ class DimensionSweep:
     limit_aoa: float | None
 
 
-def _max_workers() -> int:
-    env = os.environ.get("RWM_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def _limit_optimum(limit_mixing: str | None):
     if limit_mixing is None:
         return None, None
@@ -287,12 +280,8 @@ def sweep_dimension(target_spec: str, proposal_spec: str, dims, *,
             return SweepRow(d=d, ok=False, optimum=None, corollary_lambda=None,
                             k_x=None, k_y=None, message=str(exc))
 
-    workers = min(_max_workers(), len(dims))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, dims))
-    else:
-        rows = [run_one(d) for d in dims]
+    with ThreadPoolExecutor(min(4, os.cpu_count() or 1, len(dims))) as pool:
+        rows = list(pool.map(run_one, dims))
     return DimensionSweep(target_spec=target_spec, proposal_spec=proposal_spec,
                           dims=tuple(dims), rows=tuple(rows),
                           limit_mu_hat=limit_mu, limit_aoa=limit_aoa)

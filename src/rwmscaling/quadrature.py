@@ -1,12 +1,16 @@
 """Vectorized adaptive Gauss-Kronrod quadrature.
 
-Integrands are evaluated on whole batches of abscissae (one numpy call per
-refinement round instead of one Python call per point), which is what makes
-the nested double integrals elsewhere in this package affordable.  The rule
-is the classic 15-point Kronrod extension of 7-point Gauss, with QUADPACK's
-error-scaling heuristic.  Panels are accepted when their error estimate fits
-a budget proportional to their share of the integration interval, so the sum
-of accepted-panel errors never exceeds the requested tolerance.
+One adaptive core integrates many items at once: item i is a k-component
+integrand over its own interval [a_i, b_i], first split at its own seed
+points, and each round evaluates every open panel's 15 Kronrod nodes in one
+numpy call, which is what makes the nested double integrals elsewhere in
+this package affordable.  The rule is the classic 15-point Kronrod extension
+of 7-point Gauss, with QUADPACK's error-scaling heuristic.  A panel is
+accepted when its error (the largest over the components) fits a budget
+proportional to its share of its item's interval, so the accepted errors of
+item i sum to at most max(epsabs_i, epsrel * max_k |I_ik|).
+``adaptive_quad`` (one item) and ``stacked_quad`` (many items) are thin
+front ends to the core.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ _WG = np.array([
 ])
 
 _MIN_WIDTH = 50.0 * np.finfo(float).eps
+# Refinement rounds before giving up; each round halves every open panel.
+_MAX_ROUNDS = 64
 
 
 class QuadratureError(RuntimeError):
@@ -51,196 +57,133 @@ class QuadratureError(RuntimeError):
 @dataclass
 class QuadResult:
     value: float | np.ndarray
-    error: float | np.ndarray
+    error: float
     n_evals: int
 
 
 def _panel_rule(vals: np.ndarray, half: np.ndarray):
     """Kronrod estimate, and QUADPACK-scaled error, for a batch of panels.
 
-    vals has shape (n_panels, 15) or (n_panels, 15, k); half is the vector of
-    panel half-widths.  Returns (integral, error) where error is per panel
-    (the max over value components for vector-valued integrands).
+    vals has shape (n_panels, 15, k); half is the vector of panel
+    half-widths.  Returns (integral, error, abs_integral): the integral per
+    panel and component, shape (n_panels, k), and per panel the error and
+    the integral of |f|, each the largest over the components.
     """
-    if vals.ndim == 2:
-        resk = vals @ _WGK
-        resg = vals[:, _GAUSS_SLICE] @ _WG
-        resabs = np.abs(vals) @ _WGK
-        mean = resk[:, None] / 2.0
-        resasc = np.abs(vals - mean) @ _WGK
-        integral = resk * half
-        raw = np.abs(resk - resg) * half
-        resasc = resasc * half
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = np.where(
-                resasc > 0.0,
-                resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
-                raw,
-            )
-        return integral, scaled, resabs * half
-    # vector-valued: (n, 15, k)
-    resk = np.einsum("npk,p->nk", vals, _WGK)
-    resg = np.einsum("npk,p->nk", vals[:, _GAUSS_SLICE, :], _WG)
-    resabs = np.einsum("npk,p->nk", np.abs(vals), _WGK)
-    mean = resk[:, None, :] / 2.0
-    resasc = np.einsum("npk,p->nk", np.abs(vals - mean), _WGK)
-    integral = resk * half[:, None]
-    raw = np.abs(resk - resg) * half[:, None]
-    resasc = resasc * half[:, None]
+    n, _, k = vals.shape
+    # One row of 15 node values per (panel, component), so each weighted sum
+    # is a single matrix-vector product.
+    rows = np.ascontiguousarray(vals.transpose(0, 2, 1)).reshape(n * k, 15)
+    h = np.repeat(half, k)
+    resk = rows @ _WGK
+    resg = rows[:, _GAUSS_SLICE] @ _WG
+    resabs = np.abs(rows) @ _WGK
+    resasc = np.abs(rows - (resk / 2.0)[:, None]) @ _WGK
+    raw = np.abs(resk - resg) * h
+    resasc = resasc * h
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(
             resasc > 0.0,
             resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
             raw,
         )
-    return integral, scaled.max(axis=1), (resabs * half[:, None]).max(axis=1)
+    return ((resk * h).reshape(n, k), scaled.reshape(n, k).max(axis=1),
+            (resabs * h).reshape(n, k).max(axis=1))
 
 
-def _initial_panels(a: float, b: float, points) -> np.ndarray:
-    edges = [a, b]
-    if points is not None:
-        pts = np.asarray(points, dtype=float).ravel()
-        pts = pts[(pts > a) & (pts < b)]
-        edges.extend(pts.tolist())
-    return np.unique(np.array(edges, dtype=float))
+def _gk15(f, a: np.ndarray, b: np.ndarray, epsabs,
+          epsrel: float, points, max_evals: int):
+    """The adaptive loop behind both wrappers, over items x components.
 
-
-def adaptive_quad(f, a: float, b: float, *, epsabs: float = 1e-10,
-                  epsrel: float = 0.0, points=None, max_evals: int = 1_000_000,
-                  max_rounds: int = 64) -> QuadResult:
-    """Integrate a vectorized f over [a, b].
-
-    f maps an array of abscissae (n,) to values of shape (n,) or (n, k); the
-    k-component case integrates all components simultaneously with a shared
-    panel subdivision (a panel is accepted only when every component meets
-    its budget share).  Seed subdivision points may be supplied via
-    ``points``.  Raises QuadratureError if ``max_evals`` integrand
-    evaluations do not suffice.
+    Arguments and result are those of stacked_quad, except that f(x, item)
+    receives the item index of each open panel, not of each of its 15 nodes.
     """
-    if not (b > a):
-        return QuadResult(0.0, 0.0, 0)
-    edges = _initial_panels(a, b, points)
-    lo, hi = edges[:-1].copy(), edges[1:].copy()
-    total_width = b - a
-    done_val = None
-    done_err = None
+    n_items = a.size
+    edges = np.column_stack([a, b] if points is None else [a, b, points])
+    edges = np.sort(np.where((edges >= a[:, None]) & (edges <= b[:, None]),
+                             edges, np.nan), axis=1)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    is_panel = hi > lo  # drops repeated edges, NaN padding and empty items
+    item = np.nonzero(is_panel)[0]
+    lo, hi = lo[is_panel], hi[is_panel]
+    if item.size == 0:
+        return np.zeros(n_items), np.zeros(n_items), 0
+    width = b - a
+    values = None
+    errors = np.zeros(n_items)
     n_evals = 0
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         half = 0.5 * (hi - lo)
         center = 0.5 * (hi + lo)
-        nodes = center[:, None] + half[:, None] * _XGK[None, :]
-        flat = nodes.ravel()
-        vals = np.asarray(f(flat), dtype=float)
-        n_evals += flat.size
-        if vals.ndim == 1:
-            vals = vals.reshape(nodes.shape)
-            k = None
-        else:
-            k = vals.shape[-1]
-            vals = vals.reshape(nodes.shape + (k,))
-        if not np.all(np.isfinite(vals)):
-            bad = ~np.isfinite(vals)
-            where = flat[np.unique(np.nonzero(bad.reshape(flat.size, -1))[0])][:3]
-            raise QuadratureError(f"non-finite integrand near x={where}")
+        nodes = (center[:, None] + half[:, None] * _XGK).ravel()
+        vals = np.asarray(f(nodes, item), dtype=float)
+        n_evals += nodes.size
+        if values is None:
+            scalar = vals.ndim == 1
+            values = np.zeros((n_items, 1 if scalar else vals.shape[-1]))
+        vals = vals.reshape(lo.size, 15, values.shape[1])
+        if not np.isfinite(vals).all():
+            bad = ~np.isfinite(vals).all(axis=2).ravel()
+            raise QuadratureError(f"non-finite integrand near x={nodes[bad][:3]}")
         integral, err, absint = _panel_rule(vals, half)
 
-        if done_val is None:
-            done_val = np.zeros(k) if k else 0.0
-            done_err = np.zeros(k) if k else 0.0
-        est = done_val + (integral.sum(axis=0) if k else integral.sum())
-        scale = np.max(np.abs(est)) if k else abs(est)
-        tol = max(epsabs, epsrel * scale)
-        budget = tol * (hi - lo) / total_width
+        est = values.copy()
+        np.add.at(est, item, integral)
+        tol = np.maximum(epsabs, epsrel * np.abs(est).max(axis=1))
+        budget = tol[item] * (hi - lo) / width[item]
         # A panel whose error sits at the round-off level of its own |f| mass
         # cannot be improved by splitting; retire it.
         floor = 100.0 * np.finfo(float).eps * absint
         keep = (err <= np.maximum(budget, floor)) \
             | (hi - lo <= _MIN_WIDTH * np.maximum(1.0, np.abs(center)))
-        if k:
-            done_val = done_val + integral[keep].sum(axis=0)
-        else:
-            done_val = done_val + integral[keep].sum()
-        done_err = done_err + err[keep].sum()
-        if np.all(keep):
-            return QuadResult(done_val, done_err, n_evals)
-        lo_split, hi_split = lo[~keep], hi[~keep]
-        mid = 0.5 * (lo_split + hi_split)
-        lo = np.concatenate([lo_split, mid])
-        hi = np.concatenate([mid, hi_split])
+        np.add.at(values, item[keep], integral[keep])
+        np.add.at(errors, item[keep], err[keep])
+        if keep.all():
+            return (values[:, 0] if scalar else values), errors, n_evals
+        item_s, lo_s, hi_s = item[~keep], lo[~keep], hi[~keep]
+        mid = 0.5 * (lo_s + hi_s)
+        item = np.concatenate([item_s, item_s])
+        lo = np.concatenate([lo_s, mid])
+        hi = np.concatenate([mid, hi_s])
         if n_evals + lo.size * 15 > max_evals:
             raise QuadratureError(
                 f"evaluation budget {max_evals} exhausted with {lo.size} panels open")
     raise QuadratureError("subdivision did not converge (max rounds reached)")
 
 
+def adaptive_quad(f, a: float, b: float, *, epsabs: float = 1e-10,
+                  epsrel: float = 0.0, points=None,
+                  max_evals: int = 1_000_000) -> QuadResult:
+    """Integrate a vectorized f over [a, b].
+
+    f maps an array of abscissae (n,) to values of shape (n,) or (n, k); the
+    k components share one panel subdivision (a panel is accepted only when
+    every component meets its budget share), and the value is then a (k,)
+    array with one error for all components.  Seed subdivision points may
+    be supplied via ``points``.  Raises QuadratureError if ``max_evals``
+    integrand evaluations do not suffice.
+    """
+    pts = None if points is None else np.asarray(points, dtype=float).reshape(1, -1)
+    values, errors, n_evals = _gk15(
+        lambda x, item: f(x), np.array([a], dtype=float),
+        np.array([b], dtype=float), epsabs, epsrel, pts, max_evals)
+    return QuadResult(values[0], errors[0], n_evals)
+
+
 def stacked_quad(f, a, b, *, epsabs=1e-10, epsrel: float = 0.0, points=None,
-                 max_evals: int = 20_000_000, max_rounds: int = 64):
+                 max_evals: int = 20_000_000):
     """Integrate one parametric family over many intervals at once.
 
     Computes I_i = integral of f(x, i) over [a_i, b_i] for every item i.
-    f receives flat arrays (x, item_index) and must evaluate vectorized.
-    ``points`` may be None, or an (n_items, m) array of per-item seed
-    subdivision points (values outside an item's interval are ignored).
-    ``epsabs`` may be scalar or per-item.  Returns (values, errors, n_evals).
+    f receives flat arrays (x, item_index) and must evaluate vectorized,
+    returning (n,) or (n, k) values.  ``points`` may be None, or an
+    (n_items, m) array of per-item seed subdivision points (values outside
+    an item's interval are ignored).  ``epsabs`` may be scalar or per-item.
+    Returns (values, errors, n_evals); values has shape (n_items,) or
+    (n_items, k).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n_items = a.size
-    eps = np.broadcast_to(np.asarray(epsabs, dtype=float), (n_items,))
-    values = np.zeros(n_items)
-    errors = np.zeros(n_items)
-    live = b > a
-    width = np.where(live, b - a, 1.0)
-
-    items_list = []
-    lo_list = []
-    hi_list = []
-    for i in np.nonzero(live)[0]:
-        if points is None:
-            edges = np.array([a[i], b[i]])
-        else:
-            row = np.asarray(points[i], dtype=float).ravel()
-            row = row[(row > a[i]) & (row < b[i])]
-            edges = np.unique(np.concatenate([[a[i], b[i]], row]))
-        items_list.append(np.full(edges.size - 1, i))
-        lo_list.append(edges[:-1])
-        hi_list.append(edges[1:])
-    if not items_list:
-        return values, errors, 0
-    item = np.concatenate(items_list)
-    lo = np.concatenate(lo_list)
-    hi = np.concatenate(hi_list)
-    n_evals = 0
-
-    for _ in range(max_rounds):
-        half = 0.5 * (hi - lo)
-        center = 0.5 * (hi + lo)
-        nodes = center[:, None] + half[:, None] * _XGK[None, :]
-        idx = np.repeat(item, 15)
-        vals = np.asarray(f(nodes.ravel(), idx), dtype=float).reshape(nodes.shape)
-        n_evals += idx.size
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("non-finite integrand in stacked quadrature")
-        integral, err, absint = _panel_rule(vals, half)
-
-        est = values.copy()
-        np.add.at(est, item, integral)
-        tol = np.maximum(eps, epsrel * np.abs(est))
-        budget = tol[item] * (hi - lo) / width[item]
-        floor = 100.0 * np.finfo(float).eps * absint
-        keep = (err <= np.maximum(budget, floor)) \
-            | (hi - lo <= _MIN_WIDTH * np.maximum(1.0, np.abs(center)))
-        np.add.at(values, item[keep], integral[keep])
-        np.add.at(errors, item[keep], err[keep])
-        if np.all(keep):
-            return values, errors, n_evals
-        item_s, lo_s, hi_s = item[~keep], lo[~keep], hi[~keep]
-        mid = 0.5 * (lo_s + hi_s)
-        item = np.concatenate([item_s, item_s])
-        lo = np.concatenate([lo_s, mid])
-        hi = np.concatenate([mid, hi_s])
-        if n_evals + item.size * 15 > max_evals:
-            raise QuadratureError(
-                f"evaluation budget {max_evals} exhausted with {item.size} stacked panels open")
-    raise QuadratureError("stacked subdivision did not converge (max rounds reached)")
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    pts = None if points is None else np.asarray(points, dtype=float).reshape(a.size, -1)
+    return _gk15(lambda x, item: f(x, np.repeat(item, 15)), a, b,
+                 np.asarray(epsabs, dtype=float), epsrel, pts, max_evals)

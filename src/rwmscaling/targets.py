@@ -364,8 +364,6 @@ def build_example_target(family: TargetFamily | str, d: int, *,
         if mixture_p is None:
             raise ValueError("mixture family requires a weight, e.g. 'mixture:p=0.2'")
         p = parse_mixture_weight(str(mixture_p), d)
-        if not (0.0 < p < 1.0):
-            raise ValueError(f"mixture weight must be in (0, 1), got {p}")
         return radial_from_density(
             d, _mixture_log_pi(d, p), family="mixture",
             label=f"mixture:p={mixture_p}(d={d},p={p:.6g})", k=float(np.sqrt(d)),

@@ -166,6 +166,14 @@ def test_zero_mass_guard():
         mixing_density(lambda r: -0.9 * np.log(r) - np.asarray(r))
 
 
+@pytest.mark.parametrize("spec", ["from-target:radial-gaussian:50",
+                                  "from-target:radial-exponential:50"])
+def test_zero_mass_guard_allows_sampling_noise(spec):
+    # One radius below 1e-6 in 200k draws is noise from a law with no atom.
+    dist = mixing_from_spec(spec, seed=0)
+    assert dist.mass_below(1e-6) > 1e-6
+
+
 def test_atoms_spec_grammar():
     dist = mixing_from_spec("atoms:0.5@1,2@3")
     assert dist.atom_values == pytest.approx([0.5, 2.0])

@@ -1,6 +1,8 @@
 """Tests for the exact EAR/ESJD engine: marginals, tables, curves."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -80,6 +82,16 @@ def test_laplace_identity_on_grid():
         assert p.ok
         want = 8.0 * p.ear * (1.0 - p.ear) ** 2
         assert p.esjd == pytest.approx(want, rel=2e-8, abs=1e-12)
+
+
+def test_table_is_kept_on_its_model_and_freed_with_it():
+    t = build_example_target("gaussian", 1)
+    table = get_marginal_table(t)
+    assert get_marginal_table(t) is table
+    ref = weakref.ref(table)
+    del t, table
+    gc.collect()
+    assert ref() is None
 
 
 def test_table_certificate_is_tight():

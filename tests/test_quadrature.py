@@ -73,3 +73,35 @@ def test_stacked_per_item_points():
                               epsabs=1e-13)
     want = [0.5 * (k ** 2 + (1 - k) ** 2) for k in kinks]
     assert np.allclose(vals, want, rtol=1e-12)
+
+
+def test_vector_valued_components_share_one_subdivision():
+    def f(x):
+        return np.stack([np.exp(-x), x ** 2, np.sin(3 * x)], axis=-1)
+
+    res = adaptive_quad(f, 0.0, 2.0, epsabs=1e-13, points=[0.5, 1.5])
+    want = [1 - math.exp(-2.0), 8.0 / 3.0, (1 - math.cos(6.0)) / 3.0]
+    assert res.value.shape == (3,)
+    assert np.allclose(res.value, want, rtol=1e-13, atol=0)
+    assert np.ndim(res.error) == 0 and 0 <= res.error <= 1e-13
+    # One subdivision for all three: the evaluation count is that of a
+    # single integrand, a multiple of the 15-point rule.
+    scalar = adaptive_quad(lambda x: np.sin(3 * x), 0.0, 2.0, epsabs=1e-13,
+                           points=[0.5, 1.5])
+    assert res.n_evals % 15 == 0 and res.n_evals >= scalar.n_evals
+
+
+def test_stacked_vector_values_on_distinct_intervals():
+    a = np.array([0.0, 1.0, -2.0])
+    b = np.array([1.0, 4.0, 0.5])
+
+    def f(x, idx):
+        return np.stack([(idx + 1) * np.exp(-x), np.cos(x)], axis=-1)
+
+    vals, errs, n = stacked_quad(f, a, b, epsabs=1e-13,
+                                 points=np.array([[0.5], [2.0], [0.0]]))
+    want = np.column_stack([(np.arange(3) + 1) * (np.exp(-a) - np.exp(-b)),
+                            np.sin(b) - np.sin(a)])
+    assert vals.shape == (3, 2) and errs.shape == (3,)
+    assert np.allclose(vals, want, rtol=1e-12, atol=0)
+    assert np.all(errs <= 1e-13) and n > 0
