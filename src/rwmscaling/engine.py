@@ -127,11 +127,24 @@ class MarginalTable:
     (in units of w_floor) in the deep tail, where log W has a power-law
     singularity at the truncation radius that no spline tracks in relative
     terms and whose contribution to any curve integral is bounded by w_floor.
+    ``certified`` says whether it met ``rel_tol``; when it did not, curve
+    points read from the table carry a message (their error bars already
+    include the certificate).
+
+    The build computes each W value by quadrature once.  W is evaluated at
+    about 800 initial knots (uniform and geometric grids over the quantiles,
+    plus the model's breakpoints), and log W is splined through them.  Each
+    round then checks the spline at the midpoint of every knot interval
+    against W there; only midpoints not seen in an earlier round (those of
+    intervals split in the round before) need a new quadrature.  Midpoints
+    that miss ``rel_tol`` become knots, carrying the W already computed for
+    them, and the spline is refitted, for at most ``max_rounds`` rounds.
     """
 
     def __init__(self, model: RadialModel, *, rel_tol: float = 3e-9,
-                 w_floor: float = 1e-10, max_rounds: int = 6):
+                 w_floor: float = 1e-10, max_rounds: int = 12):
         self.model = model
+        self.rel_tol = float(rel_tol)
         self.w_floor = float(w_floor)
         q999 = float(model.quantile(0.999))
         q_small = float(model.quantile(1e-4))
@@ -144,37 +157,43 @@ class MarginalTable:
         ]))
         knots = knots[knots <= model.r_hi]
         w_vals, _, _ = _tail_weight_many(model, knots)
+        # Every midpoint W computed so far, sorted by z.
+        seen_z = seen_w = np.empty(0)
         self.max_interp_rel_err = np.inf
         for _ in range(max_rounds):
-            knots, w_vals = self._trim(knots, w_vals)
-            self._fit(knots, w_vals)
+            knots, w_vals = self._fit(knots, w_vals)
             mids = 0.5 * (knots[:-1] + knots[1:])
-            inside = mids < self._z_last
-            mids = mids[inside]
-            w_true, _, _ = _tail_weight_many(self.model, mids)
-            w_spl = self.w(mids)
-            rel = np.abs(w_spl - w_true) / np.maximum(w_true, self.w_floor)
+            mids = mids[mids < self._z_last]
+            new = mids[~np.isin(mids, seen_z)]
+            if new.size:
+                w_new, _, _ = _tail_weight_many(model, new)
+                seen_z = np.concatenate([seen_z, new])
+                seen_w = np.concatenate([seen_w, w_new])
+                order = np.argsort(seen_z)
+                seen_z, seen_w = seen_z[order], seen_w[order]
+            w_true = seen_w[np.searchsorted(seen_z, mids)]
+            rel = np.abs(self.w(mids) - w_true) / np.maximum(w_true, self.w_floor)
             self.max_interp_rel_err = float(rel.max()) if rel.size else 0.0
             if self.max_interp_rel_err <= rel_tol:
                 break
-            bad = np.nonzero(rel > rel_tol)[0]
-            knots = np.sort(np.concatenate([knots, mids[bad]]))
-            w_vals, _, _ = _tail_weight_many(self.model, knots)
-
-    @staticmethod
-    def _trim(knots, w_vals):
-        w_vals = np.minimum.accumulate(np.clip(w_vals, 0.0, None))
-        positive = w_vals > np.exp(_LOG_FLOOR)
-        if not positive.all():
-            last = int(np.nonzero(positive)[0][-1])
-            knots, w_vals = knots[:last + 1], w_vals[:last + 1]
-        return knots, w_vals
+            bad = rel > rel_tol
+            knots = np.concatenate([knots, mids[bad]])
+            w_vals = np.concatenate([w_vals, w_true[bad]])
+            order = np.argsort(knots)
+            knots, w_vals = knots[order], w_vals[order]
+        self.certified = self.max_interp_rel_err <= rel_tol
 
     def _fit(self, knots, w_vals):
-        self._z = knots
-        self._logw = np.log(w_vals)
+        """Spline log W through the knots, made non-increasing and cut after
+        the last one above exp(_LOG_FLOOR); returns the knots kept and their
+        W as given."""
+        w_mono = np.minimum.accumulate(np.clip(w_vals, 0.0, None))
+        last = int(np.nonzero(w_mono > np.exp(_LOG_FLOOR))[0][-1])
+        self._z = knots = knots[:last + 1]
+        self._logw = np.log(w_mono[:last + 1])
         self._spline = CubicSpline(knots, self._logw)
         self._z_last = knots[-1]
+        return knots, w_vals[:last + 1]
 
     def w(self, z):
         """Vectorized W(z); exact zero beyond the tabulated support."""
@@ -294,8 +313,10 @@ def table_point(table: MarginalTable, proposal: RadialModel, lam: float, *,
     floor = table.w_floor
     err[0] += cert * (abs(value[0]) + floor)
     err[1] += cert * (abs(value[1]) + lam * lam * proposal.moment(2) * floor)
+    message = "" if table.certified else (
+        f"W table certificate {cert:.3g} above its target {table.rel_tol:.3g}")
     return CurvePoint(lam, float(value[0]), float(value[1]),
-                      float(err[0]), float(err[1]))
+                      float(err[0]), float(err[1]), message=message)
 
 
 def curve(target: RadialModel, proposal: RadialModel, lambdas, *,

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from rwmscaling import engine
 from rwmscaling.engine import (
     EngineError,
+    MarginalTable,
     closed_form_gaussian_1d,
     closed_form_laplace_1d,
     curve,
@@ -99,6 +101,40 @@ def test_table_certificate_is_tight():
         t = parse_target_spec(spec, d)
         table = get_marginal_table(t)
         assert table.max_interp_rel_err <= 3e-9
+
+
+def test_uncertified_table_is_flagged_on_its_points():
+    t = build_example_target("gaussian", 1)
+    table = MarginalTable(t, max_rounds=1)
+    assert table.max_interp_rel_err > 3e-9 and not table.certified
+    pt = table_point(table, t, 2.4)
+    assert pt.ok and "certificate" in pt.message
+    ear_c, _ = closed_form_gaussian_1d(2.4)
+    assert abs(pt.ear - ear_c) <= pt.ear_err
+
+
+@pytest.mark.parametrize("spec, d", [("gaussian", 1), ("mixture:p=1/d^2", 10)])
+def test_default_tables_are_certified(spec, d):
+    table = get_marginal_table(parse_target_spec(spec, d))
+    assert table.certified and table.max_interp_rel_err <= 3e-9
+    prop = build_example_target("gaussian", d)
+    assert table_point(table, prop, 1.0).message == ""
+
+
+def test_table_build_computes_each_w_once(monkeypatch):
+    seen = []
+    inner = engine._tail_weight_many
+
+    def counting(model, z, **kwargs):
+        seen.append(np.array(z, dtype=float))
+        return inner(model, z, **kwargs)
+
+    monkeypatch.setattr(engine, "_tail_weight_many", counting)
+    table = MarginalTable(parse_target_spec("mixture:p=1/d^2", 10))
+    z = np.concatenate(seen)
+    assert len(seen) > 2  # the build did refine
+    assert np.unique(z).size == z.size
+    assert table.certified
 
 
 def test_table_and_nested_paths_agree():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.stats import beta as beta_dist, norm
 
 from rwmscaling.special import beta_cdf, gaussian_cdf, gaussian_pdf, kernel_K
@@ -72,17 +73,55 @@ def test_kernel_d3_is_linear():
 
 
 def test_kernel_deep_tail_keeps_relative_precision():
-    # Frozen 40-digit reference values: forming 1 - CDF would lose all
-    # relative accuracy out here, which once stalled the adaptive quadrature.
+    # Reference values from mpmath's regularized incomplete beta at 50
+    # digits: forming 1 - CDF would lose all relative accuracy out here,
+    # which once stalled the adaptive quadrature.
     cases = [
-        (100, 0.59, 8.441424657480768e-11),
-        (100, 0.75, 1.790996190574583e-19),
-        (30, 0.80, 6.648471782228813e-08),
-        (10, 0.95, 7.610163755412675e-06),
+        (100, 0.59, 8.441424657495252e-11),
+        (100, 0.75, 1.7909961905747571e-19),
+        (30, 0.80, 6.648471782177615e-08),
+        (10, 0.95, 7.61016375535793e-06),
     ]
     for d, t, want in cases:
         got = kernel_K(d, t)
-        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("d", [4, 5, 10, 30, 100, 128, 1000])
+def test_kernel_matches_high_precision_reference(d):
+    mp = pytest.importorskip("mpmath")
+    x = np.unique(np.concatenate([
+        np.linspace(0.0, 1.0, 41)[1:-1],
+        1.0 - np.geomspace(1e-5, 0.5, 12),
+        np.geomspace(1e-4, 3.0, 12) / np.sqrt(d),
+    ]))
+    x = x[x <= 0.99999]
+    got = kernel_K(d, x)
+    with mp.workdps(50):
+        b = mp.mpf(d - 1) / 2
+        for xi, gi in zip(x, got):
+            xm = mp.mpf(float(xi))
+            want = mp.betainc(b, mp.mpf(1) / 2, 0, (1 - xm) * (1 + xm),
+                              regularized=True)
+            if want >= mp.mpf("1e-300"):
+                assert abs(gi - want) <= 1e-12 * want, (d, xi, gi)
+    assert kernel_K(d, 0.0) == 1.0
+    assert np.all(kernel_K(d, np.zeros(3)) == 1.0)
+
+
+def test_kernel_fit_is_chunked_consistently():
+    # One call over many chunks gives the same values as one call per point.
+    x = np.linspace(0.0, 1.0, 10_001)
+    whole = kernel_K(12, x)
+    assert np.array_equal(whole[::997], [kernel_K(12, v) for v in x[::997]])
+    assert kernel_K(12, x.reshape(73, 137)).shape == (73, 137)
+
+
+def test_kernel_above_fit_range_is_the_incomplete_beta():
+    x = np.array([0.0, 0.001, 0.004, 0.01, 0.03, 1.0])
+    d = 50_000
+    want = np.where(x < 1.0, special.betaincc(0.5, 0.5 * (d - 1), x * x), 0.0)
+    assert np.array_equal(kernel_K(d, x), want)
 
 
 def test_kernel_large_d_gaussian_limit():
