@@ -64,6 +64,7 @@ class AsymptoticsError(RuntimeError):
 POINT_MASS_MU_HAT = 1.1906012483427703
 POINT_MASS_AOA = 0.23381016133183664
 
+_MU_MAX = 1e6  # solve_aots: top of the search grid
 _SAMPLE_CHUNK = 64
 _DENSITY_CHUNK = 48
 _ZERO_MASS_EPS = 1e-6
@@ -413,22 +414,22 @@ def _stationarity_gap(dist: MixingDistribution, mu, *,
             - mu * theta_prime_neg(dist, mu, epsabs=epsabs))
 
 
-def solve_aots(dist: MixingDistribution, *, mu_max: float = 1e6,
-               points_per_decade: int = 48) -> AsymptoticOptimum:
+def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
     """Solve for the asymptotically optimal transformed scale.
 
-    Brackets every sign change of the stationarity gap g on a log grid up to
-    ``mu_max`` and polishes each with Brent's method.  If g stays positive on
-    the whole grid (the limiting ESJD is still increasing at ``mu_max``), the
-    result is flagged ``no_finite_optimum`` — the optimal scale drifts to
-    infinity and the optimal acceptance rate to zero.
+    Brackets every sign change of the stationarity gap g on a log grid with
+    48 points per decade up to mu_max = 1e6 and polishes each with Brent's
+    method.  If g stays positive on the whole grid (the limiting ESJD is
+    still increasing at mu_max), the result is flagged
+    ``no_finite_optimum`` — the optimal scale drifts to infinity and the
+    optimal acceptance rate to zero.
     """
     med = dist.median()
     lo = 1e-6 * med
-    if lo >= mu_max:
-        raise AsymptoticsError("mu_max too small for the scale of the mixing law")
-    n = max(int(np.ceil(np.log10(mu_max / lo) * points_per_decade)), 64)
-    grid = np.geomspace(lo, mu_max, n)
+    if lo >= _MU_MAX:
+        raise AsymptoticsError("mixing law's scale lies beyond the search grid's mu_max")
+    n = max(int(np.ceil(np.log10(_MU_MAX / lo) * 48)), 64)
+    grid = np.geomspace(lo, _MU_MAX, n)
     g = _stationarity_gap(dist, grid, epsabs=1e-10)
     if not np.all(np.isfinite(g)):
         raise AsymptoticsError("stationarity gap evaluated to a non-finite value")
@@ -462,7 +463,7 @@ def solve_aots(dist: MixingDistribution, *, mu_max: float = 1e6,
             return AsymptoticOptimum(
                 mu_hat=np.inf, aoa=0.0, limit_esjd_at_mu_hat=np.inf,
                 roots=(), esjd_argmax_mu=np.inf, residual=np.nan,
-                no_finite_optimum=True, mu_max=mu_max)
+                no_finite_optimum=True, mu_max=_MU_MAX)
         raise AsymptoticsError(
             "stationarity gap is negative somewhere but never changes sign; "
             "the search grid is inconsistent")
@@ -478,7 +479,7 @@ def solve_aots(dist: MixingDistribution, *, mu_max: float = 1e6,
         esjd_argmax_mu=argmax,
         residual=float(abs(_stationarity_gap(dist, mu_hat)[0])),
         no_finite_optimum=False,
-        mu_max=mu_max)
+        mu_max=_MU_MAX)
 
 
 @dataclass(frozen=True)
@@ -493,15 +494,14 @@ class BoundCheckReport:
     equality: bool
 
 
-def aoa_bound_check(dist: MixingDistribution, *, bound: float = 0.2339,
-                    equality_tol: float = 1e-4) -> BoundCheckReport:
-    """Check that the limiting optimal acceptance rate does not exceed 0.234.
+def aoa_bound_check(dist: MixingDistribution) -> BoundCheckReport:
+    """Check that the limiting optimal acceptance rate does not exceed 0.2339.
 
     The supremum is attained exactly when R is degenerate (a point mass at
     any location — the optimum is scale equivariant), so the report carries
-    both the gap to the point-mass value and whether equality holds to
-    ``equality_tol``.
+    both the gap to the point-mass value and whether equality holds to 1e-4.
     """
+    bound = 0.2339
     opt = solve_aots(dist)
     if not opt.finite:
         raise AsymptoticsError(
@@ -515,7 +515,7 @@ def aoa_bound_check(dist: MixingDistribution, *, bound: float = 0.2339,
     gap = POINT_MASS_AOA - aoa
     return BoundCheckReport(label=dist.label, aoa=aoa, bound=bound, gap=gap,
                             is_point_mass=dist.is_point_mass,
-                            equality=abs(gap) <= equality_tol)
+                            equality=abs(gap) <= 1e-4)
 
 
 def _k_value(k, d: int) -> float:

@@ -158,6 +158,8 @@ def cmd_curve(args) -> int:
     for p in pts:
         if not p.ok:
             sys.stderr.write(f"point lambda={_fmt(p.lam)} failed: {p.message}\n")
+    for message in dict.fromkeys(p.message for p in pts if p.ok and p.message):
+        sys.stderr.write(f"warning: {message}\n")
     if not rows:
         raise EngineError("no curve point could be evaluated")
     _emit(args, ["lambda", "ear", "esjd"], rows,
@@ -179,6 +181,8 @@ def cmd_optimize(args) -> int:
             raise UsageError("--lambda-max must exceed --lambda-min")
         kwargs.update(lam_lo=lam_lo, lam_hi=lam_hi)
     opt = optimize(target, proposal, **kwargs)
+    if opt.message:
+        sys.stderr.write(f"warning: {opt.message}\n")
     _emit(args, ["lambda_hat", "ear_hat", "esjd_hat", "n_local_maxima"],
           [(opt.lambda_hat, opt.ear_hat, opt.esjd_hat, opt.n_local_maxima)],
           comments=[f"target={args.target} proposal={args.proposal} d={args.dim}"])
@@ -197,6 +201,8 @@ def cmd_sweep(args) -> int:
         if not r.ok:
             sys.stderr.write(f"d={r.d} failed: {r.message}\n")
             continue
+        if r.message:
+            sys.stderr.write(f"warning: d={r.d}: {r.message}\n")
         row = [r.d, r.optimum.lambda_hat, r.optimum.ear_hat, r.optimum.esjd_hat]
         if has_cor:
             row.append(r.corollary_lambda)
@@ -280,17 +286,13 @@ def cmd_simulate(args) -> int:
                     burn_in=args.burn_in, seed=args.seed)
     if stats.flag:
         sys.stderr.write(f"warning: {stats.flag}\n")
-    record = [stats.target, stats.proposal, stats.d, stats.lam, stats.n_iters,
-              stats.seed, stats.accept_rate, stats.accept_se, stats.esjd,
-              stats.esjd_se]
-    keys = ["target", "proposal", "d", "lambda", "n_iters", "seed",
-            "accept_rate", "accept_se", "esjd", "esjd_se"]
+    record = stats.record()
     if args.format == "json":
         with _output(args) as out:
-            json.dump({k: _json_value(v) for k, v in zip(keys, record)}, out)
+            json.dump({k: _json_value(v) for k, v in record.items()}, out)
             out.write("\n")
     else:
-        _emit(args, keys, [record])
+        _emit(args, list(record), [list(record.values())])
     return 0
 
 
@@ -388,9 +390,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -23,7 +23,8 @@ import warnings
 
 import numpy as np
 
-from .engine import get_marginal_table
+from .asymptotics import aos
+from .engine import _sampled_ear_esjd
 from .targets import RadialModel
 
 __all__ = [
@@ -118,6 +119,13 @@ def parse_eigenvalue_rule(rule: str, d: int) -> np.ndarray:
         "spike:<c>, or file:<path>")
 
 
+def _resolve_rule(rule: str | Callable[[int], np.ndarray]):
+    """A rule string or callable as (function of d giving the eigenvalues, label)."""
+    if callable(rule):
+        return rule, getattr(rule, "__name__", "custom")
+    return (lambda d: parse_eigenvalue_rule(rule, d)), rule
+
+
 @dataclass(frozen=True)
 class EccentricityReport:
     """Trend of nu_max^2 / sum nu_i^2 along a dimension sequence."""
@@ -142,13 +150,7 @@ def eccentricity_condition(rule: str | Callable[[int], np.ndarray],
         raise EllipticalError("need at least three dimensions to judge a trend")
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise EllipticalError("dimensions must be strictly increasing")
-    if callable(rule):
-        get, label = rule, getattr(rule, "__name__", "custom")
-    else:
-        label = rule
-
-        def get(d, _rule=rule):
-            return parse_eigenvalue_rule(_rule, d)
+    get, label = _resolve_rule(rule)
 
     ratios = []
     for d in dims:
@@ -222,17 +224,9 @@ def elliptical_ear_esjd(spec: EllipticalSpec, lam: float, *,
     if n_draws < 1000:
         raise ValueError("need at least 1000 direction draws")
     w = _transformed_proposal_radii(spec, int(n_draws), int(seed))
-    table = get_marginal_table(spec.spherical_core)
-    tail = np.minimum(table.w(0.5 * lam * w), 2.0)
-    ear_draws = tail
-    esjd_draws = lam * lam * w * w * tail
-    n = w.size
-    ear = float(ear_draws.mean())
-    esjd = float(esjd_draws.mean())
-    ear_se = float(ear_draws.std(ddof=1) / math.sqrt(n))
-    esjd_se = float(esjd_draws.std(ddof=1) / math.sqrt(n))
+    ear, ear_se, esjd, esjd_se = _sampled_ear_esjd(spec.spherical_core, lam, w)
     return EllipticalPoint(lam=lam, ear=ear, esjd=esjd, ear_se=ear_se,
-                           esjd_se=esjd_se, n_draws=n)
+                           esjd_se=esjd_se, n_draws=w.size)
 
 
 def elliptical_aos(spec: EllipticalSpec, mu_hat: float,
@@ -254,13 +248,7 @@ def elliptical_aos(spec: EllipticalSpec, mu_hat: float,
             "eccentricity condition violated: the asymptotic rule is not "
             "supported by the limit theory for this eigenvalue sequence",
             RuntimeWarning, stacklevel=2)
-    kx = float(k_x_star(d)) if callable(k_x_star) else float(k_x_star)
-    ky = float(k_y(d)) if callable(k_y) else float(k_y)
-    if kx <= 0.0 or ky <= 0.0:
-        raise ValueError("shell constants must be positive")
-    if mu_hat <= 0.0 or not math.isfinite(mu_hat):
-        raise ValueError("mu_hat must be positive and finite")
-    return 2.0 * mu_hat * kx / (math.sqrt(d) * ky * math.sqrt(spec.mean_sq))
+    return aos(mu_hat, k_x_star, k_y, d) / math.sqrt(spec.mean_sq)
 
 
 @dataclass(frozen=True)
@@ -288,13 +276,7 @@ def lemma5_numeric_check(rule: str | Callable[[int], np.ndarray],
         raise EllipticalError("need at least two dimensions")
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise EllipticalError("dimensions must be strictly increasing")
-    if callable(rule):
-        get, label = rule, getattr(rule, "__name__", "custom")
-    else:
-        label = rule
-
-        def get(d, _rule=rule):
-            return parse_eigenvalue_rule(_rule, d)
+    get, label = _resolve_rule(rule)
 
     seeds = np.random.SeedSequence(seed).spawn(len(dims))
     devs = []

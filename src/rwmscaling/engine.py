@@ -14,13 +14,13 @@ infinitesimally informed observer of the radial chain sees.
 
 Two evaluation routes are provided and are kept mutually checkable:
 
-* ear/esjd: literal nested adaptive quadrature of the double integral
-  (absolute error <= 1e-8; raises on budget exhaustion);
-* curve: a per-target table of W (built once by stacked adaptive
-  quadrature and kept on the target model, interpolated as a cubic spline
-  of log W with a measured midpoint-error certificate), after which each
-  lambda costs one 1-d adaptive integral.  Table and nested routes agree
-  to < 1e-7 by test.
+* ear_esjd, the reference: literal nested adaptive quadrature of the
+  double integral (absolute error <= 1e-8; raises on budget exhaustion);
+* table_point, behind curve and the optimizer: a per-target table of W
+  (built once by stacked adaptive quadrature and kept on the target model,
+  interpolated as a cubic spline of log W with a measured midpoint-error
+  certificate), after which each lambda costs one 1-d adaptive integral.
+  Table and nested routes agree to < 1e-7 by test.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ from .targets import RadialModel
 
 __all__ = [
     "EngineError", "CurvePoint", "marginal_cdf", "MarginalTable",
-    "get_marginal_table", "ear", "esjd", "ear_esjd", "curve",
+    "get_marginal_table", "ear_esjd", "table_point", "curve",
     "closed_form_gaussian_1d", "closed_form_laplace_1d",
 ]
 
 _LOG_FLOOR = -640.0  # log W below this is treated as exactly zero
+_NESTED_MAX_EVALS = 1_000_000  # outer and total inner budget of ear_esjd
 
 
 class EngineError(RuntimeError):
@@ -68,7 +69,7 @@ def closed_form_laplace_1d(lam: float) -> tuple[float, float]:
     return float(ear_v), float(esjd_v)
 
 
-def marginal_cdf(model: RadialModel, x1: float, *, epsabs: float = 1e-12) -> float:
+def marginal_cdf(model: RadialModel, x1: float) -> float:
     """CDF of one coordinate of the spherically symmetric law, by quadrature.
 
     Uses the projection identity F_{1|d}(x1) = 1 - W(|x1|)/2 (x1 >= 0) with
@@ -78,7 +79,7 @@ def marginal_cdf(model: RadialModel, x1: float, *, epsabs: float = 1e-12) -> flo
     z = abs(x1)
     if z == 0.0:
         return 0.5
-    w, _, _ = _tail_weight_many(model, np.array([z]), epsabs=epsabs)
+    w, _, _ = _tail_weight_many(model, np.array([z]), epsabs=1e-12)
     half_w = 0.5 * min(float(w[0]), 2.0)
     return half_w if x1 < 0.0 else 1.0 - half_w
 
@@ -141,11 +142,11 @@ class MarginalTable:
     them, and the spline is refitted, for at most ``max_rounds`` rounds.
     """
 
-    def __init__(self, model: RadialModel, *, rel_tol: float = 3e-9,
-                 w_floor: float = 1e-10, max_rounds: int = 12):
+    rel_tol = 3e-9
+    w_floor = 1e-10
+
+    def __init__(self, model: RadialModel, *, max_rounds: int = 12):
         self.model = model
-        self.rel_tol = float(rel_tol)
-        self.w_floor = float(w_floor)
         q999 = float(model.quantile(0.999))
         q_small = float(model.quantile(1e-4))
         knots = np.unique(np.concatenate([
@@ -174,14 +175,14 @@ class MarginalTable:
             w_true = seen_w[np.searchsorted(seen_z, mids)]
             rel = np.abs(self.w(mids) - w_true) / np.maximum(w_true, self.w_floor)
             self.max_interp_rel_err = float(rel.max()) if rel.size else 0.0
-            if self.max_interp_rel_err <= rel_tol:
+            if self.max_interp_rel_err <= self.rel_tol:
                 break
-            bad = rel > rel_tol
+            bad = rel > self.rel_tol
             knots = np.concatenate([knots, mids[bad]])
             w_vals = np.concatenate([w_vals, w_true[bad]])
             order = np.argsort(knots)
             knots, w_vals = knots[order], w_vals[order]
-        self.certified = self.max_interp_rel_err <= rel_tol
+        self.certified = self.max_interp_rel_err <= self.rel_tol
 
     def _fit(self, knots, w_vals):
         """Spline log W through the knots, made non-increasing and cut after
@@ -205,13 +206,6 @@ class MarginalTable:
         out = np.where(z <= 0.0, 1.0, out)
         return out if out.ndim else float(out)
 
-    def cdf(self, x1):
-        """Marginal coordinate CDF F_{1|d} from the table."""
-        x1 = np.asarray(x1, dtype=float)
-        half_w = 0.5 * self.w(np.abs(x1))
-        out = np.where(x1 < 0.0, half_w, 1.0 - half_w)
-        return out if out.ndim else float(out)
-
 
 def get_marginal_table(model: RadialModel) -> MarginalTable:
     """The model's W table: built on first use and kept on the model, so it
@@ -222,8 +216,7 @@ def get_marginal_table(model: RadialModel) -> MarginalTable:
     return cache["_marginal_table"]
 
 
-def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float, *,
-             epsabs: float = 1e-9, max_evals: int = 1_000_000):
+def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float):
     """EAR and ESJD at one scale by nested adaptive quadrature.
 
     Outer integral over the proposal radius y, inner over the target radius x
@@ -236,7 +229,7 @@ def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float, *,
         raise ValueError("lambda must be positive")
     if target.d != proposal.d:
         raise ValueError("target and proposal dimensions differ")
-    budget = [max_evals]
+    budget = [_NESTED_MAX_EVALS]
 
     def inner(y_nodes):
         z = 0.5 * lam * y_nodes
@@ -259,23 +252,13 @@ def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float, *,
     pts = np.concatenate([proposal.breakpoints(),
                           (2.0 / lam) * target.breakpoints()])
     try:
-        res = adaptive_quad(outer, proposal.r_lo, y_hi, epsabs=epsabs,
-                            points=pts, max_evals=max_evals)
+        res = adaptive_quad(outer, proposal.r_lo, y_hi, epsabs=1e-9,
+                            points=pts, max_evals=_NESTED_MAX_EVALS)
     except QuadratureError as exc:
         raise EngineError(f"nested quadrature failed at lambda={lam}: {exc}") from exc
     value = np.asarray(res.value)
     err = np.broadcast_to(np.asarray(res.error), (2,))
     return float(value[0]), float(value[1]), float(err[0]), float(err[1])
-
-
-def ear(target: RadialModel, proposal: RadialModel, lam: float) -> float:
-    """Expected acceptance rate at scale lambda (absolute error <= 1e-8)."""
-    return ear_esjd(target, proposal, lam)[0]
-
-
-def esjd(target: RadialModel, proposal: RadialModel, lam: float) -> float:
-    """Expected squared jump distance at scale lambda (absolute error <= 1e-8)."""
-    return ear_esjd(target, proposal, lam)[1]
 
 
 @dataclass
@@ -289,8 +272,7 @@ class CurvePoint:
     message: str = ""
 
 
-def table_point(table: MarginalTable, proposal: RadialModel, lam: float, *,
-                epsabs: float = 2e-10) -> CurvePoint:
+def table_point(table: MarginalTable, proposal: RadialModel, lam: float) -> CurvePoint:
     """One curve point through the tabulated-W route."""
     lam = float(lam)
     target = table.model
@@ -304,7 +286,7 @@ def table_point(table: MarginalTable, proposal: RadialModel, lam: float, *,
 
     pts = np.concatenate([proposal.breakpoints(),
                           (2.0 / lam) * target.breakpoints()])
-    res = adaptive_quad(f, proposal.r_lo, y_hi, epsabs=epsabs, points=pts)
+    res = adaptive_quad(f, proposal.r_lo, y_hi, epsabs=2e-10, points=pts)
     value = np.asarray(res.value)
     err = np.broadcast_to(np.asarray(res.error), (2,)).copy()
     # |dW| <= cert * (W + w_floor) pointwise, integrated against the
@@ -317,6 +299,17 @@ def table_point(table: MarginalTable, proposal: RadialModel, lam: float, *,
         f"W table certificate {cert:.3g} above its target {table.rel_tol:.3g}")
     return CurvePoint(lam, float(value[0]), float(value[1]),
                       float(err[0]), float(err[1]), message=message)
+
+
+def _sampled_ear_esjd(target: RadialModel, lam: float, radii: np.ndarray):
+    """EAR and ESJD averaged over draws r of the proposal radius: the means
+    and standard errors of W(lam r / 2), clipped at 2, and of lam^2 r^2 W,
+    with W from the target's table.  Returns (ear, ear_se, esjd, esjd_se)."""
+    tail = np.minimum(get_marginal_table(target).w(0.5 * lam * radii), 2.0)
+    out = []
+    for draws in (tail, lam * lam * radii * radii * tail):
+        out += [float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(draws.size))]
+    return tuple(out)
 
 
 def curve(target: RadialModel, proposal: RadialModel, lambdas, *,

@@ -1,9 +1,11 @@
 """Locate proposal scales that maximize expected squared jump distance.
 
-A log-spaced grid over the search range brackets every interior local
+Every ESJD value comes from the target's W table (engine.table_point).  A
+log-spaced grid over the search range brackets every interior local
 maximum of the ESJD curve, each bracket is polished by golden-section search
 in log-scale coordinates, and the global optimum is reported with ties
-broken toward the smaller scale.  Dimension sweeps rerun the optimizer per
+broken toward the smaller scale, carrying the table's message when the
+table missed its certificate.  Dimension sweeps rerun the optimizer per
 dimension with the search window centred on the asymptotic prediction, and
 a drift diagnostic classifies how the optimal transformed scale behaves as
 dimension grows.
@@ -20,8 +22,8 @@ import numpy as np
 from .asymptotics import (AsymptoticsError, mixing_from_spec,
                           scale_from_transformed, solve_aots,
                           transformed_scale, POINT_MASS_MU_HAT)
-from .engine import (CurvePoint, EngineError, curve, ear_esjd,
-                     get_marginal_table, table_point)
+from .engine import (CurvePoint, EngineError, curve, get_marginal_table,
+                     table_point)
 from .quadrature import QuadratureError
 from .targets import RadialModel, parse_target_spec
 
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_REL_TOL = 1e-5  # golden-section tolerance on log(lambda)
 
 
 class OptimizerError(RuntimeError):
@@ -60,7 +63,8 @@ class ScalingOptimum:
 
     ``lambda_hat`` is always a member of ``local_maxima``; when several
     maxima agree in ESJD to the tie tolerance the smallest scale is the
-    canonical answer.
+    canonical answer.  ``message`` is the champion point's: non-empty when
+    the W table behind it missed its certificate.
     """
 
     lambda_hat: float
@@ -68,30 +72,24 @@ class ScalingOptimum:
     esjd_hat: float
     local_maxima: tuple[LocalMaximum, ...]
     canonical_rule: str = "smallest-lambda-among-argmax"
+    message: str = ""
 
     @property
     def n_local_maxima(self) -> int:
         return len(self.local_maxima)
 
 
-def default_search_range(target: RadialModel, proposal: RadialModel,
-                         *, decades: float = 3.0) -> tuple[float, float]:
+def default_search_range(target: RadialModel,
+                         proposal: RadialModel) -> tuple[float, float]:
     """A search window centred on the asymptotic point-mass prediction
     2 mu_hat k_x / (sqrt(d) k_y) when the radial scales are known, spanning
-    ``decades`` decades each way."""
+    three decades each way."""
     center = 1.0
     if target.k is not None and proposal.k is not None:
         center = scale_from_transformed(POINT_MASS_MU_HAT, target.d,
                                         target.k, proposal.k)
-    span = 10.0 ** decades
+    span = 1e3
     return center / span, center * span
-
-
-def _eval_point(target, proposal, lam, method, table) -> CurvePoint:
-    if method == "table":
-        return table_point(table, proposal, lam)
-    ear, esjd, ear_err, esjd_err = ear_esjd(target, proposal, lam)
-    return CurvePoint(lam, ear, esjd, ear_err, esjd_err)
 
 
 def _golden_refine(fun, t_lo: float, t_hi: float, tol: float) -> CurvePoint:
@@ -115,12 +113,11 @@ def _golden_refine(fun, t_lo: float, t_hi: float, tol: float) -> CurvePoint:
 
 def optimize(target: RadialModel, proposal: RadialModel, *,
              lam_lo: float | None = None, lam_hi: float | None = None,
-             grid: int = 512, rel_tol: float = 1e-5, tie_rel: float = 1e-6,
-             method: str = "table") -> ScalingOptimum:
+             grid: int = 512, tie_rel: float = 1e-6) -> ScalingOptimum:
     """Maximize the ESJD curve over [lam_lo, lam_hi].
 
     Every grid point exceeding both neighbours seeds a golden-section
-    refinement to relative scale tolerance ``rel_tol``; refinement keeps the
+    refinement to relative scale tolerance 1e-5; refinement keeps the
     better of the grid value and the polished value, so the reported optimum
     never falls below the grid-stage best.  An argmax on the range boundary
     raises OptimizerError — the window is too narrow to claim an interior
@@ -134,12 +131,10 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
         raise ValueError("need 0 < lam_lo < lam_hi")
     if grid < 64:
         raise ValueError("grid must have at least 64 points")
-    if method not in ("table", "nested"):
-        raise ValueError(f"unknown method {method!r}")
-    table = get_marginal_table(target) if method == "table" else None
+    table = get_marginal_table(target)
 
     lambdas = np.geomspace(lam_lo, lam_hi, grid)
-    pts = curve(target, proposal, lambdas, method=method)
+    pts = curve(target, proposal, lambdas)
     good = [p for p in pts if p.ok and np.isfinite(p.esjd)]
     if len(good) < max(16, grid // 4):
         raise OptimizerError(
@@ -168,13 +163,13 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
 
     def fun(t: float) -> CurvePoint:
         if t not in memo:
-            memo[t] = _eval_point(target, proposal, float(np.exp(t)), method, table)
+            memo[t] = table_point(table, proposal, float(np.exp(t)))
         return memo[t]
 
     candidates: list[CurvePoint] = []
     t_g = np.log(lam_g)
     for i in peaks:
-        best = _golden_refine(fun, t_g[i - 1], t_g[i + 1], rel_tol)
+        best = _golden_refine(fun, t_g[i - 1], t_g[i + 1], _REL_TOL)
         if good[i].esjd > best.esjd:
             best = good[i]
         candidates.append(best)
@@ -183,7 +178,7 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
     candidates.sort(key=lambda p: p.lam)
     merged: list[CurvePoint] = []
     for p in candidates:
-        if merged and abs(np.log(p.lam / merged[-1].lam)) <= 4.0 * rel_tol:
+        if merged and abs(np.log(p.lam / merged[-1].lam)) <= 4.0 * _REL_TOL:
             if p.esjd > merged[-1].esjd:
                 merged[-1] = p
         else:
@@ -194,12 +189,14 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
     champion = min(winners, key=lambda p: p.lam)
     return ScalingOptimum(
         lambda_hat=champion.lam, ear_hat=champion.ear, esjd_hat=champion.esjd,
-        local_maxima=tuple(LocalMaximum(p.lam, p.ear, p.esjd) for p in merged))
+        local_maxima=tuple(LocalMaximum(p.lam, p.ear, p.esjd) for p in merged),
+        message=champion.message)
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Per-dimension outcome of a sweep (flagged rather than fatal on error)."""
+    """Per-dimension outcome of a sweep (flagged rather than fatal on error);
+    ``message`` is the error, or the optimum's warning on a successful row."""
 
     d: int
     ok: bool
@@ -235,12 +232,10 @@ def _limit_optimum(limit_mixing: str | None):
 
 
 def sweep_dimension(target_spec: str, proposal_spec: str, dims, *,
-                    grid: int = 512, rel_tol: float = 1e-5,
-                    method: str = "table",
-                    span_decades: float = 2.0) -> DimensionSweep:
+                    grid: int = 512) -> DimensionSweep:
     """Run the optimizer at each dimension of a strictly increasing list.
 
-    The per-dimension search window spans ``span_decades`` decades either
+    The per-dimension search window spans two decades either
     side of the asymptotic prediction for the family's limiting mixing law
     (falling back to the point-mass prediction, and to a deliberately wider
     window for mixture targets whose two branches separate like sqrt(d)).
@@ -263,7 +258,7 @@ def sweep_dimension(target_spec: str, proposal_spec: str, dims, *,
             if target.k is not None and proposal.k is not None:
                 mu_ref = limit_mu if limit_mu is not None else POINT_MASS_MU_HAT
                 pred = scale_from_transformed(mu_ref, d, target.k, proposal.k)
-            span = 10.0 ** span_decades
+            span = 1e2
             if target.family == "mixture":
                 base = scale_from_transformed(POINT_MASS_MU_HAT, d,
                                               target.k, proposal.k)
@@ -273,9 +268,9 @@ def sweep_dimension(target_spec: str, proposal_spec: str, dims, *,
             else:
                 lam_lo, lam_hi = default_search_range(target, proposal)
             opt = optimize(target, proposal, lam_lo=lam_lo, lam_hi=lam_hi,
-                           grid=grid, rel_tol=rel_tol, method=method)
+                           grid=grid)
             return SweepRow(d=d, ok=True, optimum=opt, corollary_lambda=pred,
-                            k_x=target.k, k_y=proposal.k)
+                            k_x=target.k, k_y=proposal.k, message=opt.message)
         except (OptimizerError, EngineError, QuadratureError, ValueError) as exc:
             return SweepRow(d=d, ok=False, optimum=None, corollary_lambda=None,
                             k_x=None, k_y=None, message=str(exc))
@@ -302,13 +297,12 @@ class DriftReport:
     per_dim: tuple[tuple[int, float, tuple[float, ...]], ...]
 
 
-def peak_drift_diagnostic(sweep: DimensionSweep, *, jump_factor: float = 5.0,
-                          drift_factor: float = 8.0) -> DriftReport:
+def peak_drift_diagnostic(sweep: DimensionSweep) -> DriftReport:
     """Classify the dimension trend of the optimal transformed scale.
 
-    Heuristic thresholds: a sweep whose mu_hat grows by ``drift_factor``
+    Heuristic thresholds: a sweep whose mu_hat grows eightfold
     overall while never shrinking more than 20% per step is drifting; an
-    isolated jump by ``jump_factor`` in either direction between adjacent
+    isolated jump by a factor of five in either direction between adjacent
     dimensions marks a swap between ESJD branches; anything else is bounded.
     """
     per_dim = []
@@ -326,9 +320,9 @@ def peak_drift_diagnostic(sweep: DimensionSweep, *, jump_factor: float = 5.0,
 
     mus = np.array(mus)
     steps = mus[1:] / mus[:-1]
-    if mus[-1] >= drift_factor * mus[0] and np.all(steps >= 0.8):
+    if mus[-1] >= 8.0 * mus[0] and np.all(steps >= 0.8):
         cls = "drifting-argmax"
-    elif np.any(steps >= jump_factor) or np.any(steps <= 1.0 / jump_factor):
+    elif np.any(steps >= 5.0) or np.any(steps <= 0.2):
         cls = "peak-swap"
     else:
         cls = "bounded-argmax"

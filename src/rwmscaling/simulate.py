@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .engine import get_marginal_table
+from .engine import _sampled_ear_esjd
 from .elliptical import EllipticalSpec
 from .targets import RadialModel
 
@@ -61,8 +61,9 @@ class ChainStats:
         if self.n_iters <= self.burn_in:
             raise ValueError("n_iters must exceed burn_in")
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def record(self) -> dict:
+        """The chain record: its fields, in output order."""
+        return {
             "target": self.target,
             "proposal": self.proposal,
             "d": self.d,
@@ -73,7 +74,10 @@ class ChainStats:
             "accept_se": self.accept_se,
             "esjd": self.esjd,
             "esjd_se": self.esjd_se,
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.record())
 
 
 @dataclass(frozen=True)
@@ -216,12 +220,6 @@ def mc_expectation(target: RadialModel, proposal: RadialModel, lam: float, *,
         raise ValueError("target and proposal dimensions must match")
     rng = np.random.default_rng(int(seed))
     ry = proposal.sample_radius(n, rng)
-    table = get_marginal_table(target)
-    tail = np.minimum(table.w(0.5 * lam * ry), 2.0)
-    esjd_draws = lam * lam * ry * ry * tail
-    return MCExpectation(
-        ear=float(tail.mean()),
-        ear_se=float(tail.std(ddof=1) / math.sqrt(n)),
-        esjd=float(esjd_draws.mean()),
-        esjd_se=float(esjd_draws.std(ddof=1) / math.sqrt(n)),
-        n_samples=n, seed=int(seed))
+    ear, ear_se, esjd, esjd_se = _sampled_ear_esjd(target, lam, ry)
+    return MCExpectation(ear=ear, ear_se=ear_se, esjd=esjd, esjd_se=esjd_se,
+                         n_samples=n, seed=int(seed))

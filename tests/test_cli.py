@@ -8,6 +8,8 @@ import json
 import pytest
 
 from rwmscaling.cli import UsageError, main, parse_dims
+from rwmscaling.engine import get_marginal_table
+from rwmscaling.targets import parse_target_spec
 
 
 def _run(capsys, argv):
@@ -111,6 +113,29 @@ def test_optimize_boundary_argmax_exits_3(capsys):
                                  "--dim", "2", "--lambda-min", "40",
                                  "--lambda-max", "400", "--grid", "64"])
     assert code == 3 and "numerical failure" in err
+
+
+def test_lognormal_at_large_d_optimizes_on_a_certified_table(capsys):
+    code, out, err = _run(capsys, ["optimize", "lognormal", "gaussian",
+                                   "--dim", "300"])
+    assert code == 0 and err == ""
+    _, header, data = _parse_csv(out)
+    assert float(dict(zip(header, data[0]))["ear_hat"]) == pytest.approx(
+        0.02456, abs=1e-5)
+    assert get_marginal_table(parse_target_spec("lognormal", 300)).certified
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "mixture:p=1/d", "gaussian", "--dim", "100",
+     "--lambda-min", "5", "--lambda-max", "50", "--points", "4"],
+    ["optimize", "mixture:p=1/d", "gaussian", "--dim", "100"],
+    ["sweep", "mixture:p=1/d", "gaussian", "--dims", "100"],
+])
+def test_uncertified_table_warns_on_stderr(capsys, argv):
+    # This mixture's W table ends at a certificate of 3.3e-9, above its 3e-9.
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and "warning" not in out
+    assert err.startswith("warning: ") and "certificate" in err
 
 
 def test_sweep_json_rows_and_limit_comment(capsys):

@@ -102,8 +102,15 @@ def test_optimize_rejects_bad_arguments():
         optimize(t, t, lam_lo=1.0, lam_hi=0.5)
     with pytest.raises(ValueError):
         optimize(t, t, grid=32)
-    with pytest.raises(ValueError):
-        optimize(t, t, method="magic")
+
+
+def test_optimum_carries_the_table_warning():
+    # This mixture's W table ends at a certificate of 3.3e-9, above its 3e-9.
+    t = parse_target_spec("mixture:p=1/d", 100)
+    opt = optimize(t, build_example_target("gaussian", 100))
+    assert not get_marginal_table(t).certified and "certificate" in opt.message
+    g = build_example_target("gaussian", 10)
+    assert optimize(g, g).message == ""
 
 
 def test_default_search_range_centres_on_prediction():
