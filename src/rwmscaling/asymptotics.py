@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import bdtrc
+from scipy.special import bdtrc, erfcx
 
 from .quadrature import adaptive_quad
 from .special import gaussian_cdf, gaussian_pdf
@@ -65,8 +65,15 @@ POINT_MASS_MU_HAT = 1.1906012483427703
 POINT_MASS_AOA = 0.23381016133183664
 
 _MU_MAX = 1e6  # solve_aots: top of the search grid
-_SAMPLE_CHUNK = 64
 _DENSITY_CHUNK = 48
+# Sample means run over blocks of _BLOCK_X values by _BLOCK_R radii, so each
+# temporary stays near 256 KB whatever the number of radii.
+_BLOCK_X = 8
+_BLOCK_R = 4096
+# Beyond z = mu/R = _Z_DEAD, exp(-z^2/2) underflows and _gap_kernel is exactly 0.
+_Z_DEAD = 40.0
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _ZERO_MASS_EPS = 1e-6
 
 
@@ -78,7 +85,8 @@ class MixingDistribution:
     point-mass case included), ``density`` (an absolutely continuous law
     given through its log-density, handled by quadrature on a normalized
     radial model), and ``samples`` (an empirical cloud of radii, handled by
-    plug-in averages with standard errors).
+    plug-in averages with standard errors).  Sample radii are stored sorted,
+    so a law does not depend on the order its radii were given in.
     """
 
     kind: str
@@ -188,7 +196,7 @@ def mixing_samples(radii, *, label: str = "samples") -> MixingDistribution:
         raise ValueError("sample-based mixing laws need at least 100 radii")
     if np.any(~np.isfinite(radii)) or np.any(radii <= 0.0):
         raise ValueError("sample radii must be finite and positive")
-    dist = MixingDistribution(kind="samples", label=label, samples=radii)
+    dist = MixingDistribution(kind="samples", label=label, samples=np.sort(radii))
     return _validate_no_zero_mass(dist)
 
 
@@ -257,7 +265,7 @@ def mixing_from_spec(spec: str, *, seed: int = 0,
 
 def _density_expectation(model: RadialModel, x: np.ndarray, kernel,
                          epsabs: float, epsrel: float) -> np.ndarray:
-    """E[kernel(x, R)] for density-kind R, integrated in t = log r.
+    """E[kernel(x, 1/R)] for density-kind R, integrated in t = log r.
 
     In t a power-law tail of R decays exponentially, so a heavy-tailed law
     needs few panels where in r it would need fine panels over many decades.
@@ -271,7 +279,8 @@ def _density_expectation(model: RadialModel, x: np.ndarray, kernel,
 
         def f(t):
             r = np.exp(t)
-            return (r * model.radial_pdf(r))[:, None] * kernel(block[None, :], r[:, None])
+            return ((r * model.radial_pdf(r))[:, None]
+                    * kernel(block[None, :], 1.0 / r[:, None]))
 
         res = adaptive_quad(f, np.log(model.r_lo), np.log(model.r_hi),
                             epsabs=epsabs, epsrel=epsrel, points=t_pts)
@@ -279,22 +288,32 @@ def _density_expectation(model: RadialModel, x: np.ndarray, kernel,
     return out
 
 
-def _chunked_sample_mean(samples: np.ndarray, x: np.ndarray, fn) -> np.ndarray:
-    out = np.empty(x.size)
-    for start in range(0, x.size, _SAMPLE_CHUNK):
-        block = x[start:start + _SAMPLE_CHUNK]
-        out[start:start + _SAMPLE_CHUNK] = fn(block[:, None], samples[None, :]).mean(axis=1)
-    return out
+def _sample_mean(radii: np.ndarray, x: np.ndarray, kernel,
+                 z_dead: float) -> np.ndarray:
+    """Mean of kernel(x, 1/R) over sorted radii, in _BLOCK_X x _BLOCK_R blocks.
+
+    The kernel must be exactly 0 where x/R > z_dead; radii below x/z_dead
+    are then skipped (none when x <= 0, z_dead is inf or x is NaN)."""
+    inv = 1.0 / radii
+    out = np.zeros(x.size)
+    for i in range(0, x.size, _BLOCK_X):
+        xs = x[i:i + _BLOCK_X, None]
+        cut = xs.min() / z_dead
+        first = int(np.searchsorted(radii, cut)) if cut > 0.0 else 0
+        for j in range(first, radii.size, _BLOCK_R):
+            out[i:i + _BLOCK_X] += kernel(xs, inv[None, j:j + _BLOCK_R]).sum(axis=1)
+    return out / radii.size
 
 
 def _mixing_expectation(dist: MixingDistribution, x: np.ndarray, kernel,
-                        epsabs: float, epsrel: float) -> np.ndarray:
-    """E[kernel(x, R)] for each x: a weighted sum over atoms, a plug-in mean
+                        epsabs: float, epsrel: float,
+                        z_dead: float = np.inf) -> np.ndarray:
+    """E[kernel(x, 1/R)] for each x: a weighted sum over atoms, a plug-in mean
     over samples, or a quadrature over a density."""
     if dist.kind == "atoms":
-        return kernel(x[:, None], dist.atom_values[None, :]) @ dist.atom_weights
+        return kernel(x[:, None], 1.0 / dist.atom_values[None, :]) @ dist.atom_weights
     if dist.kind == "samples":
-        return _chunked_sample_mean(dist.samples, x, kernel)
+        return _sample_mean(dist.samples, x, kernel, z_dead)
     return _density_expectation(dist.model, x, kernel, epsabs, epsrel)
 
 
@@ -302,7 +321,7 @@ def theta(dist: MixingDistribution, x, *, epsabs: float = 1e-12,
           epsrel: float = 1e-11) -> float | np.ndarray:
     """Limiting one-coordinate marginal CDF Theta(x) = E[Phi(x/R)]."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _mixing_expectation(dist, x_arr, lambda xs, r: gaussian_cdf(xs / r),
+    out = _mixing_expectation(dist, x_arr, lambda xs, s: gaussian_cdf(xs * s),
                               epsabs, epsrel)
     return out if np.ndim(x) else float(out[0])
 
@@ -314,7 +333,7 @@ def theta_prime_neg(dist: MixingDistribution, mu, *, epsabs: float = 1e-12,
     if np.any(mu_arr < 0.0):
         raise ValueError("mu must be nonnegative")
     out = _mixing_expectation(dist, mu_arr,
-                              lambda ms, r: gaussian_pdf(ms / r) / r,
+                              lambda ms, s: gaussian_pdf(ms * s) * s,
                               epsabs, epsrel)
     return out if np.ndim(mu) else float(out[0])
 
@@ -406,12 +425,27 @@ class AsymptoticOptimum:
         return not self.no_finite_optimum
 
 
+def _gap_kernel(mu, inv_r):
+    """h(z) = 2 Phi(-z) - z phi(z) at z = mu/R, so that g(mu) = E[h(mu/R)]:
+    exp(-z^2/2) (erfcx(z/sqrt 2) - z/sqrt(2 pi)), one erfcx and one exp."""
+    z = mu * inv_r
+    return np.exp(-0.5 * z * z) * (erfcx(z * _INV_SQRT2) - z * _INV_SQRT2PI)
+
+
 def _stationarity_gap(dist: MixingDistribution, mu, *,
                       epsabs: float = 1e-12) -> np.ndarray:
-    """g(mu) = 2 Theta(-mu) - mu Theta'(-mu); vectorized."""
+    """g(mu) = 2 Theta(-mu) - mu Theta'(-mu), in one pass over the law."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    return (2.0 * theta(dist, -mu, epsabs=epsabs)
-            - mu * theta_prime_neg(dist, mu, epsabs=epsabs))
+    return _mixing_expectation(dist, mu, _gap_kernel, epsabs, 1e-11,
+                               z_dead=_Z_DEAD)
+
+
+def _search_grid(dist: MixingDistribution) -> np.ndarray:
+    """solve_aots's log grid: 48 points a decade from 1e-6 median to mu_max."""
+    lo = 1e-6 * dist.median()
+    if lo >= _MU_MAX:
+        raise AsymptoticsError("mixing law's scale lies beyond the search grid's mu_max")
+    return np.geomspace(lo, _MU_MAX, max(int(np.ceil(np.log10(_MU_MAX / lo) * 48)), 64))
 
 
 def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
@@ -424,12 +458,7 @@ def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
     ``no_finite_optimum`` — the optimal scale drifts to infinity and the
     optimal acceptance rate to zero.
     """
-    med = dist.median()
-    lo = 1e-6 * med
-    if lo >= _MU_MAX:
-        raise AsymptoticsError("mixing law's scale lies beyond the search grid's mu_max")
-    n = max(int(np.ceil(np.log10(_MU_MAX / lo) * 48)), 64)
-    grid = np.geomspace(lo, _MU_MAX, n)
+    grid = _search_grid(dist)
     g = _stationarity_gap(dist, grid, epsabs=1e-10)
     if not np.all(np.isfinite(g)):
         raise AsymptoticsError("stationarity gap evaluated to a non-finite value")

@@ -1,10 +1,13 @@
 """Tests for the dimension-limit machinery: Theta, the stationarity solver,
 the acceptance-rate bound, and the optimal-scale reductions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from rwmscaling import asymptotics
 from rwmscaling.asymptotics import (
     POINT_MASS_AOA,
     POINT_MASS_MU_HAT,
@@ -217,3 +220,73 @@ def test_theta_prime_rejects_negative_mu():
         theta_prime_neg(mixing_point(1.0), -0.5)
     with pytest.raises(ValueError):
         limit_ear(mixing_point(1.0), -1.0)
+
+
+def _two_expectation_gap(dist, mu, *, epsabs=1e-12):
+    """Reference stationarity gap from Theta and Theta' taken separately."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    return (2.0 * theta(dist, -mu, epsabs=epsabs)
+            - mu * theta_prime_neg(dist, mu, epsabs=epsabs))
+
+
+@pytest.fixture(scope="module")
+def chi_radii():
+    """200k rescaled radii of a gaussian target at d = 50, unsorted."""
+    rng = np.random.default_rng(5)
+    return np.sqrt(rng.chisquare(50, 200_000) / 50)
+
+
+@pytest.mark.parametrize("spec, tol", [("atoms:1@0.2,1@1,3@0.5", 1e-14),
+                                       ("halfnormal", 1e-11),
+                                       ("pareto:1.5", 1e-11),
+                                       ("samples-200k", 1e-14)])
+def test_fused_gap_matches_two_expectation_form(spec, tol, chi_radii,
+                                                monkeypatch):
+    dist = (mixing_samples(chi_radii) if spec == "samples-200k"
+            else mixing_from_spec(spec))
+    grid = asymptotics._search_grid(dist)
+    fused = asymptotics._stationarity_gap(dist, grid, epsabs=1e-10)
+    ref = _two_expectation_gap(dist, grid, epsabs=1e-10)
+    assert np.max(np.abs(fused - ref)) <= tol
+    # Signs may differ only where both forms have underflowed: the dead tail
+    # that solve_aots trims.
+    flip = np.sign(fused) != np.sign(ref)
+    tiny = np.finfo(float).tiny
+    assert np.all(np.abs(fused[flip]) < tiny) and np.all(np.abs(ref[flip]) < tiny)
+
+    opt = solve_aots(dist)
+    monkeypatch.setattr(asymptotics, "_stationarity_gap", _two_expectation_gap)
+    want = solve_aots(dist)
+    assert len(opt.roots) == len(want.roots)
+    assert opt.mu_hat == pytest.approx(want.mu_hat, rel=1e-12)
+
+
+def test_dead_prefix_skip_is_exact():
+    assert asymptotics._gap_kernel(asymptotics._Z_DEAD, 1.0) == 0.0
+    radii = np.sort(np.random.default_rng(2).lognormal(0.0, 1.0, 20_000))
+    dist = mixing_samples(radii)
+    grid = asymptotics._search_grid(dist)
+    cut = grid / asymptotics._Z_DEAD
+    # Some grid points skip part of the cloud, others all of it.
+    assert np.any((radii[0] < cut) & (cut < radii[-1]))
+    assert np.any(cut > radii[-1])
+    blocked = asymptotics._stationarity_gap(dist, grid)
+    unblocked = np.array([np.mean(asymptotics._gap_kernel(m, 1.0 / radii))
+                          for m in grid])
+    assert np.max(np.abs(blocked - unblocked)) <= 1e-15
+    assert np.array_equal(blocked == 0.0, unblocked == 0.0)
+
+
+def test_sample_law_solve_has_bounded_memory_and_ignores_order(chi_radii):
+    given = np.random.default_rng(1).permutation(chi_radii)
+    kept = given.copy()
+    dist = mixing_samples(given)
+    assert np.array_equal(given, kept)
+    tracemalloc.start()
+    try:
+        opt = solve_aots(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert solve_aots(mixing_samples(chi_radii)) == opt
