@@ -73,24 +73,29 @@ def parse_dims(spec: str) -> list[int]:
         raise UsageError("empty dimension list")
     if ":" in spec:
         parts = spec.split(":")
+        grammar = f"bad dimension range {spec!r}; want a:b:linN or a:b:logN"
         if len(parts) != 3:
-            raise UsageError(f"bad dimension range {spec!r}; want a:b:linN or a:b:logN")
-        a, b, rule = int(parts[0]), int(parts[1]), parts[2].strip().lower()
+            raise UsageError(grammar)
+        rule = parts[2].strip().lower()
+        try:
+            a, b = int(parts[0]), int(parts[1])
+            n = int(rule[3:]) if rule[:3] in ("lin", "log") else None
+        except ValueError:
+            raise UsageError(grammar) from None
         if a < 1 or b <= a:
             raise UsageError("dimension range must satisfy 1 <= a < b")
-        if rule.startswith("lin"):
-            n = int(rule[3:])
-            vals = np.linspace(a, b, n)
-        elif rule.startswith("log"):
-            n = int(rule[3:])
-            vals = np.geomspace(a, b, n)
-        else:
+        if n is None:
             raise UsageError(f"unknown spacing rule {rule!r}; want linN or logN")
         if n < 2:
             raise UsageError("need at least two points in a dimension range")
-        dims = sorted({int(round(v)) for v in vals})
+        spacing = np.linspace if rule.startswith("lin") else np.geomspace
+        dims = sorted({int(round(v)) for v in spacing(a, b, n)})
     else:
-        dims = [int(tok) for tok in spec.split(",") if tok.strip()]
+        try:
+            dims = [int(tok) for tok in spec.split(",") if tok.strip()]
+        except ValueError:
+            raise UsageError(f"bad dimension list {spec!r}; want a,b,c or "
+                             "a:b:linN / a:b:logN") from None
     if not dims or any(d < 1 for d in dims):
         raise UsageError("dimensions must be positive integers")
     if any(b <= a for a, b in zip(dims, dims[1:])):
@@ -138,6 +143,8 @@ def _gnuplot_hint(args, using: str, title: str) -> None:
 
 
 def _positive(name: str, v: float) -> float:
+    if not math.isfinite(v):
+        raise UsageError(f"{name} must be finite, got {v}")
     if not v > 0.0:
         raise UsageError(f"{name} must be positive, got {v}")
     return float(v)

@@ -16,11 +16,14 @@ Two evaluation routes are provided and are kept mutually checkable:
 
 * ear_esjd, the reference: literal nested adaptive quadrature of the
   double integral (absolute error <= 1e-8; raises on budget exhaustion);
-* table_point, behind curve and the optimizer: a per-target table of W
-  (built once by stacked adaptive quadrature and kept on the target model,
-  interpolated as a cubic spline of log W with a measured midpoint-error
-  certificate), after which each lambda costs one 1-d adaptive integral.
-  Table and nested routes agree to < 1e-7 by test.
+* the table route, behind curve, table_point and the optimizer: a
+  per-target table of W (built once by stacked adaptive quadrature and kept
+  on the target model, interpolated as a cubic spline of log W with a
+  measured midpoint-error certificate), after which a whole lambda grid is
+  one stacked 1-d integral over the proposal radius, one item per lambda,
+  each with its own evaluation budget and its own failure flag;
+  table_point is the one-lambda case.  Table and nested routes agree to
+  < 1e-7 by test.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
 
 _LOG_FLOOR = -640.0  # log W below this is treated as exactly zero
 _NESTED_MAX_EVALS = 1_000_000  # outer and total inner budget of ear_esjd
+_POINT_MAX_EVALS = 1_000_000  # budget of each table-route curve point
 
 
 class EngineError(RuntimeError):
@@ -272,33 +276,60 @@ class CurvePoint:
     message: str = ""
 
 
-def table_point(table: MarginalTable, proposal: RadialModel, lam: float) -> CurvePoint:
-    """One curve point through the tabulated-W route."""
-    lam = float(lam)
+def _table_points(table: MarginalTable, proposal: RadialModel,
+                  lams: np.ndarray) -> list[CurvePoint]:
+    """Curve points at every lambda through the tabulated-W route, as one
+    stacked integral: item i is the integral over the proposal radius y of
+    rbar(y) W(lam_i y / 2) and of lam_i^2 y^2 times it, with its own
+    budget, so a failure flags only its own point."""
     target = table.model
-    y_hi = min(proposal.r_hi, 2.0 * target.r_hi / lam)
-    if y_hi <= proposal.r_lo:
-        return CurvePoint(lam, 0.0, 0.0, 0.0, 0.0)
+    if target.d != proposal.d:
+        raise ValueError("target and proposal dimensions differ")
+    y_hi = np.minimum(proposal.r_hi, 2.0 * target.r_hi / lams)
+    active = y_hi > proposal.r_lo  # the others are exact zero points
+    points = [CurvePoint(float(lam), 0.0, 0.0, 0.0, 0.0) for lam in lams]
+    if not active.any():
+        return points
+    lam = lams[active]
 
-    def f(y):
-        base = proposal.radial_pdf(y) * table.w(0.5 * lam * y)
-        return np.stack([base, lam * lam * y * y * base], axis=-1)
+    def f(y, i):
+        li = lam[i]
+        base = proposal.radial_pdf(y) * table.w(0.5 * li * y)
+        return np.stack([base, li * li * y * y * base], axis=-1)
 
-    pts = np.concatenate([proposal.breakpoints(),
-                          (2.0 / lam) * target.breakpoints()])
-    res = adaptive_quad(f, proposal.r_lo, y_hi, epsabs=2e-10, points=pts)
-    value = np.asarray(res.value)
-    err = np.broadcast_to(np.asarray(res.error), (2,)).copy()
+    pts = np.column_stack([np.tile(proposal.breakpoints(), (lam.size, 1)),
+                           (2.0 / lam)[:, None] * target.breakpoints()])
+    try:
+        values, errors, _ = stacked_quad(
+            f, np.full(lam.size, proposal.r_lo), y_hi[active], epsabs=2e-10,
+            points=pts, max_evals=np.full(lam.size, _POINT_MAX_EVALS))
+        failures = {}
+    except QuadratureError as exc:
+        (values, errors, _), failures = exc.result, exc.failures
     # |dW| <= cert * (W + w_floor) pointwise, integrated against the
     # proposal radial density and lam^2 y^2 times it respectively.
     cert = table.max_interp_rel_err
     floor = table.w_floor
-    err[0] += cert * (abs(value[0]) + floor)
-    err[1] += cert * (abs(value[1]) + lam * lam * proposal.moment(2) * floor)
+    ear_err = errors + cert * (np.abs(values[:, 0]) + floor)
+    esjd_err = errors + cert * (np.abs(values[:, 1])
+                                + lam * lam * proposal.moment(2) * floor)
     message = "" if table.certified else (
         f"W table certificate {cert:.3g} above its target {table.rel_tol:.3g}")
-    return CurvePoint(lam, float(value[0]), float(value[1]),
-                      float(err[0]), float(err[1]), message=message)
+    for j, i in enumerate(np.nonzero(active)[0]):
+        if j in failures:
+            points[i] = CurvePoint(points[i].lam, np.nan, np.nan, np.nan,
+                                   np.nan, ok=False, message=failures[j])
+        else:
+            points[i] = CurvePoint(points[i].lam, float(values[j, 0]),
+                                   float(values[j, 1]), float(ear_err[j]),
+                                   float(esjd_err[j]), message=message)
+    return points
+
+
+def table_point(table: MarginalTable, proposal: RadialModel, lam: float) -> CurvePoint:
+    """One curve point through the tabulated-W route: the one-lambda case
+    of curve's stacked integral."""
+    return _table_points(table, proposal, _checked_lambdas([lam]))[0]
 
 
 def _sampled_ear_esjd(target: RadialModel, lam: float, radii: np.ndarray):
@@ -312,32 +343,42 @@ def _sampled_ear_esjd(target: RadialModel, lam: float, radii: np.ndarray):
     return tuple(out)
 
 
+def _checked_lambdas(lambdas) -> np.ndarray:
+    """lambdas as a 1-d float array of finite positive scales, else ValueError."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.ndim != 1:
+        raise ValueError("lambda values must form a 1-d sequence")
+    if not np.all(np.isfinite(lambdas)):
+        raise ValueError("all lambda values must be finite")
+    if np.any(lambdas <= 0.0):
+        raise ValueError("all lambda values must be positive")
+    return lambdas
+
+
 def curve(target: RadialModel, proposal: RadialModel, lambdas, *,
           method: str = "table") -> list[CurvePoint]:
     """EAR/ESJD along a grid of scales; per-point failures are flagged, not fatal.
 
-    The computed acceptance rates are checked to be non-increasing in lambda
-    (a structural property of the exact integrals); violation beyond the
-    numerical tolerance raises EngineError.
+    lambdas must be a 1-d sequence of finite positive scales, and target and
+    proposal must share a dimension (else ValueError).  The table route
+    integrates the whole grid as one stacked integral; the nested route
+    takes one lambda at a time.  The computed acceptance rates are checked
+    to be non-increasing in lambda (a structural property of the exact
+    integrals); violation beyond the numerical tolerance raises EngineError.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(lambdas <= 0.0):
-        raise ValueError("all lambda values must be positive")
-    if method not in ("table", "nested"):
+    lambdas = _checked_lambdas(lambdas)
+    if method == "table":
+        points = _table_points(get_marginal_table(target), proposal, lambdas)
+    elif method == "nested":
+        points = []
+        for lam in lambdas:
+            try:
+                points.append(CurvePoint(float(lam), *ear_esjd(target, proposal, lam)))
+            except EngineError as exc:
+                points.append(CurvePoint(float(lam), np.nan, np.nan, np.nan,
+                                         np.nan, ok=False, message=str(exc)))
+    else:
         raise ValueError(f"unknown method {method!r}")
-    table = get_marginal_table(target) if method == "table" else None
-
-    points: list[CurvePoint] = []
-    for lam in lambdas:
-        try:
-            if method == "table":
-                points.append(table_point(table, proposal, lam))
-            else:
-                e, s, ee, se = ear_esjd(target, proposal, lam)
-                points.append(CurvePoint(float(lam), e, s, ee, se))
-        except (QuadratureError, EngineError) as exc:
-            points.append(CurvePoint(float(lam), np.nan, np.nan, np.nan,
-                                     np.nan, ok=False, message=str(exc)))
 
     good = [(p.lam, p.ear) for p in points if p.ok]
     good.sort()

@@ -1,9 +1,10 @@
 """Locate proposal scales that maximize expected squared jump distance.
 
-Every ESJD value comes from the target's W table (engine.table_point).  A
-log-spaced grid over the search range brackets every interior local
-maximum of the ESJD curve, each bracket is polished by golden-section search
-in log-scale coordinates, and the global optimum is reported with ties
+Every ESJD value comes from the target's W table.  A log-spaced grid over
+the search range, evaluated as one stacked integral (engine.curve),
+brackets every interior local maximum of the ESJD curve; each bracket is
+polished by golden-section search in log-scale coordinates, one
+engine.table_point at a time, and the global optimum is reported with ties
 broken toward the smaller scale, carrying the table's message when the
 table missed its certificate.  Dimension sweeps rerun the optimizer per
 dimension with the search window centred on the asymptotic prediction, and
@@ -13,8 +14,6 @@ dimension grows.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,10 +274,8 @@ def sweep_dimension(target_spec: str, proposal_spec: str, dims, *,
             return SweepRow(d=d, ok=False, optimum=None, corollary_lambda=None,
                             k_x=None, k_y=None, message=str(exc))
 
-    with ThreadPoolExecutor(min(4, os.cpu_count() or 1, len(dims))) as pool:
-        rows = list(pool.map(run_one, dims))
     return DimensionSweep(target_spec=target_spec, proposal_spec=proposal_spec,
-                          dims=tuple(dims), rows=tuple(rows),
+                          dims=tuple(dims), rows=tuple(run_one(d) for d in dims),
                           limit_mu_hat=limit_mu, limit_aoa=limit_aoa)
 
 

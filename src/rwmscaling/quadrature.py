@@ -8,9 +8,11 @@ this package affordable.  The rule is the classic 15-point Kronrod extension
 of 7-point Gauss, with QUADPACK's error-scaling heuristic.  A panel is
 accepted when its error (the largest over the components) fits a budget
 proportional to its share of its item's interval, so the accepted errors of
-item i sum to at most max(epsabs_i, epsrel * max_k |I_ik|).
-``adaptive_quad`` (one item) and ``stacked_quad`` (many items) are thin
-front ends to the core.
+item i sum to at most max(epsabs_i, epsrel * max_k |I_ik|).  Items fail
+one at a time: a non-finite value, the round limit or an exhausted budget
+(per item, or the run's total) stops only the items concerned, and the rest
+run to completion.  ``adaptive_quad`` (one item) and ``stacked_quad`` (many
+items) are thin front ends to the core; both raise on any failure.
 """
 
 from __future__ import annotations
@@ -46,12 +48,30 @@ _WG = np.array([
 ])
 
 _MIN_WIDTH = 50.0 * np.finfo(float).eps
+_ROUNDOFF = 100.0 * np.finfo(float).eps
+_BUDGET = "evaluation budget {} exhausted with {} panels open"
 # Refinement rounds before giving up; each round halves every open panel.
 _MAX_ROUNDS = 64
+# Panels evaluated per integrand call, which bounds a round's temporaries
+# whatever the number of items.  2048 panels make a multiple of 4 rows per
+# matrix-vector product, so BLAS kernels that work in blocks of 4 rows sum
+# each row as they would in one product over the whole round.
+_CHUNK_PANELS = 2048
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the evaluation budget is exhausted before the tolerance is met."""
+    """Raised when an integral cannot be finished: a non-finite integrand,
+    an exhausted evaluation budget or the round limit.
+
+    When raised by the core, ``failures`` maps each failed item to its
+    message and ``result`` is the run's (values, errors, n_evals), with NaN
+    for the failed items and the other items complete.
+    """
+
+    def __init__(self, message: str, *, failures=None, result=None):
+        super().__init__(message)
+        self.failures = failures or {}
+        self.result = result
 
 
 @dataclass
@@ -91,11 +111,17 @@ def _panel_rule(vals: np.ndarray, half: np.ndarray):
 
 
 def _gk15(f, a: np.ndarray, b: np.ndarray, epsabs,
-          epsrel: float, points, max_evals: int):
+          epsrel: float, points, max_evals):
     """The adaptive loop behind both wrappers, over items x components.
 
-    Arguments and result are those of stacked_quad, except that f(x, item)
-    receives the item index of each open panel, not of each of its 15 nodes.
+    Arguments are those of stacked_quad, except that f(x, item) receives the
+    item index of each open panel, not of each of its 15 nodes.  An item
+    fails alone: when its integrand is not finite, when the round limit
+    leaves it open, or when its evaluations so far plus its next round's
+    nodes would pass its budget.  With a scalar ``max_evals`` the budget is
+    the run's total, and every open item fails when it runs out.  Returns
+    (values, errors, n_evals, failures): failures maps each failed item to
+    its message, and the item's value and error are NaN.
     """
     n_items = a.size
     edges = np.column_stack([a, b] if points is None else [a, b, points])
@@ -105,27 +131,52 @@ def _gk15(f, a: np.ndarray, b: np.ndarray, epsabs,
     is_panel = hi > lo  # drops repeated edges, NaN padding and empty items
     item = np.nonzero(is_panel)[0]
     lo, hi = lo[is_panel], hi[is_panel]
-    if item.size == 0:
-        return np.zeros(n_items), np.zeros(n_items), 0
     width = b - a
+    per_item = isinstance(max_evals, np.ndarray)
+    item_evals = np.zeros(n_items, dtype=np.int64) if per_item else None
     values = None
     errors = np.zeros(n_items)
+    failures: dict[int, str] = {}
     n_evals = 0
 
+    def fail(failed, message):
+        """Record each item of ``failed`` and drop its open panels."""
+        for i in failed:
+            failures[int(i)] = message(i)
+        return ~np.isin(item, failed)
+
     for _ in range(_MAX_ROUNDS):
+        if item.size == 0:
+            break
         half = 0.5 * (hi - lo)
         center = 0.5 * (hi + lo)
-        nodes = (center[:, None] + half[:, None] * _XGK).ravel()
-        vals = np.asarray(f(nodes, item), dtype=float)
-        n_evals += nodes.size
-        if values is None:
-            scalar = vals.ndim == 1
-            values = np.zeros((n_items, 1 if scalar else vals.shape[-1]))
-        vals = vals.reshape(lo.size, 15, values.shape[1])
-        if not np.isfinite(vals).all():
-            bad = ~np.isfinite(vals).all(axis=2).ravel()
-            raise QuadratureError(f"non-finite integrand near x={nodes[bad][:3]}")
-        integral, err, absint = _panel_rule(vals, half)
+        parts, bad = [], {}
+        for start in range(0, item.size, _CHUNK_PANELS):
+            c = slice(start, start + _CHUNK_PANELS)
+            nodes = (center[c, None] + half[c, None] * _XGK).ravel()
+            vals = np.asarray(f(nodes, item[c]), dtype=float)
+            if values is None:
+                scalar = vals.ndim == 1
+                values = np.zeros((n_items, 1 if scalar else vals.shape[-1]))
+            vals = vals.reshape(-1, 15, values.shape[1])
+            if not np.isfinite(vals).all():
+                finite = np.isfinite(vals).all(axis=2)
+                nodes = nodes.reshape(-1, 15)
+                for i in np.unique(item[c][~finite.all(axis=1)]):
+                    mine = item[c] == i
+                    bad.setdefault(int(i), []).extend(nodes[mine][~finite[mine]][:3])
+                vals = np.where(finite[:, :, None], vals, 0.0)
+            parts.append(_panel_rule(vals, half[c]))
+        integral, err, absint = parts[0] if len(parts) == 1 else (
+            np.concatenate(p) for p in zip(*parts))
+        n_evals += 15 * item.size
+        if per_item:
+            item_evals += 15 * np.bincount(item, minlength=n_items)
+        if bad:
+            live = fail(list(bad), lambda i: (
+                f"non-finite integrand near x={np.array(bad[i][:3])}"))
+            item, lo, hi, center = item[live], lo[live], hi[live], center[live]
+            integral, err, absint = integral[live], err[live], absint[live]
 
         est = values.copy()
         np.add.at(est, item, integral)
@@ -133,22 +184,50 @@ def _gk15(f, a: np.ndarray, b: np.ndarray, epsabs,
         budget = tol[item] * (hi - lo) / width[item]
         # A panel whose error sits at the round-off level of its own |f| mass
         # cannot be improved by splitting; retire it.
-        floor = 100.0 * np.finfo(float).eps * absint
+        floor = _ROUNDOFF * absint
         keep = (err <= np.maximum(budget, floor)) \
             | (hi - lo <= _MIN_WIDTH * np.maximum(1.0, np.abs(center)))
         np.add.at(values, item[keep], integral[keep])
         np.add.at(errors, item[keep], err[keep])
         if keep.all():
-            return (values[:, 0] if scalar else values), errors, n_evals
+            break
         item_s, lo_s, hi_s = item[~keep], lo[~keep], hi[~keep]
         mid = 0.5 * (lo_s + hi_s)
         item = np.concatenate([item_s, item_s])
         lo = np.concatenate([lo_s, mid])
         hi = np.concatenate([mid, hi_s])
-        if n_evals + lo.size * 15 > max_evals:
-            raise QuadratureError(
-                f"evaluation budget {max_evals} exhausted with {lo.size} panels open")
-    raise QuadratureError("subdivision did not converge (max rounds reached)")
+        if per_item:
+            n_open = np.bincount(item, minlength=n_items)
+            over = (n_open > 0) & (item_evals + 15 * n_open > max_evals)
+            if over.any():
+                live = fail(np.nonzero(over)[0],
+                            lambda i: _BUDGET.format(max_evals[i], n_open[i]))
+                item, lo, hi = item[live], lo[live], hi[live]
+        elif n_evals + 15 * item.size > max_evals:
+            # One total for the run: every open item fails together.
+            n_open = item.size
+            fail(np.unique(item), lambda i: _BUDGET.format(max_evals, n_open))
+            item = item[:0]
+    else:
+        fail(np.unique(item),
+             lambda i: "subdivision did not converge (max rounds reached)")
+
+    if values is None:
+        return np.zeros(n_items), errors, 0, failures
+    if failures:
+        failed = list(failures)
+        values[failed] = np.nan
+        errors[failed] = np.nan
+    return (values[:, 0] if scalar else values), errors, n_evals, failures
+
+
+def _raise_on_failure(values, errors, n_evals, failures):
+    """The result, or a QuadratureError naming the first failure and
+    carrying the run."""
+    if failures:
+        raise QuadratureError(next(iter(failures.values())), failures=failures,
+                              result=(values, errors, n_evals))
+    return values, errors, n_evals
 
 
 def adaptive_quad(f, a: float, b: float, *, epsabs: float = 1e-10,
@@ -164,9 +243,9 @@ def adaptive_quad(f, a: float, b: float, *, epsabs: float = 1e-10,
     integrand evaluations do not suffice.
     """
     pts = None if points is None else np.asarray(points, dtype=float).reshape(1, -1)
-    values, errors, n_evals = _gk15(
+    values, errors, n_evals = _raise_on_failure(*_gk15(
         lambda x, item: f(x), np.array([a], dtype=float),
-        np.array([b], dtype=float), epsabs, epsrel, pts, max_evals)
+        np.array([b], dtype=float), epsabs, epsrel, pts, max_evals))
     return QuadResult(values[0], errors[0], n_evals)
 
 
@@ -179,11 +258,15 @@ def stacked_quad(f, a, b, *, epsabs=1e-10, epsrel: float = 0.0, points=None,
     returning (n,) or (n, k) values.  ``points`` may be None, or an
     (n_items, m) array of per-item seed subdivision points (values outside
     an item's interval are ignored).  ``epsabs`` may be scalar or per-item.
-    Returns (values, errors, n_evals); values has shape (n_items,) or
-    (n_items, k).
+    ``max_evals`` is a total for the run, or an (n_items,) numpy array that
+    gives each item its own budget.  Returns (values, errors, n_evals); values
+    has shape (n_items,) or (n_items, k).  Raises QuadratureError if any
+    item fails; the other items still run to completion, and the error
+    carries their results and every item's failure.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     pts = None if points is None else np.asarray(points, dtype=float).reshape(a.size, -1)
-    return _gk15(lambda x, item: f(x, np.repeat(item, 15)), a, b,
-                 np.asarray(epsabs, dtype=float), epsrel, pts, max_evals)
+    return _raise_on_failure(*_gk15(
+        lambda x, item: f(x, np.repeat(item, 15)), a, b,
+        np.asarray(epsabs, dtype=float), epsrel, pts, max_evals))

@@ -157,6 +157,35 @@ def test_sweep_bad_dims_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("dims", ["2:5:lin", "2:5:logx", "a:5:lin3", "2:5.5:lin3"])
+def test_malformed_dimension_range_names_the_grammar(capsys, dims):
+    with pytest.raises(UsageError, match="a:b:linN or a:b:logN"):
+        parse_dims(dims)
+    code, out, err = _run(capsys, ["sweep", "gaussian", "gaussian", "--dims", dims])
+    assert code == 2 and out == ""
+    assert err == f"error: bad dimension range {dims!r}; want a:b:linN or a:b:logN\n"
+
+
+def test_malformed_dimension_list_names_the_grammar():
+    with pytest.raises(UsageError, match="want a,b,c or a:b:linN / a:b:logN"):
+        parse_dims("2,x")
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "gaussian", "gaussian", "--dim", "2", "--lambda-min", "0.5",
+     "--lambda-max", "inf", "--points", "4"],
+    ["optimize", "gaussian", "gaussian", "--dim", "2", "--lambda-min", "0.5",
+     "--lambda-max", "inf"],
+    ["curve", "gaussian", "gaussian", "--dim", "2", "--lambda-min", "nan",
+     "--lambda-max", "2", "--points", "4"],
+])
+def test_non_finite_scale_bounds_are_usage_errors(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    bad = "--lambda-max" if "inf" in argv else "--lambda-min"
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad} must be finite")
+
+
 def test_asymptotic_point_mass(capsys):
     code, out, _ = _run(capsys, ["asymptotic", "--mixing", "point:1"])
     assert code == 0

@@ -10,6 +10,7 @@ from scipy.stats import norm
 
 from rwmscaling import engine
 from rwmscaling.engine import (
+    CurvePoint,
     EngineError,
     MarginalTable,
     closed_form_gaussian_1d,
@@ -20,6 +21,8 @@ from rwmscaling.engine import (
     marginal_cdf,
     table_point,
 )
+from rwmscaling.optimizer import default_search_range, optimize
+from rwmscaling.quadrature import QuadratureError, adaptive_quad
 from rwmscaling.targets import build_example_target, parse_target_spec
 
 
@@ -202,3 +205,125 @@ def test_d2_arcsine_kernel_path():
     assert all(p.ok for p in pts)
     i = int(np.argmax([p.esjd for p in pts]))
     assert 0 < i < len(pts) - 1
+
+
+def _per_point_reference(table, proposal, lam):
+    """One curve point as the table route computed it before curves were
+    stacked: its own adaptive_quad per lambda."""
+    lam = float(lam)
+    target = table.model
+    y_hi = min(proposal.r_hi, 2.0 * target.r_hi / lam)
+    if y_hi <= proposal.r_lo:
+        return CurvePoint(lam, 0.0, 0.0, 0.0, 0.0)
+
+    def f(y):
+        base = proposal.radial_pdf(y) * table.w(0.5 * lam * y)
+        return np.stack([base, lam * lam * y * y * base], axis=-1)
+
+    pts = np.concatenate([proposal.breakpoints(),
+                          (2.0 / lam) * target.breakpoints()])
+    try:
+        res = adaptive_quad(f, proposal.r_lo, y_hi, epsabs=2e-10, points=pts)
+    except QuadratureError as exc:
+        return CurvePoint(lam, np.nan, np.nan, np.nan, np.nan, ok=False,
+                          message=str(exc))
+    value = np.asarray(res.value)
+    err = np.broadcast_to(np.asarray(res.error), (2,)).copy()
+    cert = table.max_interp_rel_err
+    floor = table.w_floor
+    err[0] += cert * (abs(value[0]) + floor)
+    err[1] += cert * (abs(value[1]) + lam * lam * proposal.moment(2) * floor)
+    message = "" if table.certified else (
+        f"W table certificate {cert:.3g} above its target {table.rel_tol:.3g}")
+    return CurvePoint(lam, float(value[0]), float(value[1]),
+                      float(err[0]), float(err[1]), message=message)
+
+
+@pytest.mark.parametrize("spec, d", [
+    ("gaussian", 1), ("gaussian", 2), ("gaussian", 10), ("exponential", 30),
+    ("lognormal", 20), ("mixture:p=1/d^2", 10)])
+def test_stacked_curve_matches_per_point_route(spec, d):
+    # The optimizer's whole search window: it reaches scales whose
+    # integration range is empty (exact zero points) for d = 10 and 30.
+    t = parse_target_spec(spec, d)
+    prop = build_example_target("gaussian", d)
+    table = get_marginal_table(t)
+    lams = np.geomspace(*default_search_range(t, prop), 256)
+    got = curve(t, prop, lams)
+    want = [_per_point_reference(table, prop, lam) for lam in lams]
+    assert [(p.lam, p.ok, p.message) for p in got] == \
+        [(p.lam, p.ok, p.message) for p in want]
+    if spec in ("gaussian", "exponential") and d >= 10:
+        assert any(p.ear == 0.0 and p.ear_err == 0.0 for p in got)
+    for p, q in zip(got, want):
+        for v, w in [(p.ear, q.ear), (p.esjd, q.esjd)]:
+            assert v == pytest.approx(w, rel=1e-13, abs=0)
+        # A quadrature error estimate is a difference of two nearly equal
+        # rule sums, so its rounding noise is set by the value it bounds: a
+        # batched matrix-vector product may round a sum one unit apart.
+        for e, w, v in [(p.ear_err, q.ear_err, q.ear),
+                        (p.esjd_err, q.esjd_err, q.esjd)]:
+            assert e == pytest.approx(w, rel=1e-13, abs=1e-16 * v)
+
+
+def _patched_stacked_quad(monkeypatch, rewrite):
+    """engine.stacked_quad with its integrand and budgets passed through
+    rewrite(f, max_evals) first."""
+    inner = engine.stacked_quad
+
+    def patched(f, a, b, **kwargs):
+        f, kwargs["max_evals"] = rewrite(f, np.array(kwargs["max_evals"]))
+        return inner(f, a, b, **kwargs)
+
+    monkeypatch.setattr(engine, "stacked_quad", patched)
+
+
+@pytest.mark.parametrize("kind", ["nan", "budget"])
+def test_curve_flags_only_the_failed_point(monkeypatch, kind):
+    # The first scale has an empty integration range, so it is no item of
+    # the stacked integral: stacked item 4 is curve point 5.
+    t = build_example_target("gaussian", 10)
+    lams = np.r_[1e4, np.geomspace(0.3, 3.0, 9)]
+    clean = curve(t, t, lams)
+    assert clean[0].ear == 0.0
+
+    def rewrite(f, max_evals):
+        if kind == "nan":
+            return (lambda y, i: np.where((i == 4)[:, None], np.nan, f(y, i))), max_evals
+        # Every clean item converges on its seed panels in one round; item 4
+        # gets a kink that needs refinement and a budget that forbids it.
+        max_evals[4] = 1
+        return (lambda y, i: f(y, i) * np.where(i == 4, np.abs(y - 1.1), 1.0)[:, None]), \
+            max_evals
+
+    _patched_stacked_quad(monkeypatch, rewrite)
+    flagged = curve(t, t, lams)
+    assert [p.ok for p in flagged] == [i != 5 for i in range(10)]
+    want = "non-finite integrand" if kind == "nan" else "evaluation budget 1 "
+    assert flagged[5].message.startswith(want) and np.isnan(flagged[5].ear)
+    assert flagged[0] == clean[0]
+    for i in (1, 2, 3, 4, 6, 7, 8, 9):
+        assert flagged[i].ear == pytest.approx(clean[i].ear, rel=1e-15, abs=0)
+        assert flagged[i].esjd == pytest.approx(clean[i].esjd, rel=1e-15, abs=0)
+
+
+def test_table_route_rejects_mismatched_dimensions():
+    t2 = build_example_target("gaussian", 2)
+    t3 = build_example_target("gaussian", 3)
+    match = "dimensions differ"
+    with pytest.raises(ValueError, match=match):
+        curve(t2, t3, [0.5])
+    with pytest.raises(ValueError, match=match):
+        table_point(get_marginal_table(t2), t3, 0.5)
+    with pytest.raises(ValueError, match=match):
+        optimize(t2, t3)
+
+
+@pytest.mark.parametrize("lambdas, match", [
+    ([0.5, np.nan], "finite"), ([0.5, np.inf], "finite"),
+    ([0.5, 0.0], "positive"), (0.5, "1-d"), ([[0.5, 1.0]], "1-d")])
+def test_curve_rejects_bad_lambdas(lambdas, match):
+    t = build_example_target("gaussian", 2)
+    for method in ("table", "nested"):
+        with pytest.raises(ValueError, match=match):
+            curve(t, t, lambdas, method=method)

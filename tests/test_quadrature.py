@@ -105,3 +105,88 @@ def test_stacked_vector_values_on_distinct_intervals():
     assert vals.shape == (3, 2) and errs.shape == (3,)
     assert np.allclose(vals, want, rtol=1e-12, atol=0)
     assert np.all(errs <= 1e-13) and n > 0
+
+
+def _counted(f, n_items):
+    """f, and the per-item evaluation counts it accumulates."""
+    counts = np.zeros(n_items, dtype=int)
+
+    def g(x, idx):
+        np.add.at(counts, idx, 1)
+        return f(x, idx)
+
+    return g, counts
+
+
+def _items(x, idx):
+    return np.stack([np.exp(-(idx + 1.0) * x), np.sqrt(x + idx)], axis=-1)
+
+
+def _solo(f, i, a, b, budget):
+    g, counts = _counted(lambda x, idx: f(x, np.full_like(idx, i)), 1)
+    vals, errs, _ = stacked_quad(g, [a], [b], epsabs=1e-13,
+                                 max_evals=np.array([budget]))
+    return vals[0], errs[0], counts[0]
+
+
+@pytest.mark.parametrize("kind", ["nan", "budget"])
+def test_a_failing_item_fails_alone(kind):
+    # Item 1 goes NaN past x = 0.5, or has a budget it cannot finish in; it
+    # alone is reported, and the other items complete with the evaluations
+    # and results of their solo runs.  A BLAS matrix-vector product rounds
+    # a row according to its place in the batch, so "same result" is to
+    # rounding, not bitwise.
+    a, b = np.zeros(3), np.array([1.0, 2.0, 3.0])
+    budgets = np.array([10**6, 10**6, 10**6])
+    if kind == "nan":
+        def f(x, idx):
+            return np.where((idx == 1)[:, None] & (x > 0.5)[:, None], np.nan,
+                            _items(x, idx))
+    else:
+        f = _items
+        budgets[1] = 15  # its first panel, and no refinement
+    g, counts = _counted(f, 3)
+    with pytest.raises(QuadratureError) as info:
+        stacked_quad(g, a, b, epsabs=1e-13, max_evals=budgets)
+    exc = info.value
+    assert list(exc.failures) == [1]
+    want = "non-finite integrand" if kind == "nan" else "evaluation budget 15 exhausted"
+    assert exc.failures[1].startswith(want) and str(exc) == exc.failures[1]
+    vals, errs, n = exc.result
+    assert np.isnan(vals[1]).all() and np.isnan(errs[1])
+    assert n == counts.sum()
+    for i in (0, 2):
+        v, e, c = _solo(f, i, a[i], b[i], budgets[i])
+        assert counts[i] == c
+        np.testing.assert_allclose(vals[i], v, rtol=1e-15, atol=0)
+        assert errs[i] == pytest.approx(e, rel=1e-12)
+
+
+def test_per_item_budget_trips_like_a_solo_budget():
+    # An item's budget fails it when its evaluations so far plus its next
+    # round's nodes would pass the budget: the same rule, and message, as
+    # the total budget of a one-item run.
+    def f(x, idx):
+        return np.where(idx == 0, x ** -0.5, np.cos(x))
+
+    with pytest.raises(QuadratureError) as solo:
+        adaptive_quad(lambda x: x ** -0.5, 0.0, 1.0, epsabs=1e-14, max_evals=300)
+    with pytest.raises(QuadratureError) as stacked:
+        stacked_quad(f, [0.0, 0.0], [1.0, 1.0], epsabs=1e-14,
+                     max_evals=np.array([300, 300]))
+    assert stacked.value.failures == {0: str(solo.value)}
+    assert stacked.value.result[0][1] == pytest.approx(math.sin(1.0), rel=1e-14)
+
+
+def test_total_budget_fails_every_open_item():
+    with pytest.raises(QuadratureError, match="budget 600 exhausted") as info:
+        stacked_quad(lambda x, i: x ** -0.5, [0.0, 0.0, 1.0], [1.0, 1.0, 2.0],
+                     epsabs=1e-14, max_evals=600)
+    assert sorted(info.value.failures) == [0, 1]
+    assert info.value.result[0][2] == pytest.approx(2.0 * (math.sqrt(2.0) - 1.0),
+                                                    rel=1e-12)
+
+
+def test_adaptive_quad_raises_on_non_finite_values():
+    with pytest.raises(QuadratureError, match="non-finite integrand"):
+        adaptive_quad(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
