@@ -5,7 +5,7 @@ against the proposal scale, ``optimize`` finds the ESJD-optimal scale,
 ``sweep`` repeats that over a dimension list, ``asymptotic`` solves the
 limiting optimum for a radial mixing law, ``elliptical`` tabulates the
 eccentricity condition with the adjusted scaling rule, and ``simulate``
-runs the full Metropolis chain.  Exit codes: 0 success, 2 usage error,
+runs 50 Metropolis chains in lockstep.  Exit codes: 0 success, 2 usage error,
 3 numerical failure.  All numbers are printed with 10 significant digits,
 and the JSON output carries exactly the values the CSV shows.
 """
@@ -377,8 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("proposal")
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--iters", type=int, default=100_000)
-    sp.add_argument("--burn-in", type=int, default=None)
+    sp.add_argument("--iters", type=int, default=100_000,
+                    help="total steps over 50 chains")
+    sp.add_argument("--burn-in", type=int, default=None,
+                    help="total burn-in steps over 50 chains (default 10%%)")
     sp.add_argument("--eigenvalues", default=None,
                     help="optional eigenvalue rule making the target elliptical")
     common(sp)

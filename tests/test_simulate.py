@@ -2,14 +2,17 @@
 direct Monte Carlo expectation."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from rwmscaling.elliptical import EllipticalSpec
 from rwmscaling.engine import (closed_form_gaussian_1d, get_marginal_table,
                                table_point)
-from rwmscaling.simulate import mc_expectation, run_rwm
-from rwmscaling.targets import build_example_target
+from rwmscaling.simulate import (_lockstep, _split_rhat, mc_expectation,
+                                 run_rwm)
+from rwmscaling.targets import build_example_target, parse_target_spec
 
 
 def test_chain_is_reproducible():
@@ -54,6 +57,7 @@ def test_degenerate_acceptance_flags():
     t = build_example_target("gaussian", 2)
     tiny = run_rwm(t, t, 1e-4, n_iters=2_000, seed=1)
     assert "near 1" in tiny.flag
+    assert "not mixed" in tiny.flag
     assert tiny.accept_rate > 0.999
     huge = run_rwm(t, t, 500.0, n_iters=2_000, seed=1)
     assert "near 0" in huge.flag
@@ -148,8 +152,6 @@ def test_mixture_target_chain_agrees_with_quadrature():
     # many nats deep and a plain random-walk chain is metastable: it tracks
     # the component it starts in, and no feasible run length recovers the
     # full-mixture expectations.)
-    from rwmscaling.targets import parse_target_spec
-
     t = parse_target_spec("mixture:p=0.3", 2)
     p = build_example_target("gaussian", 2)
     lam = 1.2
@@ -158,3 +160,121 @@ def test_mixture_target_chain_agrees_with_quadrature():
     assert stats.accept_rate == pytest.approx(ref.ear, abs=4 * stats.accept_se)
     assert stats.esjd == pytest.approx(ref.esjd, abs=4 * stats.esjd_se)
     assert stats.mean_sq_radius == pytest.approx(t.moment(2), rel=0.05)
+
+
+def _scalar_metropolis(x0, lp0, steps, log_u, log_pi, nus=None):
+    """Reference chain: one chain at a time, one proposal at a time."""
+    accepts = np.zeros(log_u.shape, dtype=bool)
+    radii = np.empty(log_u.shape)
+    final = np.empty_like(x0)
+    for c in range(len(x0)):
+        x, lp = x0[c].copy(), float(lp0[c])
+        for t in range(len(steps)):
+            xs = x + steps[t, c]
+            w = xs if nus is None else xs * nus
+            radii[t, c] = math.sqrt(float(w @ w))
+            lps = float(log_pi(np.array([radii[t, c]]))[0])
+            if log_u[t, c] <= lps - lp:
+                accepts[t, c] = True
+                x, lp = xs, lps
+        final[c] = x
+    return accepts, radii, final
+
+
+@pytest.mark.parametrize("spec,nus", [
+    ("gaussian", None),
+    ("mixture:p=0.3", None),
+    ("gaussian", (1.0, 2.0, 3.0)),
+])
+def test_lockstep_kernel_matches_scalar_chains(spec, nus):
+    d, k, n = 3, 7, 400
+    rng = np.random.default_rng(8)
+    log_pi = parse_target_spec(spec, d).log_pi
+    nus = None if nus is None else np.asarray(nus)
+    # Half-integer starts make |nus * x| exact in any summation order, so
+    # the first proposal, a reflection x -> -x with log u = 0, is an exact
+    # tie that the rule log u <= log ratio must accept.
+    x0 = rng.integers(-4, 5, size=(k, d)) * 0.5 + 0.5
+    steps = 0.9 * rng.standard_normal((n, k, d))
+    steps[0] = -2.0 * x0
+    log_u = np.log(rng.random((n, k)))
+    log_u[0] = 0.0
+    w0 = x0 if nus is None else x0 * nus
+    lp0 = log_pi(np.sqrt(np.einsum("ij,ij->i", w0, w0)))
+
+    want_acc, want_rs, want_x = _scalar_metropolis(x0, lp0, steps, log_u, log_pi, nus)
+    x, lp = x0.copy(), lp0.copy()
+    acc, rs = _lockstep(x, lp, steps, log_u, log_pi, nus)
+    assert acc[0].all()
+    assert 0.2 < want_acc.mean() < 0.9
+    np.testing.assert_array_equal(acc, want_acc)
+    np.testing.assert_array_equal(x, want_x)
+    w = x if nus is None else x * nus
+    np.testing.assert_allclose(lp, log_pi(np.linalg.norm(w, axis=1)),
+                               rtol=1e-13)
+    np.testing.assert_allclose(rs, want_rs, rtol=1e-14)
+
+
+def test_chain_standard_errors_match_the_seed_to_seed_spread():
+    t = build_example_target("gaussian", 5)
+    runs = [run_rwm(t, t, 1.06, n_iters=20_000, seed=s) for s in range(40)]
+    for est, se in (("accept_rate", "accept_se"), ("esjd", "esjd_se")):
+        spread = np.std([getattr(r, est) for r in runs], ddof=1)
+        median_se = np.median([getattr(r, se) for r in runs])
+        assert 0.7 * median_se <= spread <= 1.4 * median_se, (est, spread,
+                                                              median_se)
+
+
+def test_budget_is_split_over_the_chains():
+    t = build_example_target("gaussian", 2)
+    stats = run_rwm(t, t, 1.5, n_iters=1_003, burn_in=77, seed=4)
+    assert (stats.n_iters, stats.burn_in) == (1_003, 77)
+    # 926 kept steps: every acceptance rate is a multiple of 1/926.
+    assert math.isclose(stats.accept_rate * 926, round(stats.accept_rate * 926),
+                        abs_tol=1e-9)
+    with pytest.raises(ValueError):
+        run_rwm(t, t, 1.5, n_iters=1_000, burn_in=951)
+
+
+def test_mixed_gaussian_chains_are_not_flagged():
+    t = build_example_target("gaussian", 10)
+    stats = run_rwm(t, t, 0.7528, n_iters=400_000, seed=3)
+    assert 1.0 <= stats.rhat < 1.01
+    assert stats.flag == ""
+
+
+def test_metastable_mixture_chains_are_flagged():
+    # mixture:p=1/d^2 at d = 10: a chain that starts in the wide component
+    # (weight 0.01; one of the 50 stationary starts at seed 0) never
+    # leaves it, so the chains disagree.  At seed 2 every start is narrow
+    # and the chains agree, though all of them miss the wide component.
+    t = parse_target_spec("mixture:p=1/d^2", 10)
+    p = build_example_target("gaussian", 10)
+    stuck = run_rwm(t, p, 0.8, n_iters=400_000, seed=0)
+    assert stuck.rhat > 1.05
+    assert "not mixed" in stuck.flag
+    narrow = run_rwm(t, p, 0.8, n_iters=400_000, seed=2)
+    assert narrow.flag == ""
+    assert stuck.accept_se > 5 * narrow.accept_se
+
+
+def test_split_rhat_matches_the_rank_normalized_formula():
+    from scipy.special import ndtri
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(12)
+    # Rounded draws give many ties; the odd length drops a middle draw.
+    series = np.round(rng.standard_normal((301, 6)), 1)
+    series[:, 0] += 1.0
+    halves = np.concatenate([series[:150], series[151:]], axis=1)
+    z = ndtri((rankdata(halves, axis=None).reshape(halves.shape) - 0.375)
+              / (halves.size + 0.25))
+    w = z.var(axis=0, ddof=1).mean()
+    b = 150 * z.mean(axis=0).var(ddof=1)
+    want = math.sqrt((149 / 150 * w + b / 150) / w)
+    assert _split_rhat(series) == pytest.approx(want, rel=1e-12)
+    assert want > 1.01
+    assert _split_rhat(series[:, 1:]) < 1.01
+    assert math.isnan(_split_rhat(series[:3]))
+    assert math.isnan(_split_rhat(np.ones((20, 4))))
+    assert _split_rhat(np.repeat(np.arange(4.0)[None], 20, axis=0)) > 1e6
