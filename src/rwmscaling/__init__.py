@@ -7,153 +7,20 @@ dimension-to-infinity limit theory with general radial mixing laws, and
 Monte Carlo / full-chain validators for every analytic quantity.
 """
 
-from .asymptotics import (
-    AsymptoticOptimum,
-    AsymptoticsError,
-    BoundCheckReport,
-    MixingDistribution,
-    POINT_MASS_AOA,
-    POINT_MASS_MU_HAT,
-    aoa_bound_check,
-    aos,
-    limit_ear,
-    limit_ear_general,
-    limit_esjd,
-    limit_esjd_general,
-    mixing_atoms,
-    mixing_density,
-    mixing_from_spec,
-    mixing_point,
-    mixing_samples,
-    scale_from_transformed,
-    solve_aots,
-    theta,
-    theta_prime_neg,
-    transformed_scale,
-)
-from .elliptical import (
-    EccentricityReport,
-    EllipticalError,
-    EllipticalPoint,
-    EllipticalSpec,
-    ShellDeviationReport,
-    eccentricity_condition,
-    elliptical_aos,
-    elliptical_ear_esjd,
-    lemma5_numeric_check,
-    parse_eigenvalue_rule,
-)
-from .engine import (
-    CurvePoint,
-    EngineError,
-    MarginalTable,
-    closed_form_gaussian_1d,
-    closed_form_laplace_1d,
-    curve,
-    ear_esjd,
-    get_marginal_table,
-    marginal_cdf,
-    table_point,
-)
-from .optimizer import (
-    DimensionSweep,
-    DriftReport,
-    LocalMaximum,
-    OptimizerError,
-    ScalingOptimum,
-    SweepRow,
-    default_search_range,
-    optimize,
-    peak_drift_diagnostic,
-    sweep_dimension,
-)
-from .quadrature import QuadResult, QuadratureError, adaptive_quad, stacked_quad
-from .simulate import ChainStats, MCExpectation, mc_expectation, run_rwm
-from .special import beta_cdf, gaussian_cdf, gaussian_pdf, kernel_K
-from .targets import (
-    RadialModel,
-    TargetFamily,
-    build_example_target,
-    parse_mixture_weight,
-    parse_target_spec,
-    radial_from_density,
-    sample_radius,
-    unit_sphere_area,
-)
+from . import (asymptotics, elliptical, engine, optimizer, quadrature,
+               simulate, special, targets)
+from .asymptotics import *
+from .elliptical import *
+from .engine import *
+from .optimizer import *
+from .quadrature import *
+from .simulate import *
+from .special import *
+from .targets import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticOptimum",
-    "AsymptoticsError",
-    "BoundCheckReport",
-    "ChainStats",
-    "CurvePoint",
-    "DimensionSweep",
-    "DriftReport",
-    "EccentricityReport",
-    "EllipticalError",
-    "EllipticalPoint",
-    "EllipticalSpec",
-    "EngineError",
-    "LocalMaximum",
-    "MarginalTable",
-    "MCExpectation",
-    "MixingDistribution",
-    "OptimizerError",
-    "POINT_MASS_AOA",
-    "POINT_MASS_MU_HAT",
-    "QuadResult",
-    "QuadratureError",
-    "RadialModel",
-    "ScalingOptimum",
-    "ShellDeviationReport",
-    "SweepRow",
-    "TargetFamily",
-    "adaptive_quad",
-    "aoa_bound_check",
-    "aos",
-    "beta_cdf",
-    "build_example_target",
-    "closed_form_gaussian_1d",
-    "closed_form_laplace_1d",
-    "curve",
-    "default_search_range",
-    "ear_esjd",
-    "eccentricity_condition",
-    "elliptical_aos",
-    "elliptical_ear_esjd",
-    "gaussian_cdf",
-    "gaussian_pdf",
-    "get_marginal_table",
-    "kernel_K",
-    "lemma5_numeric_check",
-    "limit_ear",
-    "limit_ear_general",
-    "limit_esjd",
-    "limit_esjd_general",
-    "marginal_cdf",
-    "mc_expectation",
-    "mixing_atoms",
-    "mixing_density",
-    "mixing_from_spec",
-    "mixing_point",
-    "mixing_samples",
-    "optimize",
-    "parse_eigenvalue_rule",
-    "parse_mixture_weight",
-    "parse_target_spec",
-    "peak_drift_diagnostic",
-    "radial_from_density",
-    "run_rwm",
-    "sample_radius",
-    "scale_from_transformed",
-    "solve_aots",
-    "stacked_quad",
-    "sweep_dimension",
-    "table_point",
-    "theta",
-    "theta_prime_neg",
-    "transformed_scale",
-    "unit_sphere_area",
-]
+# Each library module's __all__ is the one list of its public names.
+__all__ = [name for module in (asymptotics, elliptical, engine, optimizer,
+                               quadrature, simulate, special, targets)
+           for name in module.__all__]

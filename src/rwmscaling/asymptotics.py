@@ -49,7 +49,6 @@ __all__ = [
     "aoa_bound_check",
     "aos",
     "transformed_scale",
-    "scale_from_transformed",
     "POINT_MASS_MU_HAT",
     "POINT_MASS_AOA",
 ]
@@ -567,8 +566,3 @@ def transformed_scale(lam: float, d: int, k_x, k_y) -> float:
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     return 0.5 * np.sqrt(d) * _k_value(k_y, d) / _k_value(k_x, d) * lam
-
-
-def scale_from_transformed(mu: float, d: int, k_x, k_y) -> float:
-    """Inverse of transformed_scale: lambda = 2 mu k_x / (sqrt(d) k_y)."""
-    return aos(mu, k_x, k_y, d)

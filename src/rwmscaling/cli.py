@@ -58,12 +58,14 @@ def _fmt(v) -> str:
 
 
 def _json_value(v):
+    """The value the CSV cell shows: an int for an integer, None for a
+    non-finite number."""
     if v is None or isinstance(v, str):
         return v
-    v = float(v)
     if not math.isfinite(v):
         return None
-    return float(_fmt(v))
+    shown = float(_fmt(v))
+    return int(shown) if isinstance(v, (int, np.integer)) else shown
 
 
 def parse_dims(spec: str) -> list[int]:
@@ -241,32 +243,32 @@ def cmd_elliptical(args) -> int:
     if len(dims) < 3:
         raise UsageError("--dims must contain at least three dimensions")
     report = eccentricity_condition(args.rule, dims)
-    core_probe = parse_target_spec(args.core, dims[0])
-    proposal_probe = parse_target_spec(args.proposal, dims[0])
+
+    def models(d):
+        return parse_target_spec(args.core, d), parse_target_spec(args.proposal, d)
+
+    core, proposal = first = models(dims[0])
     if args.mu_hat is not None:
         mu_hat = _positive("--mu-hat", args.mu_hat)
     else:
-        if core_probe.limit_mixing is None:
+        if core.limit_mixing is None:
             raise UsageError(
                 f"core {args.core!r} has no known limiting mixing law; "
                 "pass --mu-hat explicitly")
-        opt = solve_aots(mixing_from_spec(core_probe.limit_mixing))
+        opt = solve_aots(mixing_from_spec(core.limit_mixing))
         if opt.no_finite_optimum:
             raise AsymptoticsError(
                 "core mixing law has no finite optimum; no scaling rule exists")
         mu_hat = opt.mu_hat
     rows = []
     for d, ratio in zip(report.dims, report.ratios):
-        core_d = parse_target_spec(args.core, d)
-        prop_d = parse_target_spec(args.proposal, d)
-        if core_d.k is None or prop_d.k is None:
+        core, proposal = first if d == dims[0] else models(d)
+        if core.k is None or proposal.k is None:
             raise UsageError("core and proposal families must have shell "
                              "constants for the scaling rule")
         spec = EllipticalSpec(d=d, eigenvalues=tuple(parse_eigenvalue_rule(args.rule, d)),
-                              spherical_core=core_d, proposal_core=prop_d)
-        with_warn = elliptical_aos(spec, mu_hat, core_d.k, prop_d.k, d,
-                                   condition=None)
-        rows.append((d, ratio, with_warn))
+                              spherical_core=core, proposal_core=proposal)
+        rows.append((d, ratio, elliptical_aos(spec, mu_hat, core.k, proposal.k, d)))
     verdict = "satisfied" if report.satisfied else "violated"
     _emit(args, ["d", "eccentricity_ratio", "aos_lambda"], rows,
           comments=[f"rule={args.rule} core={args.core} proposal={args.proposal}",

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .asymptotics import aos
-from .engine import _sampled_ear_esjd
+from .engine import _checked_lambda, _sampled_ear_esjd
 from .targets import RadialModel
 
 __all__ = [
@@ -218,9 +218,7 @@ def elliptical_ear_esjd(spec: EllipticalSpec, lam: float, *,
     average EAR is exact-in-quadrature given the draws; the reported errors
     are the sampling standard errors over the fixed-seed draws.
     """
-    lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    lam = _checked_lambda(lam)
     if n_draws < 1000:
         raise ValueError("need at least 1000 direction draws")
     w = _transformed_proposal_radii(spec, int(n_draws), int(seed))

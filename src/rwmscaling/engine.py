@@ -54,9 +54,7 @@ class EngineError(RuntimeError):
 
 def closed_form_gaussian_1d(lam: float) -> tuple[float, float]:
     """EAR and ESJD for standard-Gaussian target and Gaussian proposal, d = 1."""
-    lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    lam = _checked_lambda(lam)
     t = np.arctan(2.0 / lam)
     ear_v = (2.0 / np.pi) * t
     esjd_v = (2.0 * lam * lam / np.pi) * (t - 2.0 * lam / (lam * lam + 4.0))
@@ -65,9 +63,7 @@ def closed_form_gaussian_1d(lam: float) -> tuple[float, float]:
 
 def closed_form_laplace_1d(lam: float) -> tuple[float, float]:
     """EAR and ESJD for double-exponential target and proposal, d = 1."""
-    lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    lam = _checked_lambda(lam)
     ear_v = 2.0 / (lam + 2.0)
     esjd_v = 16.0 * lam * lam / (lam + 2.0) ** 3
     return float(ear_v), float(esjd_v)
@@ -228,11 +224,8 @@ def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float):
     x = lambda y / 2 and x = lambda y.  Returns (ear, esjd, ear_err,
     esjd_err).  Raises EngineError if the evaluation budget is exhausted.
     """
-    lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
-    if target.d != proposal.d:
-        raise ValueError("target and proposal dimensions differ")
+    lam = _checked_lambda(lam)
+    _check_dimensions(target, proposal)
     budget = [_NESTED_MAX_EVALS]
 
     def inner(y_nodes):
@@ -283,8 +276,7 @@ def _table_points(table: MarginalTable, proposal: RadialModel,
     rbar(y) W(lam_i y / 2) and of lam_i^2 y^2 times it, with its own
     budget, so a failure flags only its own point."""
     target = table.model
-    if target.d != proposal.d:
-        raise ValueError("target and proposal dimensions differ")
+    _check_dimensions(target, proposal)
     y_hi = np.minimum(proposal.r_hi, 2.0 * target.r_hi / lams)
     active = y_hi > proposal.r_lo  # the others are exact zero points
     points = [CurvePoint(float(lam), 0.0, 0.0, 0.0, 0.0) for lam in lams]
@@ -353,6 +345,17 @@ def _checked_lambdas(lambdas) -> np.ndarray:
     if np.any(lambdas <= 0.0):
         raise ValueError("all lambda values must be positive")
     return lambdas
+
+
+def _checked_lambda(lam) -> float:
+    """lam as a finite positive float, else ValueError."""
+    return float(_checked_lambdas([lam])[0])
+
+
+def _check_dimensions(target: RadialModel, proposal: RadialModel) -> None:
+    """ValueError unless target and proposal share a dimension."""
+    if target.d != proposal.d:
+        raise ValueError("target and proposal dimensions differ")
 
 
 def curve(target: RadialModel, proposal: RadialModel, lambdas, *,

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (AsymptoticsError, mixing_from_spec,
-                          scale_from_transformed, solve_aots,
-                          transformed_scale, POINT_MASS_MU_HAT)
+from .asymptotics import (AsymptoticsError, aos, mixing_from_spec,
+                          solve_aots, transformed_scale, POINT_MASS_MU_HAT)
 from .engine import (CurvePoint, EngineError, curve, get_marginal_table,
                      table_point)
 from .quadrature import QuadratureError
@@ -85,8 +84,7 @@ def default_search_range(target: RadialModel,
     three decades each way."""
     center = 1.0
     if target.k is not None and proposal.k is not None:
-        center = scale_from_transformed(POINT_MASS_MU_HAT, target.d,
-                                        target.k, proposal.k)
+        center = aos(POINT_MASS_MU_HAT, target.k, proposal.k, target.d)
     span = 1e3
     return center / span, center * span
 
@@ -256,11 +254,10 @@ def sweep_dimension(target_spec: str, proposal_spec: str, dims, *,
             pred = None
             if target.k is not None and proposal.k is not None:
                 mu_ref = limit_mu if limit_mu is not None else POINT_MASS_MU_HAT
-                pred = scale_from_transformed(mu_ref, d, target.k, proposal.k)
+                pred = aos(mu_ref, target.k, proposal.k, d)
             span = 1e2
             if target.family == "mixture":
-                base = scale_from_transformed(POINT_MASS_MU_HAT, d,
-                                              target.k, proposal.k)
+                base = aos(POINT_MASS_MU_HAT, target.k, proposal.k, d)
                 lam_lo, lam_hi = base / span, base * np.sqrt(d) * span
             elif pred is not None:
                 lam_lo, lam_hi = pred / span, pred * span

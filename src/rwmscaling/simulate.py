@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 from scipy.special import ndtri
 
-from .engine import _sampled_ear_esjd
+from .engine import _check_dimensions, _checked_lambda, _sampled_ear_esjd
 from .elliptical import EllipticalSpec
 from .targets import RadialModel
 
@@ -164,9 +164,7 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     Mahalanobis metric of the target, so it is invariant under the axis
     scaling.  The output is a fixed function of ``seed``.
     """
-    lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    lam = _checked_lambda(lam)
     n_iters = int(n_iters)
     if n_iters < 100:
         raise ValueError("need at least 100 iterations")
@@ -182,9 +180,8 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
         core = target
         nus = None
         label = core.label
+    _check_dimensions(core, proposal)
     d = core.d
-    if proposal.d != d:
-        raise ValueError("proposal dimension must match the target")
 
     k = _N_CHAINS
     rng = np.random.default_rng(int(seed))
@@ -263,14 +260,11 @@ def mc_expectation(target: RadialModel, proposal: RadialModel, lam: float, *,
     2 lam^2 |Y|^2 F(-lam |Y| / 2) for the squared jump distance), with
     plug-in standard errors.
     """
-    lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    lam = _checked_lambda(lam)
     n = int(n_samples)
     if n < 10_000:
         raise ValueError("need at least 10000 samples")
-    if target.d != proposal.d:
-        raise ValueError("target and proposal dimensions must match")
+    _check_dimensions(target, proposal)
     rng = np.random.default_rng(int(seed))
     ry = proposal.sample_radius(n, rng)
     ear, ear_se, esjd, esjd_se = _sampled_ear_esjd(target, lam, ry)

@@ -23,7 +23,6 @@ from rwmscaling.asymptotics import (
     mixing_from_spec,
     mixing_point,
     mixing_samples,
-    scale_from_transformed,
     solve_aots,
     theta,
     theta_prime_neg,
@@ -206,7 +205,6 @@ def test_scale_reductions_roundtrip():
     # callable radial scales: k_x(d) = sqrt(d) target against k_y(d) = d
     lam = aos(2.0, np.sqrt, lambda d: d, 16)
     assert lam == pytest.approx(2 * 2.0 * 4.0 / (4.0 * 16.0), rel=1e-14)
-    assert scale_from_transformed(2.0, 16, np.sqrt, lambda d: d) == lam
     with pytest.raises(ValueError):
         aos(np.inf, 1.0, 1.0, 4)
     with pytest.raises(ValueError):

@@ -274,6 +274,25 @@ def test_simulate_elliptical_target(capsys):
     assert record["target"].startswith("elliptical(")
 
 
+def test_json_integer_fields_are_integers(capsys):
+    # 1 == 1.0 in Python, so compare types: "d": 2 must not print as 2.0.
+    _, out, _ = _run(capsys, ["simulate", "gaussian", "gaussian", "--dim", "2",
+                              "--lambda", "1.0", "--iters", "2000", "--seed", "7"])
+    record = json.loads(out)
+    assert [type(record[k]) for k in ("d", "n_iters", "seed")] == [int] * 3
+    assert type(record["lambda"]) is float
+    _, out, _ = _run(capsys, ["elliptical", "--rule", "iota", "--dims", "8,32,128",
+                              "--format", "json"])
+    rows = json.loads(out)["rows"]
+    assert [row["d"] for row in rows] == [8, 32, 128]
+    assert {type(row["d"]) for row in rows} == {int}
+    _, out, _ = _run(capsys, ["optimize", "gaussian", "gaussian", "--dim", "1",
+                              "--format", "json"])
+    row = json.loads(out)["rows"][0]
+    assert type(row["n_local_maxima"]) is int
+    assert type(row["lambda_hat"]) is float
+
+
 def test_out_file_and_gnuplot_hint(tmp_path, capsys):
     path = tmp_path / "curve.csv"
     code, out, err = _run(capsys, ["curve", "gaussian", "gaussian",
