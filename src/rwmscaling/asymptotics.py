@@ -497,12 +497,13 @@ def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
             "the search grid is inconsistent")
 
     mu_hat = roots[0]
-    esjd_at = [float(limit_esjd(dist, m)) for m in roots]
+    ear_at = [float(limit_ear(dist, m)) for m in roots]
+    esjd_at = [m * m * ear for m, ear in zip(roots, ear_at)]
     argmax = roots[int(np.argmax(esjd_at))]
     return AsymptoticOptimum(
         mu_hat=mu_hat,
-        aoa=float(limit_ear(dist, mu_hat)),
-        limit_esjd_at_mu_hat=float(limit_esjd(dist, mu_hat)),
+        aoa=ear_at[0],
+        limit_esjd_at_mu_hat=esjd_at[0],
         roots=tuple(roots),
         esjd_argmax_mu=argmax,
         residual=float(abs(_stationarity_gap(dist, mu_hat)[0])),
@@ -563,6 +564,6 @@ def aos(mu_hat: float, k_x, k_y, d: int) -> float:
 
 def transformed_scale(lam: float, d: int, k_x, k_y) -> float:
     """Dimension-stabilized scale mu = (1/2) sqrt(d) (k_y / k_x) lambda."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    if not np.isfinite(lam) or lam <= 0.0:
+        raise ValueError("lambda must be finite and positive")
     return 0.5 * np.sqrt(d) * _k_value(k_y, d) / _k_value(k_x, d) * lam

@@ -33,7 +33,7 @@ from .engine import EngineError, curve
 from .optimizer import OptimizerError, optimize, sweep_dimension
 from .quadrature import QuadratureError
 from .simulate import run_rwm
-from .targets import parse_target_spec
+from .targets import _parse_pair
 
 __all__ = ["main", "build_parser", "parse_dims"]
 
@@ -159,8 +159,7 @@ def cmd_curve(args) -> int:
         raise UsageError("--lambda-max must exceed --lambda-min")
     if args.points < 2:
         raise UsageError("--points must be at least 2")
-    target = parse_target_spec(args.target, args.dim)
-    proposal = parse_target_spec(args.proposal, args.dim)
+    target, proposal = _parse_pair(args.target, args.proposal, args.dim)
     lams = np.geomspace(lam_lo, lam_hi, args.points)
     pts = curve(target, proposal, lams)
     rows = [(p.lam, p.ear, p.esjd) for p in pts if p.ok]
@@ -178,8 +177,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    target = parse_target_spec(args.target, args.dim)
-    proposal = parse_target_spec(args.proposal, args.dim)
+    target, proposal = _parse_pair(args.target, args.proposal, args.dim)
     kwargs = {"grid": args.grid}
     if args.lambda_min is not None or args.lambda_max is not None:
         if args.lambda_min is None or args.lambda_max is None:
@@ -243,11 +241,7 @@ def cmd_elliptical(args) -> int:
     if len(dims) < 3:
         raise UsageError("--dims must contain at least three dimensions")
     report = eccentricity_condition(args.rule, dims)
-
-    def models(d):
-        return parse_target_spec(args.core, d), parse_target_spec(args.proposal, d)
-
-    core, proposal = first = models(dims[0])
+    core, proposal = first = _parse_pair(args.core, args.proposal, dims[0])
     if args.mu_hat is not None:
         mu_hat = _positive("--mu-hat", args.mu_hat)
     else:
@@ -262,7 +256,8 @@ def cmd_elliptical(args) -> int:
         mu_hat = opt.mu_hat
     rows = []
     for d, ratio in zip(report.dims, report.ratios):
-        core, proposal = first if d == dims[0] else models(d)
+        core, proposal = (first if d == dims[0]
+                          else _parse_pair(args.core, args.proposal, d))
         if core.k is None or proposal.k is None:
             raise UsageError("core and proposal families must have shell "
                              "constants for the scaling rule")
@@ -285,8 +280,7 @@ def cmd_simulate(args) -> int:
     lam = _positive("--lambda", getattr(args, "lam"))
     if args.iters < 100:
         raise UsageError("--iters must be at least 100")
-    target = parse_target_spec(args.target, args.dim)
-    proposal = parse_target_spec(args.proposal, args.dim)
+    target, proposal = _parse_pair(args.target, args.proposal, args.dim)
     if args.eigenvalues is not None:
         nus = parse_eigenvalue_rule(args.eigenvalues, args.dim)
         target = EllipticalSpec(d=args.dim, eigenvalues=tuple(nus),

@@ -16,7 +16,6 @@ shell-concentrating U indeed concentrates when the condition holds.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 import warnings
@@ -65,12 +64,7 @@ class EllipticalSpec:
     nu_max: float = field(init=False)
 
     def __post_init__(self):
-        nus = np.asarray(self.eigenvalues, dtype=float)
-        if nus.size != self.d:
-            raise EllipticalError(
-                f"need {self.d} eigenvalues, got {nus.size}")
-        if not np.all(nus > 0.0):
-            raise EllipticalError("all eigenvalues must be positive")
+        nus = _checked_eigenvalues(self.eigenvalues, self.d)
         if self.spherical_core.d != self.d or self.proposal_core.d != self.d:
             raise EllipticalError("core dimensions must match d")
         object.__setattr__(self, "eigenvalues", tuple(float(v) for v in nus))
@@ -78,31 +72,35 @@ class EllipticalSpec:
         object.__setattr__(self, "nu_max", float(nus.max()))
 
 
+def _checked_eigenvalues(nus, d: int) -> np.ndarray:
+    """``nus`` as a float array, which must hold d finite, positive values."""
+    nus = np.asarray(nus, dtype=float)
+    if nus.shape != (d,):
+        raise EllipticalError(f"need {d} eigenvalues, got {nus.size}")
+    if not np.all(np.isfinite(nus) & (nus > 0.0)):
+        raise EllipticalError(f"eigenvalues must be finite and positive (d={d})")
+    return nus
+
+
 def parse_eigenvalue_rule(rule: str, d: int) -> np.ndarray:
     """Eigenvalues for dimension d from a rule string.
 
     ``const:<c>`` gives nu_i = c, ``iota`` gives nu_i = i, ``spike:<c>``
-    gives (1, ..., 1, c*d), and ``file:<path>`` reads one positive real per
-    line (padded by repeating the last value, truncated if longer than d).
+    gives (1, ..., 1, c*d), and ``file:<path>`` reads one real per line
+    (padded by repeating the last value, truncated if longer than d).
+    Every eigenvalue must come out finite and positive.
     """
     if d < 1:
         raise EllipticalError("dimension must be positive")
     rule = rule.strip()
     if rule == "iota":
-        return np.arange(1, d + 1, dtype=float)
-    if rule.startswith("const:"):
-        c = float(rule.split(":", 1)[1])
-        if c <= 0.0:
-            raise EllipticalError("const eigenvalue must be positive")
-        return np.full(d, c)
-    if rule.startswith("spike:"):
-        c = float(rule.split(":", 1)[1])
-        if c <= 0.0:
-            raise EllipticalError("spike factor must be positive")
+        nus = np.arange(1, d + 1, dtype=float)
+    elif rule.startswith("const:"):
+        nus = np.full(d, float(rule.split(":", 1)[1]))
+    elif rule.startswith("spike:"):
         nus = np.ones(d)
-        nus[-1] = c * d
-        return nus
-    if rule.startswith("file:"):
+        nus[-1] = float(rule.split(":", 1)[1]) * d
+    elif rule.startswith("file:"):
         path = rule.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
             vals = [float(line) for line in fh if line.strip()]
@@ -111,19 +109,27 @@ def parse_eigenvalue_rule(rule: str, d: int) -> np.ndarray:
         nus = np.asarray(vals[:d], dtype=float)
         if nus.size < d:
             nus = np.concatenate([nus, np.full(d - nus.size, nus[-1])])
-        if not np.all(nus > 0.0):
-            raise EllipticalError("eigenvalue file entries must be positive")
-        return nus
-    raise EllipticalError(
-        f"unknown eigenvalue rule {rule!r}; expected const:<c>, iota, "
-        "spike:<c>, or file:<path>")
+    else:
+        raise EllipticalError(
+            f"unknown eigenvalue rule {rule!r}; expected const:<c>, iota, "
+            "spike:<c>, or file:<path>")
+    return _checked_eigenvalues(nus, d)
 
 
-def _resolve_rule(rule: str | Callable[[int], np.ndarray]):
-    """A rule string or callable as (function of d giving the eigenvalues, label)."""
+def _resolve_rule(rule: str | Callable[[int], np.ndarray], dims: Sequence[int],
+                  at_least: int):
+    """Checked dims, with the rule as (function of d giving its checked
+    eigenvalues, label).  The dims must be at least ``at_least`` strictly
+    increasing integers."""
+    dims = [int(d) for d in dims]
+    if len(dims) < at_least:
+        raise EllipticalError(f"need at least {at_least} dimensions")
+    if any(b <= a for a, b in zip(dims, dims[1:])):
+        raise EllipticalError("dimensions must be strictly increasing")
     if callable(rule):
-        return rule, getattr(rule, "__name__", "custom")
-    return (lambda d: parse_eigenvalue_rule(rule, d)), rule
+        return (dims, lambda d: _checked_eigenvalues(rule(d), d),
+                getattr(rule, "__name__", "custom"))
+    return dims, (lambda d: parse_eigenvalue_rule(rule, d)), rule
 
 
 @dataclass(frozen=True)
@@ -145,18 +151,10 @@ def eccentricity_condition(rule: str | Callable[[int], np.ndarray],
     consistent with decay to zero, violated means it stays bounded away
     from zero.
     """
-    dims = [int(d) for d in dims]
-    if len(dims) < 3:
-        raise EllipticalError("need at least three dimensions to judge a trend")
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise EllipticalError("dimensions must be strictly increasing")
-    get, label = _resolve_rule(rule)
-
+    dims, get, label = _resolve_rule(rule, dims, 3)
     ratios = []
     for d in dims:
-        nus = np.asarray(get(d), dtype=float)
-        if nus.size != d or not np.all(nus > 0.0):
-            raise EllipticalError(f"rule produced invalid eigenvalues at d={d}")
+        nus = get(d)
         ratios.append(float(nus.max() ** 2 / np.sum(nus ** 2)))
     # Decay to zero shows up as the ratio still falling by at least the
     # dimension ratio would suggest; a violating sequence flattens out.
@@ -185,25 +183,19 @@ class EllipticalPoint:
 
 def _transformed_proposal_radii(spec: EllipticalSpec, n_draws: int,
                                 seed: int) -> np.ndarray:
-    """Draws of |Y_*| = R_Y |nu . U|, merged deterministically by stream."""
-    nus = np.asarray(spec.eigenvalues, dtype=float)
-    d = spec.d
-    counts = np.full(_N_STREAMS, n_draws // _N_STREAMS)
-    counts[: n_draws % _N_STREAMS] += 1
-    seeds = np.random.SeedSequence(seed).spawn(_N_STREAMS)
+    """Draws of |Y_*| = R_Y |nu . U| from 8 seeded streams, in stream order.
 
-    def one_stream(i: int) -> np.ndarray:
-        rng = np.random.default_rng(seeds[i])
-        m = int(counts[i])
-        if m == 0:
-            return np.empty(0)
-        z = rng.standard_normal((m, d))
+    The split into streams fixes which draws a seed gives.
+    """
+    nus = np.asarray(spec.eigenvalues, dtype=float)
+    parts = []
+    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(_N_STREAMS)):
+        rng = np.random.default_rng(ss)
+        m = n_draws // _N_STREAMS + (i < n_draws % _N_STREAMS)
+        z = rng.standard_normal((m, spec.d))
         u = z / np.linalg.norm(z, axis=1, keepdims=True)
         r = spec.proposal_core.sample_radius(m, rng)
-        return r * np.linalg.norm(u * nus, axis=1)
-
-    with ThreadPoolExecutor(max_workers=min(4, _N_STREAMS)) as pool:
-        parts = list(pool.map(one_stream, range(_N_STREAMS)))
+        parts.append(r * np.linalg.norm(u * nus, axis=1))
     return np.concatenate(parts)
 
 
@@ -269,17 +261,11 @@ def lemma5_numeric_check(rule: str | Callable[[int], np.ndarray],
     eccentricity condition holds the deviation must decrease toward zero;
     for a violating sequence it stalls at a positive level.
     """
-    dims = [int(d) for d in dims]
-    if len(dims) < 2:
-        raise EllipticalError("need at least two dimensions")
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise EllipticalError("dimensions must be strictly increasing")
-    get, label = _resolve_rule(rule)
-
+    dims, get, label = _resolve_rule(rule, dims, 2)
     seeds = np.random.SeedSequence(seed).spawn(len(dims))
     devs = []
     for d, ss in zip(dims, seeds):
-        nus = np.asarray(get(d), dtype=float)
+        nus = get(d)
         rng = np.random.default_rng(ss)
         z = rng.standard_normal((int(n_samples), d))
         norm = np.sqrt(np.mean(nus ** 2))

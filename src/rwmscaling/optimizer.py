@@ -23,7 +23,7 @@ from .asymptotics import (AsymptoticsError, aos, mixing_from_spec,
 from .engine import (CurvePoint, EngineError, curve, get_marginal_table,
                      table_point)
 from .quadrature import QuadratureError
-from .targets import RadialModel, parse_target_spec
+from .targets import RadialModel, _parse_pair, parse_target_spec
 
 __all__ = [
     "OptimizerError",
@@ -249,8 +249,7 @@ def sweep_dimension(target_spec: str, proposal_spec: str, dims, *,
 
     def run_one(d: int) -> SweepRow:
         try:
-            target = parse_target_spec(target_spec, d)
-            proposal = parse_target_spec(proposal_spec, d)
+            target, proposal = _parse_pair(target_spec, proposal_spec, d)
             pred = None
             if target.k is not None and proposal.k is not None:
                 mu_ref = limit_mu if limit_mu is not None else POINT_MASS_MU_HAT

@@ -101,17 +101,16 @@ class MCExpectation:
     seed: int
 
 
-def _lockstep(x, lp, steps, log_u, log_pi, nus=None):
+def _lockstep(x, lp, steps, log_u, log_pi):
     """Advance K chains, states ``x`` (K, d) and log densities ``lp`` (K,),
     in place through the proposals ``steps`` (T, K, d).  A proposal is
-    accepted when ``log_u`` (T, K) <= log_pi(r') - log_pi(r), r = |nus * x|.
+    accepted when ``log_u`` (T, K) <= log_pi(r') - log_pi(r), r = |x|.
     Returns the (T, K) accept mask and the proposed radii."""
     acc = np.empty(log_u.shape, dtype=bool)
     rs = np.empty(log_u.shape)
     for t in range(len(steps)):
         xs = x + steps[t]
-        w = xs if nus is None else xs * nus
-        r = np.sqrt(np.einsum("ij,ij->i", w, w), out=rs[t])
+        r = np.sqrt(np.einsum("ij,ij->i", xs, xs), out=rs[t])
         lps = log_pi(r)
         a = np.less_equal(log_u[t], lps - lp, out=acc[t])
         np.copyto(x, xs, where=a[:, None])
@@ -188,11 +187,11 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     u0 = rng.standard_normal((k, d))
     u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
     r0 = core.sample_radius(k, rng)
-    # The chains live in the original coordinates: for an elliptical target
-    # the stationary draw and the density argument go through the axis map
-    # (x = nu^{-1} x_*, density at |nu * x|), while the proposal steps stay
-    # spherical and the recorded jumps use the Mahalanobis metric |nu * dx|^2.
-    x = r0[:, None] * u0 if nus is None else r0[:, None] * u0 / nus
+    # The chains live in the coordinates where the target is spherical,
+    # x_* = nu * x: a proposal step that is spherical in the original
+    # coordinates becomes nu * step there, and its squared length is the
+    # Mahalanobis jump |nu * step|^2.
+    x = r0[:, None] * u0
     lp = np.array(core.log_pi(r0), dtype=float)
     cur_r = r0
 
@@ -208,9 +207,13 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
         z /= np.linalg.norm(z, axis=2, keepdims=True)
         ry = lam * proposal.sample_radius(m * k, rng).reshape(m, k)
         steps = ry[..., None] * z
-        mah_sq = ry * ry if nus is None else np.square(steps * nus).sum(axis=2)
+        if nus is None:
+            mah_sq = ry * ry
+        else:
+            steps *= nus
+            mah_sq = np.square(steps).sum(axis=2)
         log_u = np.log(rng.random((m, k)))
-        acc, rs = _lockstep(x, lp, steps, log_u, core.log_pi, nus)
+        acc, rs = _lockstep(x, lp, steps, log_u, core.log_pi)
         # The radius after step t is that of the last accepted proposal.
         last = np.maximum.accumulate(
             np.where(acc, np.arange(1, m + 1)[:, None], 0), axis=0)

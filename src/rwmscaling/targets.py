@@ -399,3 +399,11 @@ def parse_target_spec(spec: str, d: int) -> RadialModel:
     if spec.startswith("custom:"):
         return build_example_target(TargetFamily.CUSTOM, d, table_path=spec[len("custom:"):])
     return build_example_target(spec, d)
+
+
+def _parse_pair(target_spec: str, proposal_spec: str, d: int):
+    """(target, proposal) models at d; equal specs share one model."""
+    target = parse_target_spec(target_spec, d)
+    if proposal_spec == target_spec:
+        return target, target
+    return target, parse_target_spec(proposal_spec, d)

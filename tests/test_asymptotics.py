@@ -209,8 +209,9 @@ def test_scale_reductions_roundtrip():
         aos(np.inf, 1.0, 1.0, 4)
     with pytest.raises(ValueError):
         aos(1.0, 0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        transformed_scale(-1.0, 4, 1.0, 1.0)
+    for lam in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            transformed_scale(lam, 4, 1.0, 1.0)
 
 
 def test_theta_prime_rejects_negative_mu():

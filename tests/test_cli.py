@@ -4,12 +4,15 @@ formats, CSV/JSON value parity, and the dimension-list grammar."""
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from rwmscaling.cli import UsageError, main, parse_dims
 from rwmscaling.engine import get_marginal_table
 from rwmscaling.targets import parse_target_spec
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(capsys, argv):
@@ -186,6 +189,21 @@ def test_non_finite_scale_bounds_are_usage_errors(capsys, argv):
     assert err.startswith(f"error: {bad} must be finite")
 
 
+@pytest.mark.parametrize("command", ["optimize gaussian gaussian --dim 1",
+                                     "asymptotic --mixing halfnormal"])
+def test_readme_quick_start_shows_the_printed_rows(capsys, command):
+    # The README shows a command's header and rows as "# " lines under it.
+    lines = README.read_text(encoding="utf-8").splitlines()
+    shown = []
+    for line in lines[lines.index(f"rwmscale {command}") + 1:]:
+        if not line.startswith("# "):
+            break
+        shown.append(line[2:])
+    code, out, _ = _run(capsys, command.split())
+    assert code == 0 and len(shown) == 2
+    assert [ln for ln in out.splitlines() if not ln.startswith("#")] == shown
+
+
 def test_asymptotic_point_mass(capsys):
     code, out, _ = _run(capsys, ["asymptotic", "--mixing", "point:1"])
     assert code == 0
@@ -238,6 +256,17 @@ def test_elliptical_satisfied_and_violated(capsys):
 def test_elliptical_needs_three_dims(capsys):
     code, _, _ = _run(capsys, ["elliptical", "--rule", "iota", "--dims", "4,8"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["elliptical", "--rule", "const:inf", "--dims", "8,32,128"],
+    ["simulate", "gaussian", "gaussian", "--dim", "3", "--lambda", "1",
+     "--iters", "2000", "--eigenvalues", "spike:inf"],
+])
+def test_infinite_eigenvalues_exit_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite and positive" in err
 
 
 def test_simulate_json_record_and_determinism(capsys):

@@ -36,6 +36,12 @@ def test_parse_eigenvalue_rules():
         parse_eigenvalue_rule("iota", 0)
 
 
+@pytest.mark.parametrize("rule", ["const:inf", "spike:inf", "const:nan", "spike:0"])
+def test_rules_giving_non_finite_or_non_positive_eigenvalues_raise(rule):
+    with pytest.raises(EllipticalError, match="finite and positive"):
+        parse_eigenvalue_rule(rule, 3)
+
+
 def test_parse_eigenvalue_file(tmp_path):
     path = tmp_path / "nus.txt"
     path.write_text("1.5\n2.5\n")
@@ -48,6 +54,9 @@ def test_parse_eigenvalue_file(tmp_path):
         parse_eigenvalue_rule(f"file:{path}", 2)
     path.write_text("")
     with pytest.raises(EllipticalError):
+        parse_eigenvalue_rule(f"file:{path}", 2)
+    path.write_text("1.0\ninf\n")
+    with pytest.raises(EllipticalError, match="finite and positive"):
         parse_eigenvalue_rule(f"file:{path}", 2)
 
 
@@ -63,6 +72,9 @@ def test_spec_validation_and_cached_stats():
                        proposal_core=t2)
     with pytest.raises(EllipticalError):
         EllipticalSpec(d=2, eigenvalues=(1.0, -1.0), spherical_core=t2,
+                       proposal_core=t2)
+    with pytest.raises(EllipticalError):
+        EllipticalSpec(d=2, eigenvalues=(1.0, np.inf), spherical_core=t2,
                        proposal_core=t2)
     with pytest.raises(EllipticalError):
         EllipticalSpec(d=2, eigenvalues=(1.0, 1.0), spherical_core=t3,
@@ -133,6 +145,20 @@ def test_eccentricity_accepts_callable_rule():
     assert rep.rule == "harmonic"
     # sum of 1/i^2 converges, so the top eigenvalue keeps a fixed share
     assert not rep.satisfied
+
+
+@pytest.mark.parametrize("check,dims", [
+    (eccentricity_condition, [10, 40, 160]),
+    (lemma5_numeric_check, [5, 20]),
+])
+@pytest.mark.parametrize("bad_rule", [
+    lambda d: -np.ones(d),
+    lambda d: np.ones(d + 1),
+    lambda d: np.full(d, np.inf),
+])
+def test_callable_rules_with_invalid_eigenvalues_raise(check, dims, bad_rule):
+    with pytest.raises(EllipticalError):
+        check(bad_rule, dims)
 
 
 def test_lemma5_shell_concentration():
