@@ -91,7 +91,7 @@ def corrected_scaling_rule() -> None:
                           proposal_core=core)
     mu_hat = 1.1906012483427703
     spherical = 2.0 * mu_hat * np.sqrt(d) / (np.sqrt(d) * np.sqrt(d))
-    corrected = elliptical_aos(spec, mu_hat, np.sqrt(d), np.sqrt(d), d)
+    corrected = elliptical_aos(spec, mu_hat)
     print(f"  spherical rule: {spherical:.4f}; with axes nu = 3: "
           f"{corrected:.4f} (factor 1/3)")
 

@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 from scipy.special import bdtrc, erfcx
 
 from .quadrature import adaptive_quad
-from .special import gaussian_cdf, gaussian_pdf
+from .special import _checked_dimension, gaussian_cdf, gaussian_pdf
 from .targets import RadialModel, radial_from_density, sample_radius
 
 __all__ = [
@@ -182,7 +182,8 @@ def mixing_atoms(values, weights, *, label: str = "atoms") -> MixingDistribution
 
 def mixing_density(log_density: Callable, *, label: str = "density",
                    scan: tuple[float, float] = (1e-12, 1e12)) -> MixingDistribution:
-    """Absolutely continuous R from an unnormalized log-density on (0, inf)."""
+    """Absolutely continuous R from an unnormalized, vectorized log-density
+    on (0, inf)."""
     model = radial_from_density(1, log_density, family="mixing", label=label,
                                 scan=scan)
     dist = MixingDistribution(kind="density", label=label, model=model)
@@ -549,14 +550,15 @@ def aoa_bound_check(dist: MixingDistribution) -> BoundCheckReport:
 
 def _k_value(k, d: int) -> float:
     value = float(k(d)) if callable(k) else float(k)
-    if value <= 0.0:
-        raise ValueError("radial scale k must be positive")
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"radial scale k must be finite and positive, got {value}")
     return value
 
 
 def aos(mu_hat: float, k_x, k_y, d: int) -> float:
     """Asymptotically optimal proposal scale at dimension d:
     lambda_hat = 2 mu_hat k_x(d) / (sqrt(d) k_y(d))."""
+    d = _checked_dimension(d)
     if not np.isfinite(mu_hat) or mu_hat <= 0.0:
         raise ValueError("mu_hat must be finite and positive")
     return 2.0 * mu_hat * _k_value(k_x, d) / (np.sqrt(d) * _k_value(k_y, d))
@@ -564,6 +566,7 @@ def aos(mu_hat: float, k_x, k_y, d: int) -> float:
 
 def transformed_scale(lam: float, d: int, k_x, k_y) -> float:
     """Dimension-stabilized scale mu = (1/2) sqrt(d) (k_y / k_x) lambda."""
+    d = _checked_dimension(d)
     if not np.isfinite(lam) or lam <= 0.0:
         raise ValueError("lambda must be finite and positive")
     return 0.5 * np.sqrt(d) * _k_value(k_y, d) / _k_value(k_x, d) * lam

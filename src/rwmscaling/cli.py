@@ -226,7 +226,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
-    dist = mixing_from_spec(args.mixing)
+    dist = mixing_from_spec(args.mixing, seed=args.seed)
     opt = solve_aots(dist)
     comments = [f"mixing={args.mixing}"]
     if opt.no_finite_optimum:
@@ -238,8 +238,6 @@ def cmd_asymptotic(args) -> int:
 
 def cmd_elliptical(args) -> int:
     dims = parse_dims(args.dims)
-    if len(dims) < 3:
-        raise UsageError("--dims must contain at least three dimensions")
     report = eccentricity_condition(args.rule, dims)
     core, proposal = first = _parse_pair(args.core, args.proposal, dims[0])
     if args.mu_hat is not None:
@@ -258,12 +256,9 @@ def cmd_elliptical(args) -> int:
     for d, ratio in zip(report.dims, report.ratios):
         core, proposal = (first if d == dims[0]
                           else _parse_pair(args.core, args.proposal, d))
-        if core.k is None or proposal.k is None:
-            raise UsageError("core and proposal families must have shell "
-                             "constants for the scaling rule")
         spec = EllipticalSpec(d=d, eigenvalues=tuple(parse_eigenvalue_rule(args.rule, d)),
                               spherical_core=core, proposal_core=proposal)
-        rows.append((d, ratio, elliptical_aos(spec, mu_hat, core.k, proposal.k, d)))
+        rows.append((d, ratio, elliptical_aos(spec, mu_hat)))
     verdict = "satisfied" if report.satisfied else "violated"
     _emit(args, ["d", "eccentricity_ratio", "aos_lambda"], rows,
           comments=[f"rule={args.rule} core={args.core} proposal={args.proposal}",
@@ -278,8 +273,6 @@ def cmd_elliptical(args) -> int:
 
 def cmd_simulate(args) -> int:
     lam = _positive("--lambda", getattr(args, "lam"))
-    if args.iters < 100:
-        raise UsageError("--iters must be at least 100")
     target, proposal = _parse_pair(args.target, args.proposal, args.dim)
     if args.eigenvalues is not None:
         nus = parse_eigenvalue_rule(args.eigenvalues, args.dim)
@@ -308,11 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed_default=0):
+    def common(sp):
         sp.add_argument("--out", default="-", help="output path (default stdout)")
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
-        sp.add_argument("--seed", type=int, default=seed_default,
-                        help="seed for any sampling the command performs")
 
     sp = sub.add_parser("curve", help="tabulate EAR and ESJD against the scale")
     sp.add_argument("target", help="target spec, e.g. gaussian, laplace, "
@@ -351,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="point:<c> | halfnormal | exp | lognormal | "
                          "pareto:<a> | atoms:v@w,... | samples:<path> | "
                          "from-target:<spec>:<d>")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the from-target radius draws")
     common(sp)
     sp.set_defaults(func=cmd_asymptotic)
 
@@ -379,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="total burn-in steps over 50 chains (default 10%%)")
     sp.add_argument("--eigenvalues", default=None,
                     help="optional eigenvalue rule making the target elliptical")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the chains")
     common(sp)
     sp.set_defaults(func=cmd_simulate)
     # simulate defaults to the JSON chain record
@@ -395,15 +389,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except _NUMERIC_ERRORS as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
 
 
 if __name__ == "__main__":

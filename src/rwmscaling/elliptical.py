@@ -219,26 +219,29 @@ def elliptical_ear_esjd(spec: EllipticalSpec, lam: float, *,
                            esjd_se=esjd_se, n_draws=w.size)
 
 
-def elliptical_aos(spec: EllipticalSpec, mu_hat: float,
-                   k_x_star: float | Callable[[int], float],
-                   k_y: float | Callable[[int], float], d: int, *,
+def elliptical_aos(spec: EllipticalSpec, mu_hat: float, *,
                    condition: EccentricityReport | None = None) -> float:
-    """Optimal proposal scale for the elliptical target at dimension d.
+    """Optimal proposal scale for the elliptical target at dimension spec.d.
 
     Transfers the transformed-space optimum mu_hat back through the
-    spherical rule with the proposal's shell constant inflated to
-    k_y_star = sqrt(mean nu^2) k_y, i.e. an extra (mean square
-    eigenvalue)^{-1/2} factor relative to the spherical case.  If an
+    spherical rule, with k_x the spherical core's shell constant and the
+    proposal core's k_y inflated to k_y_star = sqrt(mean nu^2) k_y, i.e. an
+    extra (mean square eigenvalue)^{-1/2} factor relative to the spherical
+    case.  Raises EllipticalError when either core has no shell constant.  If an
     eccentricity report is supplied and says the condition fails, the rule
     is still returned but a warning is issued: the limit theory does not
     cover that sequence.
     """
+    k_x, k_y = spec.spherical_core.k, spec.proposal_core.k
+    if k_x is None or k_y is None:
+        raise EllipticalError("core and proposal families must have shell "
+                              "constants for the scaling rule")
     if condition is not None and not condition.satisfied:
         warnings.warn(
             "eccentricity condition violated: the asymptotic rule is not "
             "supported by the limit theory for this eigenvalue sequence",
             RuntimeWarning, stacklevel=2)
-    return aos(mu_hat, k_x_star, k_y, d) / math.sqrt(spec.mean_sq)
+    return aos(mu_hat, k_x, k_y, spec.d) / math.sqrt(spec.mean_sq)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ one-coordinate marginal.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -84,9 +83,6 @@ class ChainStats:
             "esjd": self.esjd,
             "esjd_se": self.esjd_se,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.record())
 
 
 @dataclass(frozen=True)

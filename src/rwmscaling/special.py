@@ -51,6 +51,13 @@ _FIT_MAX_D = 1000
 _CHUNK = 4096
 
 
+def _checked_dimension(d) -> int:
+    """d as an int; raises ValueError unless d is a positive integer."""
+    if not (float(d) >= 1.0 and float(d).is_integer()):
+        raise ValueError(f"dimension must be a positive integer, got {d}")
+    return int(d)
+
+
 def gaussian_cdf(x):
     """Standard normal CDF, accurate to ~1e-16 absolute (erfc-based)."""
     return _sp.ndtr(x)
@@ -178,12 +185,10 @@ def kernel_K(d: int, x):
     Neither path forms 1 - G_d, which would cancel catastrophically where
     K_d is tiny.
     """
-    if d < 1 or int(d) != d:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    d = _checked_dimension(d)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0) or np.any(np.isnan(x_arr)):
         raise ValueError("kernel_K requires x >= 0")
-    d = int(d)
     if d == 1:
         out = (x_arr < 1.0).astype(float)
     elif d == 2:

@@ -12,7 +12,6 @@ inverse-CDF sampling.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,9 +20,10 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln
 
 from .quadrature import adaptive_quad, stacked_quad
+from .special import _checked_dimension
 
 __all__ = [
-    "TargetFamily", "RadialModel", "unit_sphere_area", "radial_from_density",
+    "RadialModel", "unit_sphere_area", "radial_from_density",
     "build_example_target", "parse_mixture_weight", "parse_target_spec",
     "sample_radius", "CustomRadialTable",
 ]
@@ -40,35 +40,8 @@ def unit_sphere_area(d: int) -> float:
 
     a_1 = 2, a_2 = 2 pi, a_3 = 4 pi.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    d = _checked_dimension(d)
     return float(np.exp(np.log(2.0) + 0.5 * d * np.log(np.pi) - gammaln(0.5 * d)))
-
-
-class TargetFamily(enum.Enum):
-    GAUSSIAN = "gaussian"
-    EXPONENTIAL = "exponential"
-    RADIAL_GAUSSIAN = "radial-gaussian"
-    RADIAL_EXPONENTIAL = "radial-exponential"
-    LOGNORMAL = "lognormal"
-    MIXTURE = "mixture"
-    CUSTOM = "custom"
-
-
-def _ensure_vectorized(fn: Callable) -> Callable:
-    probe = np.array([0.5, 1.5])
-    try:
-        out = np.asarray(fn(probe), dtype=float)
-        if out.shape == probe.shape:
-            return fn
-    except Exception:
-        pass
-    vec = np.vectorize(lambda r: float(fn(r)), otypes=[float])
-
-    def wrapped(r):
-        return vec(np.asarray(r, dtype=float))
-
-    return wrapped
 
 
 @dataclass(eq=False)
@@ -130,13 +103,13 @@ class RadialModel:
     def sample_radius(self, n: int, rng) -> np.ndarray:
         return sample_radius(self, n, rng)
 
-    def moment(self, p: float, *, epsabs: float = 1e-11) -> float:
+    def moment(self, p: float) -> float:
         cache = self.__dict__.setdefault("_moment_cache", {})
-        key = (float(p), float(epsabs))
+        key = float(p)
         if key not in cache:
             res = adaptive_quad(
                 lambda r: np.exp(self.log_radial_pdf(r) + p * np.log(r)),
-                self.r_lo, self.r_hi, epsabs=epsabs, epsrel=1e-10,
+                self.r_lo, self.r_hi, epsabs=1e-11, epsrel=1e-10,
                 points=self._breakpoints)
             cache[key] = float(res.value)
         return cache[key]
@@ -149,14 +122,23 @@ def radial_from_density(d: int, log_pi: Callable, *, family: str = "custom",
                         extra_breakpoints=()) -> RadialModel:
     """Build a RadialModel from an unnormalized x-space log density of the radius.
 
-    The density is scanned on a wide log grid to locate its mass, normalized
-    by stacked adaptive quadrature of exp(g - max g) with
-    g(r) = (d-1) log r + log_pi(r), and tabulated.  Raises ValueError when no
-    integrable mass is found inside the scan window.
+    log_pi must be vectorized: given an array of radii it returns an array
+    of log densities of the same shape.  The density is scanned on a wide
+    log grid to locate its mass, normalized by stacked adaptive quadrature
+    of exp(g - max g) with g(r) = (d-1) log r + log_pi(r), and tabulated.
+    Raises ValueError when log_pi is not vectorized or when no integrable
+    mass is found inside the scan window.
     """
-    if d < 1 or int(d) != d:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    log_pi = _ensure_vectorized(log_pi)
+    d = _checked_dimension(d)
+    probe = np.array([0.5, 1.5])
+    try:
+        probe_shape = np.shape(log_pi(probe))
+    except Exception as exc:
+        raise ValueError("log density must be vectorized; on an array of "
+                         f"radii it raised {exc!r}") from exc
+    if probe_shape != probe.shape:
+        raise ValueError("log density must be vectorized; on 2 radii it "
+                         f"returned shape {probe_shape}")
 
     lo_s, hi_s = scan
     n_scan = int(400 * np.log10(hi_s / lo_s)) + 1
@@ -328,40 +310,43 @@ def parse_mixture_weight(expr: str, d: int) -> float:
     return p
 
 
-def build_example_target(family: TargetFamily | str, d: int, *,
+def build_example_target(family: str, d: int, *,
                          mixture_p: float | str | None = None,
                          table_path: str | None = None) -> RadialModel:
-    """Construct one of the built-in example laws at dimension d."""
-    if isinstance(family, str):
-        name = family.lower()
-        if name == "laplace":
-            name = "exponential"
-        family = TargetFamily(name)
+    """Construct one of the built-in example laws at dimension d.
 
-    if family is TargetFamily.GAUSSIAN:
+    family is ``gaussian``, ``exponential`` (alias ``laplace``),
+    ``radial-gaussian``, ``radial-exponential``, ``lognormal``, ``mixture``
+    or ``custom``; letter case is ignored.
+    """
+    family = family.lower()
+    if family == "laplace":
+        family = "exponential"
+
+    if family == "gaussian":
         return radial_from_density(
             d, lambda r: -0.5 * np.asarray(r) ** 2, family="gaussian",
             label=f"gaussian(d={d})", k=float(np.sqrt(d)), limit_mixing="point:1")
-    if family is TargetFamily.EXPONENTIAL:
+    if family == "exponential":
         return radial_from_density(
             d, lambda r: -np.asarray(r, dtype=float), family="exponential",
             label=f"exponential(d={d})", k=float(d), limit_mixing="point:1")
-    if family is TargetFamily.RADIAL_GAUSSIAN:
+    if family == "radial-gaussian":
         return radial_from_density(
             d, lambda r: -(d - 1) * np.log(np.asarray(r, dtype=float)) - 0.5 * np.asarray(r) ** 2,
             family="radial-gaussian", label=f"radial-gaussian(d={d})",
             k=1.0, limit_mixing="halfnormal")
-    if family is TargetFamily.RADIAL_EXPONENTIAL:
+    if family == "radial-exponential":
         return radial_from_density(
             d, lambda r: -(d - 1) * np.log(np.asarray(r, dtype=float)) - np.asarray(r, dtype=float),
             family="radial-exponential", label=f"radial-exponential(d={d})",
             k=1.0, limit_mixing="exp")
-    if family is TargetFamily.LOGNORMAL:
+    if family == "lognormal":
         return radial_from_density(
             d, _lognormal_log_pi(d), family="lognormal",
             label=f"lognormal(d={d})", k=1.0, limit_mixing="lognormal",
             extra_breakpoints=[np.exp(-(d - 1.0))])
-    if family is TargetFamily.MIXTURE:
+    if family == "mixture":
         if d < 2:
             raise ValueError("the two-component scale mixture is defined for d >= 2")
         if mixture_p is None:
@@ -372,7 +357,7 @@ def build_example_target(family: TargetFamily | str, d: int, *,
             label=f"mixture:p={mixture_p}(d={d},p={p:.6g})", k=float(np.sqrt(d)),
             limit_mixing=None,
             extra_breakpoints=[np.sqrt(d), float(d), d * np.sqrt(d)])
-    if family is TargetFamily.CUSTOM:
+    if family == "custom":
         if table_path is None:
             raise ValueError("custom family requires a table path")
         table = CustomRadialTable(table_path)
@@ -395,9 +380,9 @@ def parse_target_spec(spec: str, d: int) -> RadialModel:
         arg = spec[len("mixture:"):]
         if not arg.startswith("p="):
             raise ValueError(f"malformed mixture spec {spec!r}; expected 'mixture:p=<w>'")
-        return build_example_target(TargetFamily.MIXTURE, d, mixture_p=arg[2:])
+        return build_example_target("mixture", d, mixture_p=arg[2:])
     if spec.startswith("custom:"):
-        return build_example_target(TargetFamily.CUSTOM, d, table_path=spec[len("custom:"):])
+        return build_example_target("custom", d, table_path=spec[len("custom:"):])
     return build_example_target(spec, d)
 
 

@@ -134,6 +134,46 @@ def test_general_form_two_atom_proposal_manual():
     assert limit_esjd_general(r, y, mu)[0] == pytest.approx(want_esjd, abs=1e-12)
 
 
+def _halfnormal_pair_reference(mu):
+    """R = 1, Y = |Z|: EAR 2 E[Phi(-mu Y)] = 1 - (2/pi) arctan(mu) in closed
+    form, and ESJD 2 mu^2 E[Y^2 Phi(-mu Y)] by mpmath quadrature."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        esjd = mu * mu * mp.quad(
+            lambda y: mp.sqrt(2 / mp.pi) * mp.exp(-y * y / 2) * y * y
+            * mp.erfc(mu * y / mp.sqrt(2)), [0, mp.inf])
+    return 1.0 - 2.0 / np.pi * np.arctan(mu), float(esjd)
+
+
+def test_general_form_halfnormal_density_proposal():
+    r, y = mixing_point(1.0), mixing_from_spec("halfnormal")
+    for mu in (0.3, 1.0, 2.5):
+        want_ear, want_esjd = _halfnormal_pair_reference(mu)
+        assert limit_ear_general(r, y, mu)[0] == pytest.approx(want_ear, abs=1e-9)
+        assert limit_esjd_general(r, y, mu)[0] == pytest.approx(want_esjd, abs=1e-9)
+
+
+def test_general_form_halfnormal_sample_proposal():
+    r = mixing_point(1.0)
+    y = mixing_samples(np.abs(np.random.default_rng(4).standard_normal(200_000)))
+    for mu in (0.3, 1.0, 2.5):
+        want_ear, want_esjd = _halfnormal_pair_reference(mu)
+        ear, ear_se = limit_ear_general(r, y, mu)
+        esjd, esjd_se = limit_esjd_general(r, y, mu)
+        assert 0.0 < ear_se < 2e-3 and 0.0 < esjd_se < 2e-3
+        assert abs(ear - want_ear) < 3.0 * ear_se
+        assert abs(esjd - want_esjd) < 3.0 * esjd_se
+
+
+def test_samples_spec_reads_a_radius_file(tmp_path):
+    radii = 0.1 + np.abs(np.random.default_rng(2).standard_normal(500))
+    path = tmp_path / "radii.txt"
+    np.savetxt(path, radii)
+    from_file = mixing_from_spec(f"samples:{path}")
+    assert from_file.kind == "samples"
+    np.testing.assert_array_equal(from_file.samples, mixing_samples(radii).samples)
+
+
 def test_from_target_samples_recover_family_limit():
     dist = mixing_from_spec("from-target:radial-gaussian:64", seed=3,
                             n_samples=60_000)
@@ -212,6 +252,23 @@ def test_scale_reductions_roundtrip():
     for lam in (np.nan, np.inf, -np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="finite and positive"):
             transformed_scale(lam, 4, 1.0, 1.0)
+
+
+def test_scale_reductions_reject_non_finite_k_and_bad_dimension():
+    for k in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            aos(1.19, k, 1.0, 4)
+        with pytest.raises(ValueError, match="finite and positive"):
+            aos(1.19, 1.0, k, 4)
+        with pytest.raises(ValueError, match="finite and positive"):
+            transformed_scale(1.0, 4, k, 1.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            transformed_scale(1.0, 4, 1.0, k)
+    for d in (0, -4, 2.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            aos(1.19, 1.0, 1.0, d)
+        with pytest.raises(ValueError, match="positive integer"):
+            transformed_scale(1.0, d, 1.0, 1.0)
 
 
 def test_theta_prime_rejects_negative_mu():

@@ -6,11 +6,15 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rwmscaling.asymptotics import mixing_from_spec, solve_aots
 from rwmscaling.cli import UsageError, main, parse_dims
+from rwmscaling.elliptical import (EllipticalSpec, elliptical_aos,
+                                   parse_eigenvalue_rule)
 from rwmscaling.engine import get_marginal_table
-from rwmscaling.targets import parse_target_spec
+from rwmscaling.targets import build_example_target, parse_target_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -229,6 +233,28 @@ def test_asymptotic_no_finite_optimum(capsys):
     assert any("no finite optimum" in c for c in payload["comments"])
 
 
+def test_asymptotic_seed_seeds_the_from_target_draws(capsys):
+    argv = ["asymptotic", "--mixing", "from-target:gaussian:50"]
+    _, out_default, _ = _run(capsys, argv)
+    code, out, _ = _run(capsys, argv + ["--seed", "5"])
+    assert code == 0 and out != out_default
+    opt = solve_aots(mixing_from_spec("from-target:gaussian:50", seed=5))
+    _, _, data = _parse_csv(out)
+    assert data == [[f"{opt.mu_hat:.10g}", f"{opt.aoa:.10g}"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "gaussian", "gaussian", "--dim", "2", "--lambda-min", "0.5",
+     "--lambda-max", "2"],
+    ["optimize", "gaussian", "gaussian", "--dim", "2"],
+    ["sweep", "gaussian", "gaussian", "--dims", "2,4"],
+    ["elliptical", "--rule", "iota", "--dims", "4,8,16"],
+])
+def test_seed_is_rejected_where_nothing_is_drawn(capsys, argv):
+    code, out, err = _run(capsys, argv + ["--seed", "1"])
+    assert code == 2 and out == "" and "--seed" in err
+
+
 def test_asymptotic_bad_mixing_exits_2(capsys):
     code, _, _ = _run(capsys, ["asymptotic", "--mixing", "nonsense"])
     assert code == 2
@@ -256,6 +282,31 @@ def test_elliptical_satisfied_and_violated(capsys):
 def test_elliptical_needs_three_dims(capsys):
     code, _, _ = _run(capsys, ["elliptical", "--rule", "iota", "--dims", "4,8"])
     assert code == 2
+
+
+def test_elliptical_mu_hat_override(capsys):
+    code, out, _ = _run(capsys, ["elliptical", "--rule", "iota",
+                                 "--dims", "4,8,16", "--mu-hat", "1.19"])
+    assert code == 0
+    comments, _, data = _parse_csv(out)
+    assert "mu_hat=1.19" in comments
+    for d_text, _, lam_text in data:
+        d = int(d_text)
+        core = build_example_target("gaussian", d)
+        spec = EllipticalSpec(d=d, eigenvalues=tuple(parse_eigenvalue_rule("iota", d)),
+                              spherical_core=core, proposal_core=core)
+        assert lam_text == f"{elliptical_aos(spec, 1.19):.10g}"
+
+
+def test_elliptical_core_without_shell_constant_exits_2(tmp_path, capsys):
+    r = np.linspace(1e-3, 30.0, 600)
+    path = tmp_path / "halfnormal.tsv"
+    path.write_text("\n".join(f"{a} {-0.5 * a * a}" for a in r))
+    code, out, err = _run(capsys, ["elliptical", "--rule", "iota",
+                                   "--dims", "4,8,16", "--core", f"custom:{path}",
+                                   "--mu-hat", "1.19"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "shell constants" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -183,15 +183,11 @@ def test_lemma5_shell_concentration():
 def test_aos_correction_factor():
     mu, d = 1.1906012483427703, 9
     ident = _spec("const:1", d)
-    assert elliptical_aos(ident, mu, 1.0, 1.0, d) == pytest.approx(
-        2 * mu / 3.0, rel=1e-14)
+    assert elliptical_aos(ident, mu) == pytest.approx(2 * mu / 3.0, rel=1e-14)
     stretched = _spec("const:2", d)
-    assert elliptical_aos(stretched, mu, 1.0, 1.0, d) == pytest.approx(
-        2 * mu / 6.0, rel=1e-14)
+    assert elliptical_aos(stretched, mu) == pytest.approx(2 * mu / 6.0, rel=1e-14)
     with pytest.raises(ValueError):
-        elliptical_aos(ident, np.inf, 1.0, 1.0, d)
-    with pytest.raises(ValueError):
-        elliptical_aos(ident, mu, 0.0, 1.0, d)
+        elliptical_aos(ident, np.inf)
 
 
 def test_aos_warns_when_condition_violated():
@@ -199,10 +195,10 @@ def test_aos_warns_when_condition_violated():
     spec = _spec("spike:1", d)
     bad = eccentricity_condition("spike:1", [3, 6, 9])
     with pytest.warns(RuntimeWarning, match="eccentricity condition violated"):
-        elliptical_aos(spec, 1.19, 1.0, 1.0, d, condition=bad)
+        elliptical_aos(spec, 1.19, condition=bad)
     good = eccentricity_condition("const:1", [3, 6, 9])
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        elliptical_aos(_spec("const:1", d), 1.19, 1.0, 1.0, d, condition=good)
+        elliptical_aos(_spec("const:1", d), 1.19, condition=good)

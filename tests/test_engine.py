@@ -153,6 +153,30 @@ def test_table_and_nested_paths_agree():
         assert pt.esjd == pytest.approx(esjd_q, rel=1e-7, abs=1e-10)
 
 
+def test_nested_curve_matches_table_and_flags_only_the_failed_point(monkeypatch):
+    t = build_example_target("exponential", 4)
+    lams = np.geomspace(0.3, 3.0, 5)
+    table = curve(t, t, lams)
+    nested = curve(t, t, lams, method="nested")
+    assert all(p.ok for p in nested)
+    for a, b in zip(table, nested):
+        assert abs(a.ear - b.ear) < 1e-7 and abs(a.esjd - b.esjd) < 1e-7
+
+    real = engine.ear_esjd
+
+    def fails_at_middle(target, proposal, lam):
+        if lam == lams[2]:
+            raise EngineError("forced failure")
+        return real(target, proposal, lam)
+
+    monkeypatch.setattr(engine, "ear_esjd", fails_at_middle)
+    pts = curve(t, t, lams, method="nested")
+    assert [p.ok for p in pts] == [True, True, False, True, True]
+    assert pts[2].message == "forced failure" and np.isnan(pts[2].ear)
+    assert [p.ear for p in pts if p.ok] == [p.ear for i, p in enumerate(nested)
+                                            if i != 2]
+
+
 def test_curve_flags_are_clean_and_ear_monotone():
     t = build_example_target("exponential", 4)
     pts = curve(t, t, np.geomspace(0.01, 20, 80))

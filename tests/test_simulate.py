@@ -1,7 +1,6 @@
 """Tests for the simulation oracles: the full Metropolis chain and the
 direct Monte Carlo expectation."""
 
-import json
 import math
 
 import numpy as np
@@ -67,7 +66,7 @@ def test_degenerate_acceptance_flags():
 def test_json_record_schema():
     t = build_example_target("gaussian", 2)
     stats = run_rwm(t, t, 1.5, n_iters=1_000, seed=3)
-    record = json.loads(stats.to_json())
+    record = stats.record()
     assert list(record) == ["target", "proposal", "d", "lambda", "n_iters",
                             "seed", "accept_rate", "accept_se", "esjd",
                             "esjd_se"]

@@ -23,6 +23,18 @@ def test_unit_sphere_area_known_values():
     assert unit_sphere_area(1) == pytest.approx(2.0)
     assert unit_sphere_area(2) == pytest.approx(2.0 * math.pi)
     assert unit_sphere_area(3) == pytest.approx(4.0 * math.pi)
+    for d in (0, -4, 2.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            unit_sphere_area(d)
+
+
+@pytest.mark.parametrize("log_pi", [
+    lambda r: -0.5 * math.pow(r, 2),  # scalar-only: fails on an array
+    lambda r: -0.5,                   # one value for every radius
+])
+def test_radial_from_density_requires_a_vectorized_log_density(log_pi):
+    with pytest.raises(ValueError, match="vectorized"):
+        radial_from_density(3, log_pi)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
