@@ -71,6 +71,13 @@ _BLOCK_X = 8
 _BLOCK_R = 4096
 # Beyond z = mu/R = _Z_DEAD, exp(-z^2/2) underflows and _gap_kernel is exactly 0.
 _Z_DEAD = 40.0
+# _gap_kernel h(z) changes sign once, at z = POINT_MASS_MU_HAT; h' = phi(z)(z^2 - 3)
+# makes h fall on [0, sqrt 3] and rise to 0 from below after.  So h >= 3.7e-3 for
+# z < _Z_POS, and on (_Z_NEG, _Z_NORMAL] h < 0 with |h| >= |h(30)| = 4.4e-195,
+# which stays a normal number after dividing by any number of radii.
+_Z_POS = 0.99 * POINT_MASS_MU_HAT
+_Z_NEG = 1.01 * POINT_MASS_MU_HAT
+_Z_NORMAL = 30.0
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _ZERO_MASS_EPS = 1e-6
@@ -96,12 +103,24 @@ class MixingDistribution:
     samples: np.ndarray | None = None
 
     @property
+    def support(self) -> tuple[float, float]:
+        """Smallest and largest value of R: the atoms of positive weight or
+        the ends of the sorted samples; (0, inf) for a density."""
+        if self.kind == "atoms":
+            live = self.atom_values[self.atom_weights > 0.0]
+            return float(live[0]), float(live[-1])
+        if self.kind == "samples":
+            return float(self.samples[0]), float(self.samples[-1])
+        return 0.0, np.inf
+
+    @property
     def is_point_mass(self) -> bool:
-        return self.kind == "atoms" and self.atom_values.size == 1
+        lo, hi = self.support
+        return lo == hi
 
     @property
     def is_point_mass_at_one(self) -> bool:
-        return self.is_point_mass and abs(float(self.atom_values[0]) - 1.0) <= 1e-12
+        return self.is_point_mass and abs(self.support[0] - 1.0) <= 1e-12
 
     def mass_below(self, eps: float) -> float:
         """P(R <= eps), used to reject mixing laws with mass at zero."""
@@ -448,6 +467,28 @@ def _search_grid(dist: MixingDistribution) -> np.ndarray:
     return np.geomspace(lo, _MU_MAX, max(int(np.ceil(np.log10(_MU_MAX / lo) * 48)), 64))
 
 
+def _gap_sign(dist: MixingDistribution, grid: np.ndarray) -> np.ndarray:
+    """np.sign of the stationarity gap g on solve_aots's grid.
+
+    For a sample law on [R_min, R_max], z = mu/R spans [mu/R_max, mu/R_min],
+    and where that span fixes the sign of every term of the mean, it fixes
+    the sign of g: + where every z < _Z_POS, - where every z > _Z_NEG and
+    mu/R_max <= _Z_NORMAL, 0 where every z > _Z_DEAD.  Only the other points
+    are averaged, a whole _BLOCK_X block of the grid at a time, so that each
+    skips the same radii as on the full grid and its g is bitwise the same."""
+    if dist.kind != "samples":
+        return np.sign(_stationarity_gap(dist, grid, epsabs=1e-10))
+    r_lo, r_hi = dist.support
+    z_lo, z_hi = grid / r_hi, grid / r_lo
+    sign = np.where(z_hi < _Z_POS, 1.0, 0.0)
+    sign[(z_lo > _Z_NEG) & (z_lo <= _Z_NORMAL)] = -1.0
+    unknown = np.flatnonzero((sign == 0.0) & (z_lo <= _Z_DEAD))
+    for i in np.unique(unknown // _BLOCK_X) * _BLOCK_X:
+        block = grid[i:i + _BLOCK_X]
+        sign[i:i + _BLOCK_X] = np.sign(_stationarity_gap(dist, block, epsabs=1e-10))
+    return sign
+
+
 def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
     """Solve for the asymptotically optimal transformed scale.
 
@@ -457,25 +498,31 @@ def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
     still increasing at mu_max), the result is flagged
     ``no_finite_optimum`` — the optimal scale drifts to infinity and the
     optimal acceptance rate to zero.
+
+    The grid needs only the sign of g.  A sample law's g is averaged only at
+    grid points where its support does not fix that sign (see _gap_sign).
+    Where the support fixes it, every term h(mu/R) of the mean has that sign
+    and their sum cannot round to zero, so the signs, the brackets and the
+    result are exactly those of the full average.
     """
     grid = _search_grid(dist)
-    g = _stationarity_gap(dist, grid, epsabs=1e-10)
-    if not np.all(np.isfinite(g)):
+    sign = _gap_sign(dist, grid)
+    if not np.all(np.isfinite(sign)):
         raise AsymptoticsError("stationarity gap evaluated to a non-finite value")
 
     # Light-tailed laws underflow both terms of g to exactly zero well before
     # mu_max; drop that dead tail or every grid point on it would register as
     # a spurious sign change (and hence a phantom stationary point).
-    nonzero = np.nonzero(g != 0.0)[0]
+    nonzero = np.nonzero(sign)[0]
     if nonzero.size == 0:
         raise AsymptoticsError("stationarity gap underflowed to zero on the "
                                "whole search grid")
-    grid, g = grid[:nonzero[-1] + 1], g[:nonzero[-1] + 1]
+    grid, sign = grid[:nonzero[-1] + 1], sign[:nonzero[-1] + 1]
 
-    sign_flip = np.nonzero(np.sign(g[:-1]) != np.sign(g[1:]))[0]
+    sign_flip = np.nonzero(sign[:-1] != sign[1:])[0]
     roots = []
     for i in sign_flip:
-        if g[i] == 0.0:
+        if sign[i] == 0.0:
             roots.append(float(grid[i]))
             continue
         try:
@@ -488,7 +535,7 @@ def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
     roots = sorted(set(roots))
 
     if not roots:
-        if np.all(g > 0.0):
+        if np.all(sign > 0.0):
             return AsymptoticOptimum(
                 mu_hat=np.inf, aoa=0.0, limit_esjd_at_mu_hat=np.inf,
                 roots=(), esjd_argmax_mu=np.inf, residual=np.nan,

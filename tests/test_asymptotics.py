@@ -197,6 +197,17 @@ def test_bound_check_equality_only_for_point_mass():
         aoa_bound_check(mixing_from_spec("pareto:1.5"))
 
 
+def test_degenerate_laws_are_point_masses():
+    for dist, at_one in [(mixing_samples(np.full(200, 2.0)), False),
+                         (mixing_atoms([1, 1], [0.3, 0.7]), True),
+                         (mixing_atoms([1, 3], [1, 0]), True)]:
+        rep = aoa_bound_check(dist)
+        assert rep.equality and rep.is_point_mass
+        assert dist.is_point_mass_at_one == at_one
+    assert not mixing_atoms([1, 3], [0.5, 0.5]).is_point_mass
+    assert not mixing_from_spec("halfnormal").is_point_mass
+
+
 def test_zero_mass_guard():
     with pytest.raises(AsymptoticsError):
         mixing_atoms([1e-9, 1.0], [0.5, 0.5])
@@ -346,3 +357,28 @@ def test_sample_law_solve_has_bounded_memory_and_ignores_order(chi_radii):
         tracemalloc.stop()
     assert peak < 16e6
     assert solve_aots(mixing_samples(chi_radii)) == opt
+
+
+def test_from_target_cloud_solve_is_pinned():
+    # The optimum of the solve that averaged g over the cloud at every grid
+    # point; reading signs off the support must not move it.
+    opt = solve_aots(mixing_from_spec("from-target:gaussian:50"))
+    assert opt.mu_hat == pytest.approx(1.1922139527501583, rel=1e-13)
+    assert opt.aoa == pytest.approx(0.22948667230338826, rel=1e-13)
+
+
+def test_sample_law_grid_averages_only_where_the_sign_is_open(chi_radii,
+                                                              monkeypatch):
+    dist = mixing_samples(chi_radii)
+    grid = asymptotics._search_grid(dist)
+    points = []
+    full_gap = asymptotics._stationarity_gap
+
+    def counted(d, mu, **kw):
+        points.append(np.size(mu))
+        return full_gap(d, mu, **kw)
+
+    monkeypatch.setattr(asymptotics, "_stationarity_gap", counted)
+    sign = asymptotics._gap_sign(dist, grid)
+    assert sum(points) <= 48 < grid.size
+    assert np.array_equal(sign, np.sign(full_gap(dist, grid, epsabs=1e-10)))

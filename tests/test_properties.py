@@ -1,14 +1,16 @@
 """Structural facts of the limit theory checked over random mixing laws
 (atoms and sample clouds): the optimal acceptance rate stays below the
-point-mass value 0.2338 with equality only at a point mass, and the optimum
-is scale equivariant."""
+point-mass value 0.2338 with equality only at a point mass, the optimum is
+scale equivariant, and a cloud's stationary points lie in its support
+times the point-mass optimum, where solve_aots reads the gap's sign."""
 
 import numpy as np
 import pytest
 
-from rwmscaling.asymptotics import (POINT_MASS_AOA, aoa_bound_check,
-                                    mixing_atoms, mixing_point, mixing_samples,
-                                    solve_aots)
+from rwmscaling import asymptotics
+from rwmscaling.asymptotics import (POINT_MASS_AOA, POINT_MASS_MU_HAT,
+                                    aoa_bound_check, mixing_atoms, mixing_point,
+                                    mixing_samples, solve_aots)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -35,6 +37,19 @@ def sample_laws(draw):
     sigma = draw(st.floats(0.05, 1.5))
     seed = draw(st.integers(0, 2**32 - 1))
     return mixing_samples(np.random.default_rng(seed).lognormal(0.0, sigma, n))
+
+
+@st.composite
+def lognormal_clouds(draw):
+    """100 to 5k lognormal radii with spread 1e-3 to 3, and up to two radii
+    near 1e-6: as many as the zero-mass guard lets through at 100 radii."""
+    n = draw(st.integers(100, 5_000))
+    sigma = draw(st.floats(1e-3, 3.0))
+    n_tiny = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radii = rng.lognormal(0.0, sigma, n)
+    radii[:n_tiny] = rng.uniform(5e-7, 2e-6, n_tiny)
+    return mixing_samples(radii)
 
 
 @settings(max_examples=100, deadline=None)
@@ -69,3 +84,18 @@ def test_optimum_is_scale_equivariant_over_sample_laws(dist, c):
     assert ref.aoa <= 0.2339
     assert opt.mu_hat == pytest.approx(c * ref.mu_hat, rel=1e-9)
     assert opt.aoa == pytest.approx(ref.aoa, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lognormal_clouds())
+def test_cloud_grid_signs_match_the_full_gap(dist):
+    grid = asymptotics._search_grid(dist)
+    full = asymptotics._stationarity_gap(dist, grid, epsabs=1e-10)
+    assert np.array_equal(asymptotics._gap_sign(dist, grid), np.sign(full))
+    # A radius far above the rest puts a root within rounding of
+    # POINT_MASS_MU_HAT * R_max, so allow brentq's tolerance.
+    r_lo, r_hi = dist.support
+    for root in solve_aots(dist).roots:
+        slack = 2e-13 + 1e-12 * root
+        assert POINT_MASS_MU_HAT * r_lo - slack <= root
+        assert root <= POINT_MASS_MU_HAT * r_hi + slack
