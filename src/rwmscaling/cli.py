@@ -33,6 +33,7 @@ from .engine import EngineError, curve
 from .optimizer import OptimizerError, optimize, sweep_dimension
 from .quadrature import QuadratureError
 from .simulate import run_rwm
+from .special import _checked_dimension_list, _checked_positive
 from .targets import _parse_pair
 
 __all__ = ["main", "build_parser", "parse_dims"]
@@ -71,8 +72,6 @@ def _json_value(v):
 def parse_dims(spec: str) -> list[int]:
     """Dimension list from `a,b,c` or `a:b:linN` / `a:b:logN` grammar."""
     spec = spec.strip()
-    if not spec:
-        raise UsageError("empty dimension list")
     if ":" in spec:
         parts = spec.split(":")
         grammar = f"bad dimension range {spec!r}; want a:b:linN or a:b:logN"
@@ -98,11 +97,7 @@ def parse_dims(spec: str) -> list[int]:
         except ValueError:
             raise UsageError(f"bad dimension list {spec!r}; want a,b,c or "
                              "a:b:linN / a:b:logN") from None
-    if not dims or any(d < 1 for d in dims):
-        raise UsageError("dimensions must be positive integers")
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise UsageError("dimension list must be strictly increasing")
-    return dims
+    return _checked_dimension_list(dims, 1, UsageError)
 
 
 @contextmanager
@@ -144,17 +139,9 @@ def _gnuplot_hint(args, using: str, title: str) -> None:
             f"plot '{path}' using {using} with lines title '{title}'\"\n")
 
 
-def _positive(name: str, v: float) -> float:
-    if not math.isfinite(v):
-        raise UsageError(f"{name} must be finite, got {v}")
-    if not v > 0.0:
-        raise UsageError(f"{name} must be positive, got {v}")
-    return float(v)
-
-
 def cmd_curve(args) -> int:
-    lam_lo = _positive("--lambda-min", args.lambda_min)
-    lam_hi = _positive("--lambda-max", args.lambda_max)
+    lam_lo = _checked_positive(args.lambda_min, "--lambda-min", UsageError)
+    lam_hi = _checked_positive(args.lambda_max, "--lambda-max", UsageError)
     if not lam_hi > lam_lo:
         raise UsageError("--lambda-max must exceed --lambda-min")
     if args.points < 2:
@@ -182,8 +169,8 @@ def cmd_optimize(args) -> int:
     if args.lambda_min is not None or args.lambda_max is not None:
         if args.lambda_min is None or args.lambda_max is None:
             raise UsageError("give both --lambda-min and --lambda-max or neither")
-        lam_lo = _positive("--lambda-min", args.lambda_min)
-        lam_hi = _positive("--lambda-max", args.lambda_max)
+        lam_lo = _checked_positive(args.lambda_min, "--lambda-min", UsageError)
+        lam_hi = _checked_positive(args.lambda_max, "--lambda-max", UsageError)
         if not lam_hi > lam_lo:
             raise UsageError("--lambda-max must exceed --lambda-min")
         kwargs.update(lam_lo=lam_lo, lam_hi=lam_hi)
@@ -241,7 +228,7 @@ def cmd_elliptical(args) -> int:
     report = eccentricity_condition(args.rule, dims)
     core, proposal = first = _parse_pair(args.core, args.proposal, dims[0])
     if args.mu_hat is not None:
-        mu_hat = _positive("--mu-hat", args.mu_hat)
+        mu_hat = _checked_positive(args.mu_hat, "--mu-hat", UsageError)
     else:
         if core.limit_mixing is None:
             raise UsageError(
@@ -272,7 +259,7 @@ def cmd_elliptical(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    lam = _positive("--lambda", getattr(args, "lam"))
+    lam = _checked_positive(args.lam, "--lambda", UsageError)
     target, proposal = _parse_pair(args.target, args.proposal, args.dim)
     if args.eigenvalues is not None:
         nus = parse_eigenvalue_rule(args.eigenvalues, args.dim)

@@ -23,7 +23,9 @@ import warnings
 import numpy as np
 
 from .asymptotics import aos
-from .engine import _checked_lambda, _sampled_ear_esjd
+from .engine import _sampled_ear_esjd
+from .special import (_checked_dimension, _checked_dimension_list,
+                      _checked_positive)
 from .targets import RadialModel
 
 __all__ = [
@@ -77,9 +79,7 @@ def _checked_eigenvalues(nus, d: int) -> np.ndarray:
     nus = np.asarray(nus, dtype=float)
     if nus.shape != (d,):
         raise EllipticalError(f"need {d} eigenvalues, got {nus.size}")
-    if not np.all(np.isfinite(nus) & (nus > 0.0)):
-        raise EllipticalError(f"eigenvalues must be finite and positive (d={d})")
-    return nus
+    return _checked_positive(nus, "eigenvalues", EllipticalError)
 
 
 def parse_eigenvalue_rule(rule: str, d: int) -> np.ndarray:
@@ -90,8 +90,7 @@ def parse_eigenvalue_rule(rule: str, d: int) -> np.ndarray:
     (padded by repeating the last value, truncated if longer than d).
     Every eigenvalue must come out finite and positive.
     """
-    if d < 1:
-        raise EllipticalError("dimension must be positive")
+    d = _checked_dimension(d, EllipticalError)
     rule = rule.strip()
     if rule == "iota":
         nus = np.arange(1, d + 1, dtype=float)
@@ -120,12 +119,8 @@ def _resolve_rule(rule: str | Callable[[int], np.ndarray], dims: Sequence[int],
                   at_least: int):
     """Checked dims, with the rule as (function of d giving its checked
     eigenvalues, label).  The dims must be at least ``at_least`` strictly
-    increasing integers."""
-    dims = [int(d) for d in dims]
-    if len(dims) < at_least:
-        raise EllipticalError(f"need at least {at_least} dimensions")
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise EllipticalError("dimensions must be strictly increasing")
+    increasing positive integers."""
+    dims = _checked_dimension_list(dims, at_least, EllipticalError)
     if callable(rule):
         return (dims, lambda d: _checked_eigenvalues(rule(d), d),
                 getattr(rule, "__name__", "custom"))
@@ -210,7 +205,7 @@ def elliptical_ear_esjd(spec: EllipticalSpec, lam: float, *,
     average EAR is exact-in-quadrature given the draws; the reported errors
     are the sampling standard errors over the fixed-seed draws.
     """
-    lam = _checked_lambda(lam)
+    lam = _checked_positive(lam, "lambda")
     if n_draws < 1000:
         raise ValueError("need at least 1000 direction draws")
     w = _transformed_proposal_radii(spec, int(n_draws), int(seed))

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .quadrature import QuadratureError, adaptive_quad, stacked_quad
-from .special import kernel_K
+from .special import _checked_positive, kernel_K
 from .targets import RadialModel
 
 __all__ = [
@@ -54,7 +54,7 @@ class EngineError(RuntimeError):
 
 def closed_form_gaussian_1d(lam: float) -> tuple[float, float]:
     """EAR and ESJD for standard-Gaussian target and Gaussian proposal, d = 1."""
-    lam = _checked_lambda(lam)
+    lam = _checked_positive(lam, "lambda")
     t = np.arctan(2.0 / lam)
     ear_v = (2.0 / np.pi) * t
     esjd_v = (2.0 * lam * lam / np.pi) * (t - 2.0 * lam / (lam * lam + 4.0))
@@ -63,7 +63,7 @@ def closed_form_gaussian_1d(lam: float) -> tuple[float, float]:
 
 def closed_form_laplace_1d(lam: float) -> tuple[float, float]:
     """EAR and ESJD for double-exponential target and proposal, d = 1."""
-    lam = _checked_lambda(lam)
+    lam = _checked_positive(lam, "lambda")
     ear_v = 2.0 / (lam + 2.0)
     esjd_v = 16.0 * lam * lam / (lam + 2.0) ** 3
     return float(ear_v), float(esjd_v)
@@ -224,7 +224,7 @@ def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float):
     x = lambda y / 2 and x = lambda y.  Returns (ear, esjd, ear_err,
     esjd_err).  Raises EngineError if the evaluation budget is exhausted.
     """
-    lam = _checked_lambda(lam)
+    lam = _checked_positive(lam, "lambda")
     _check_dimensions(target, proposal)
     budget = [_NESTED_MAX_EVALS]
 
@@ -321,7 +321,8 @@ def _table_points(table: MarginalTable, proposal: RadialModel,
 def table_point(table: MarginalTable, proposal: RadialModel, lam: float) -> CurvePoint:
     """One curve point through the tabulated-W route: the one-lambda case
     of curve's stacked integral."""
-    return _table_points(table, proposal, _checked_lambdas([lam]))[0]
+    return _table_points(table, proposal,
+                         np.array([_checked_positive(lam, "lambda")]))[0]
 
 
 def _sampled_ear_esjd(target: RadialModel, lam: float, radii: np.ndarray):
@@ -333,23 +334,6 @@ def _sampled_ear_esjd(target: RadialModel, lam: float, radii: np.ndarray):
     for draws in (tail, lam * lam * radii * radii * tail):
         out += [float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(draws.size))]
     return tuple(out)
-
-
-def _checked_lambdas(lambdas) -> np.ndarray:
-    """lambdas as a 1-d float array of finite positive scales, else ValueError."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.ndim != 1:
-        raise ValueError("lambda values must form a 1-d sequence")
-    if not np.all(np.isfinite(lambdas)):
-        raise ValueError("all lambda values must be finite")
-    if np.any(lambdas <= 0.0):
-        raise ValueError("all lambda values must be positive")
-    return lambdas
-
-
-def _checked_lambda(lam) -> float:
-    """lam as a finite positive float, else ValueError."""
-    return float(_checked_lambdas([lam])[0])
 
 
 def _check_dimensions(target: RadialModel, proposal: RadialModel) -> None:
@@ -369,7 +353,9 @@ def curve(target: RadialModel, proposal: RadialModel, lambdas, *,
     to be non-increasing in lambda (a structural property of the exact
     integrals); violation beyond the numerical tolerance raises EngineError.
     """
-    lambdas = _checked_lambdas(lambdas)
+    lambdas = _checked_positive(lambdas, "lambda values")
+    if np.ndim(lambdas) != 1:
+        raise ValueError("lambda values must form a 1-d sequence")
     if method == "table":
         points = _table_points(get_marginal_table(target), proposal, lambdas)
     elif method == "nested":

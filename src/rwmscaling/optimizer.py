@@ -23,6 +23,7 @@ from .asymptotics import (AsymptoticsError, aos, mixing_from_spec,
 from .engine import (CurvePoint, EngineError, curve, get_marginal_table,
                      table_point)
 from .quadrature import QuadratureError
+from .special import _checked_dimension_list, _checked_positive
 from .targets import RadialModel, _parse_pair, parse_target_spec
 
 __all__ = [
@@ -124,7 +125,8 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
         auto_lo, auto_hi = default_search_range(target, proposal)
         lam_lo = auto_lo if lam_lo is None else lam_lo
         lam_hi = auto_hi if lam_hi is None else lam_hi
-    if not (0.0 < lam_lo < lam_hi):
+    lam_lo, lam_hi = _checked_positive([lam_lo, lam_hi], "lam_lo and lam_hi")
+    if not lam_lo < lam_hi:
         raise ValueError("need 0 < lam_lo < lam_hi")
     if grid < 64:
         raise ValueError("grid must have at least 64 points")
@@ -238,11 +240,7 @@ def sweep_dimension(target_spec: str, proposal_spec: str, dims, *,
     window for mixture targets whose two branches separate like sqrt(d)).
     Failures are recorded as flagged rows, not raised.
     """
-    dims = [int(d) for d in dims]
-    if len(dims) == 0:
-        raise ValueError("dims must be nonempty")
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError("dims must be strictly increasing")
+    dims = _checked_dimension_list(dims, 1)
 
     probe = parse_target_spec(target_spec, dims[0])
     limit_mu, limit_aoa = _limit_optimum(probe.limit_mixing)

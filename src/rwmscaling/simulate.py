@@ -19,8 +19,9 @@ from typing import Union
 import numpy as np
 from scipy.special import ndtri
 
-from .engine import _check_dimensions, _checked_lambda, _sampled_ear_esjd
+from .engine import _check_dimensions, _sampled_ear_esjd
 from .elliptical import EllipticalSpec
+from .special import _checked_positive
 from .targets import RadialModel
 
 __all__ = ["ChainStats", "MCExpectation", "run_rwm", "mc_expectation"]
@@ -152,14 +153,16 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     two-component mixtures) or elliptical (an EllipticalSpec, whose
     eigenvalues scale the axes of the spherical core).  The proposal is
     spherically symmetric in the original coordinates with radial law
-    ``proposal`` and overall scale ``lam``.  ``n_iters`` and ``burn_in``
+    ``proposal`` and overall scale ``lam``; for an elliptical target it must
+    be the spec's own ``proposal_core`` object (else ValueError), the law
+    elliptical_ear_esjd reads too.  ``n_iters`` and ``burn_in``
     are totals: the chains' lengths, and their burn-ins, differ by at most
     one step.  Each chain starts from its own exact stationary draw (radial
     inverse-CDF times a uniform direction), and the reported ESJD uses the
     Mahalanobis metric of the target, so it is invariant under the axis
     scaling.  The output is a fixed function of ``seed``.
     """
-    lam = _checked_lambda(lam)
+    lam = _checked_positive(lam, "lambda")
     n_iters = int(n_iters)
     if n_iters < 100:
         raise ValueError("need at least 100 iterations")
@@ -168,6 +171,9 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
         raise ValueError(f"burn_in must lie in [0, n_iters - {_N_CHAINS}]")
 
     if isinstance(target, EllipticalSpec):
+        if proposal is not target.proposal_core:
+            raise ValueError("an elliptical target's chain must propose from "
+                             "its spec's proposal_core; pass that model")
         core = target.spherical_core
         nus = np.asarray(target.eigenvalues, dtype=float)
         label = f"elliptical({core.label})"
@@ -259,7 +265,7 @@ def mc_expectation(target: RadialModel, proposal: RadialModel, lam: float, *,
     2 lam^2 |Y|^2 F(-lam |Y| / 2) for the squared jump distance), with
     plug-in standard errors.
     """
-    lam = _checked_lambda(lam)
+    lam = _checked_positive(lam, "lambda")
     n = int(n_samples)
     if n < 10_000:
         raise ValueError("need at least 10000 samples")

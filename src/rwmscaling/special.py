@@ -51,11 +51,46 @@ _FIT_MAX_D = 1000
 _CHUNK = 4096
 
 
-def _checked_dimension(d) -> int:
-    """d as an int; raises ValueError unless d is a positive integer."""
+# The package's only copies of its input rules: positive integer dimensions
+# and dimension lists, finite positive values, and mu >= 0.  Each raises
+# ValueError, or the subclass given as ``error``, before any computation.
+
+def _checked_dimension(d, error=ValueError) -> int:
+    """d as an int; raises unless d is a positive integer."""
     if not (float(d) >= 1.0 and float(d).is_integer()):
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+        raise error(f"dimension must be a positive integer, got {d}")
     return int(d)
+
+
+def _checked_dimension_list(dims, at_least: int, error=ValueError) -> list[int]:
+    """dims as a list of at least ``at_least`` positive integers in strictly
+    increasing order; raises otherwise."""
+    dims = [_checked_dimension(d, error) for d in dims]
+    if len(dims) < at_least:
+        raise error(f"got {len(dims)} dimensions, need at least {at_least}")
+    if any(b <= a for a, b in zip(dims, dims[1:])):
+        raise error("dimensions must be strictly increasing")
+    return dims
+
+
+def _checked_positive(x, name: str, error=ValueError):
+    """x as a float (for a scalar) or a float array whose every entry is
+    finite and > 0; raises naming the first entry that is not."""
+    arr = np.asarray(x, dtype=float)
+    bad = arr[~(np.isfinite(arr) & (arr > 0.0))]
+    if bad.size:
+        raise error(f"{name} must be finite and positive, got {bad[0]}")
+    return arr if arr.ndim else float(arr)
+
+
+def _checked_nonnegative(x, name: str):
+    """x as a float (for a scalar) or a float array whose every entry is
+    >= 0, which NaN is not; raises ValueError naming the first that is not."""
+    arr = np.asarray(x, dtype=float)
+    bad = arr[~(arr >= 0.0)]
+    if bad.size:
+        raise ValueError(f"{name} must be nonnegative, got {bad[0]}")
+    return arr if arr.ndim else float(arr)
 
 
 def gaussian_cdf(x):

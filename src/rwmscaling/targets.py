@@ -20,7 +20,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln
 
 from .quadrature import adaptive_quad, stacked_quad
-from .special import _checked_dimension
+from .special import _checked_dimension, _checked_positive
 
 __all__ = [
     "RadialModel", "unit_sphere_area", "radial_from_density",
@@ -243,9 +243,10 @@ class CustomRadialTable:
         if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
             raise ValueError(
                 f"custom radial table {path!r} must have >= 4 rows of 'r log_pi'")
-        r, logp = data[:, 0], data[:, 1]
-        if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0):
-            raise ValueError("custom table radii must be positive and strictly increasing")
+        r = _checked_positive(data[:, 0], "custom table radii")
+        logp = data[:, 1]
+        if np.any(r[1:] <= r[:-1]):
+            raise ValueError("custom table radii must be strictly increasing")
         if not np.all(np.isfinite(logp)):
             raise ValueError("custom table log densities must be finite")
         self.path = path

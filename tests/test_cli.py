@@ -4,6 +4,7 @@ formats, CSV/JSON value parity, and the dimension-list grammar."""
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,27 @@ def test_seed_is_rejected_where_nothing_is_drawn(capsys, argv):
 def test_asymptotic_bad_mixing_exits_2(capsys):
     code, _, _ = _run(capsys, ["asymptotic", "--mixing", "nonsense"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptotic", "--mixing", "atoms:1@1,inf@1"],
+    ["asymptotic", "--mixing", "point:inf"],
+    ["asymptotic", "--mixing", "point:nan"],
+    ["asymptotic", "--mixing", "atoms:1@nan"],
+    ["asymptotic", "--mixing", "pareto:inf"],
+    ["elliptical", "--rule", "iota", "--dims", "8,32,128", "--mu-hat", "nan"],
+    ["simulate", "gaussian", "gaussian", "--dim", "2", "--lambda", "0"],
+    ["sweep", "gaussian", "gaussian", "--dims", "2.5,4"],
+], ids=" ".join)
+def test_non_finite_or_non_positive_input_exits_2(capsys, argv):
+    # Record warnings rather than raise them, so that a NaN or inf that
+    # reaches the numerics shows even where an error handler would absorb it.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, argv)
+    assert [w.message for w in caught] == []
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_elliptical_satisfied_and_violated(capsys):

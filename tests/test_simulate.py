@@ -90,6 +90,17 @@ def test_chain_validation_errors():
         run_rwm(t, p3, 1.0)
 
 
+def test_elliptical_chain_proposes_from_its_spec():
+    # elliptical_ear_esjd reads spec.proposal_core; a chain given any other
+    # proposal model would answer a different question.
+    core = build_example_target("gaussian", 2)
+    spec = EllipticalSpec(d=2, eigenvalues=(1.0, 3.0), spherical_core=core,
+                          proposal_core=core)
+    with pytest.raises(ValueError, match="proposal_core"):
+        run_rwm(spec, build_example_target("gaussian", 2), 0.4, n_iters=1_000)
+    assert run_rwm(spec, core, 0.4, n_iters=1_000).n_iters == 1_000
+
+
 def test_elliptical_uniform_stretch_equals_rescaled_spherical_chain():
     # nu = (c, ..., c) only rescales the coordinates: with a shared seed the
     # two chains see identical uniform draws and identical acceptance ratios,
