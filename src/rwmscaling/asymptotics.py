@@ -18,7 +18,7 @@ scale at finite dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,9 +26,11 @@ from scipy.optimize import brentq
 from scipy.special import bdtrc, erfcx
 
 from .quadrature import adaptive_quad
-from .special import (_checked_dimension, _checked_nonnegative,
-                      _checked_positive, gaussian_cdf, gaussian_pdf)
-from .targets import RadialModel, radial_from_density, sample_radius
+from .special import (_checked_count, _checked_dimension,
+                      _checked_nonnegative, _checked_positive, gaussian_cdf,
+                      gaussian_pdf)
+from .targets import (RadialModel, parse_target_spec, radial_from_density,
+                      sample_radius)
 
 __all__ = [
     "AsymptoticsError",
@@ -66,8 +68,8 @@ POINT_MASS_AOA = 0.23381016133183664
 
 _MU_MAX = 1e6  # solve_aots: top of the search grid
 _DENSITY_CHUNK = 48
-# Sample means run over blocks of _BLOCK_X values by _BLOCK_R radii, so each
-# temporary stays near 256 KB whatever the number of radii.
+# Discrete laws are summed over blocks of _BLOCK_X points by _BLOCK_R values,
+# so each temporary stays near 256 KB whatever the number of values.
 _BLOCK_X = 8
 _BLOCK_R = 4096
 # Beyond z = mu/R = _Z_DEAD, exp(-z^2/2) underflows and _gap_kernel is exactly 0.
@@ -75,10 +77,12 @@ _Z_DEAD = 40.0
 # _gap_kernel h(z) changes sign once, at z = POINT_MASS_MU_HAT; h' = phi(z)(z^2 - 3)
 # makes h fall on [0, sqrt 3] and rise to 0 from below after.  So h >= 3.7e-3 for
 # z < _Z_POS, and on (_Z_NEG, _Z_NORMAL] h < 0 with |h| >= |h(30)| = 4.4e-195,
-# which stays a normal number after dividing by any number of radii.
+# so a term w h there stays nonzero for any weight w >= _W_NONZERO (a cloud's
+# 1/n always is).
 _Z_POS = 0.99 * POINT_MASS_MU_HAT
 _Z_NEG = 1.01 * POINT_MASS_MU_HAT
 _Z_NORMAL = 30.0
+_W_NONZERO = 1e-120
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _ZERO_MASS_EPS = 1e-6
@@ -88,31 +92,29 @@ _ZERO_MASS_EPS = 1e-6
 class MixingDistribution:
     """Law of the limiting rescaled radius R (all mass on (0, inf)).
 
-    Three kinds are supported: ``atoms`` (finite discrete support, the
-    point-mass case included), ``density`` (an absolutely continuous law
-    given through its log-density, handled by quadrature on a normalized
-    radial model), and ``samples`` (an empirical cloud of radii, handled by
-    plug-in averages with standard errors).  Sample radii are stored sorted,
-    so a law does not depend on the order its radii were given in.
+    A discrete law is its sorted ``values`` and their probabilities
+    ``weights``, every expectation over it one weighted sum: kind ``atoms``
+    (the point mass included) or ``samples`` (a cloud of n radii, each
+    weighing 1/n, whatever order they were given in).  Only the zero-mass
+    rule and the general limits' standard error tell the two apart.  Kind
+    ``density`` keeps a normalized radial ``model`` of a log-density and is
+    handled by quadrature.
     """
 
     kind: str
     label: str
-    atom_values: np.ndarray | None = None
-    atom_weights: np.ndarray | None = None
+    values: np.ndarray | None = None
+    weights: np.ndarray | None = None
     model: RadialModel | None = None
-    samples: np.ndarray | None = None
 
     @property
     def support(self) -> tuple[float, float]:
-        """Smallest and largest value of R: the atoms of positive weight or
-        the ends of the sorted samples; (0, inf) for a density."""
-        if self.kind == "atoms":
-            live = self.atom_values[self.atom_weights > 0.0]
-            return float(live[0]), float(live[-1])
-        if self.kind == "samples":
-            return float(self.samples[0]), float(self.samples[-1])
-        return 0.0, np.inf
+        """Smallest and largest value of R: the values of positive weight;
+        (0, inf) for a density."""
+        if self.model is not None:
+            return 0.0, np.inf
+        live = self.values[self.weights > 0.0]
+        return float(live[0]), float(live[-1])
 
     @property
     def is_point_mass(self) -> bool:
@@ -125,47 +127,41 @@ class MixingDistribution:
 
     def mass_below(self, eps: float) -> float:
         """P(R <= eps), used to reject mixing laws with mass at zero."""
-        if self.kind == "atoms":
-            return float(self.atom_weights[self.atom_values <= eps].sum())
-        if self.kind == "density":
+        if self.model is not None:
             return float(self.model.radial_cdf(eps))
-        return float(np.mean(self.samples <= eps))
+        return float(self.weights[self.values <= eps].sum())
 
     def scaled(self, c: float) -> "MixingDistribution":
         """The law of c R; used to test scale equivariance of the optimum."""
         c = _checked_positive(c, "scale factor")
-        if self.kind == "atoms":
-            return mixing_atoms(c * self.atom_values, self.atom_weights,
-                                label=f"{self.label}*{c:g}")
-        if self.kind == "samples":
-            return mixing_samples(c * self.samples, label=f"{self.label}*{c:g}")
-        base = self.model.log_pi
-        return mixing_density(lambda r: base(np.asarray(r) / c),
-                              label=f"{self.label}*{c:g}")
+        label = f"{self.label}*{c:g}"
+        if self.model is not None:
+            base = self.model.log_pi
+            return mixing_density(lambda r: base(np.asarray(r) / c), label=label)
+        values = _checked_positive(c * self.values, "scaled values")
+        return _validate_no_zero_mass(replace(self, label=label, values=values))
 
     def median(self) -> float:
-        if self.kind == "atoms":
-            order = np.argsort(self.atom_values)
-            cum = np.cumsum(self.atom_weights[order])
-            return float(self.atom_values[order][np.searchsorted(cum, 0.5)])
-        if self.kind == "density":
+        """The smallest value whose cumulative weight reaches 1/2, or the
+        density's quantile 1/2."""
+        if self.model is not None:
             return float(self.model.quantile(0.5))
-        return float(np.median(self.samples))
+        return float(self.values[np.searchsorted(np.cumsum(self.weights), 0.5)])
 
 
 def _validate_no_zero_mass(dist: MixingDistribution) -> MixingDistribution:
-    # Atoms and samples can carry genuine point mass near zero; continuous
+    # Discrete laws can carry genuine point mass near zero; continuous
     # densities only fail the intent of the rule (P(R <= eps) -> 0) when
     # mass persists at far smaller scales, so they are probed deeper --
     # otherwise merely rescaling a legitimate law (e.g. exp shrunk by half,
     # with P(R <= 1e-6) = 2e-6) would be rejected.
-    eps = _ZERO_MASS_EPS if dist.kind != "density" else 1e-9
+    eps = _ZERO_MASS_EPS if dist.model is None else 1e-9
     mass = dist.mass_below(eps)
     if dist.kind == "samples":
         # n radii resolve a mass only to about 1/n, so one radius below eps
         # in 200k is noise.  Reject only a count that a law with mass
         # _ZERO_MASS_EPS below eps would reach with probability under 1e-9.
-        n = dist.samples.size
+        n = dist.values.size
         count = int(round(mass * n))
         has_atom = count > 0 and bdtrc(count - 1, n, _ZERO_MASS_EPS) < 1e-9
     else:
@@ -192,7 +188,7 @@ def mixing_atoms(values, weights, *, label: str = "atoms") -> MixingDistribution
     weights = weights / _checked_positive(weights.sum(), "total atom weight")
     order = np.argsort(values)
     dist = MixingDistribution(kind="atoms", label=label,
-                              atom_values=values[order], atom_weights=weights[order])
+                              values=values[order], weights=weights[order])
     return _validate_no_zero_mass(dist)
 
 
@@ -210,8 +206,9 @@ def mixing_samples(radii, *, label: str = "samples") -> MixingDistribution:
     radii = np.asarray(radii, dtype=float).ravel()
     if radii.size < 100:
         raise ValueError("sample-based mixing laws need at least 100 radii")
-    radii = _checked_positive(radii, "sample radii")
-    dist = MixingDistribution(kind="samples", label=label, samples=np.sort(radii))
+    radii = np.sort(_checked_positive(radii, "sample radii"))
+    dist = MixingDistribution(kind="samples", label=label, values=radii,
+                              weights=np.full(radii.size, 1.0 / radii.size))
     return _validate_no_zero_mass(dist)
 
 
@@ -228,6 +225,7 @@ def mixing_from_spec(spec: str, *, seed: int = 0,
     draws radii from a finite-d example target and rescales by its k_d.
     """
     spec = spec.strip()
+    n_samples = _checked_count(n_samples, "n_samples", 100)
     if spec.startswith("point:"):
         return mixing_point(float(spec[6:]))
     if spec == "halfnormal":
@@ -257,8 +255,6 @@ def mixing_from_spec(spec: str, *, seed: int = 0,
         radii = np.loadtxt(spec[8:], dtype=float).ravel()
         return mixing_samples(radii, label=spec)
     if spec.startswith("from-target:"):
-        from .targets import parse_target_spec
-
         body = spec[len("from-target:"):]
         target_spec, _, d_str = body.rpartition(":")
         if not target_spec:
@@ -302,32 +298,31 @@ def _density_expectation(model: RadialModel, x: np.ndarray, kernel,
     return out
 
 
-def _sample_mean(radii: np.ndarray, x: np.ndarray, kernel,
-                 z_dead: float) -> np.ndarray:
-    """Mean of kernel(x, 1/R) over sorted radii, in _BLOCK_X x _BLOCK_R blocks.
-
-    The kernel must be exactly 0 where x/R > z_dead; radii below x/z_dead
-    are then skipped (none when x <= 0, z_dead is inf or x is NaN)."""
-    inv = 1.0 / radii
+def _mixing_expectation(dist: MixingDistribution, x: np.ndarray, kernel,
+                        epsabs: float, z_dead: float = np.inf) -> np.ndarray:
+    """E[kernel(x, 1/R)] for each x: a quadrature over a density, or a
+    weighted sum over a discrete law's sorted values in _BLOCK_X x _BLOCK_R
+    blocks, each row's block sums added pairwise (a cloud's mean stays within
+    an ULP or so of the exactly rounded one).  The kernel must be exactly 0
+    where x/R > z_dead; values below x/z_dead are then skipped for the whole
+    block of x (none when x <= 0, z_dead is inf or x is NaN)."""
+    if dist.model is not None:
+        return _density_expectation(dist.model, x, kernel, epsabs)
+    values, weights = dist.values, dist.weights
+    inv = 1.0 / values
     out = np.zeros(x.size)
     for i in range(0, x.size, _BLOCK_X):
         xs = x[i:i + _BLOCK_X, None]
         cut = xs.min() / z_dead
-        first = int(np.searchsorted(radii, cut)) if cut > 0.0 else 0
-        for j in range(first, radii.size, _BLOCK_R):
-            out[i:i + _BLOCK_X] += kernel(xs, inv[None, j:j + _BLOCK_R]).sum(axis=1)
-    return out / radii.size
-
-
-def _mixing_expectation(dist: MixingDistribution, x: np.ndarray, kernel,
-                        epsabs: float, z_dead: float = np.inf) -> np.ndarray:
-    """E[kernel(x, 1/R)] for each x: a weighted sum over atoms, a plug-in mean
-    over samples, or a quadrature over a density."""
-    if dist.kind == "atoms":
-        return kernel(x[:, None], 1.0 / dist.atom_values[None, :]) @ dist.atom_weights
-    if dist.kind == "samples":
-        return _sample_mean(dist.samples, x, kernel, z_dead)
-    return _density_expectation(dist.model, x, kernel, epsabs)
+        first = int(np.searchsorted(values, cut)) if cut > 0.0 else 0
+        parts = []
+        for j in range(first, values.size, _BLOCK_R):
+            terms = kernel(xs, inv[None, j:j + _BLOCK_R])
+            terms *= weights[j:j + _BLOCK_R]
+            parts.append(terms.sum(axis=1))
+        if parts:
+            out[i:i + _BLOCK_X] = np.column_stack(parts).sum(axis=1)
+    return out
 
 
 def theta(dist: MixingDistribution, x, *,
@@ -355,30 +350,29 @@ def limit_ear(dist: MixingDistribution, mu) -> float | np.ndarray:
 
 
 def limit_esjd(dist: MixingDistribution, mu) -> float | np.ndarray:
-    """Limiting normalized squared jump distance 2 mu^2 Theta(-mu)."""
-    mu_arr = np.asarray(mu, dtype=float)
-    return mu_arr * mu_arr * limit_ear(dist, mu)
+    """Limiting normalized squared jump distance 2 mu^2 Theta(-mu), for
+    finite mu >= 0: at mu = inf it is 0 or inf by the law's tail."""
+    mu = _checked_nonnegative(mu, "mu", finite=True)
+    return mu * mu * limit_ear(dist, mu)
 
 
 def _pair_expectation(r_dist: MixingDistribution, y_dist: MixingDistribution,
-                      mu: float, weight_y2: bool) -> tuple[float, float]:
-    """E[w(Y) 2 Phi(-mu Y / R)] with w = 1 or Y^2, plus an error estimate."""
-    mu = _checked_nonnegative(mu, "mu")
+                      mu, weight_y2: bool) -> tuple[float, float]:
+    """E[w(Y) 2 Phi(-mu Y / R)] with w = 1 or Y^2 (the ESJD's, which needs a
+    finite mu), plus an error estimate."""
+    mu = _checked_nonnegative(float(mu), "mu", finite=weight_y2)
 
     def inner(y: np.ndarray) -> np.ndarray:
         return np.asarray(2.0 * theta(r_dist, -mu * y))
 
-    if y_dist.kind == "atoms":
-        vals = inner(y_dist.atom_values)
-        w = y_dist.atom_weights * (y_dist.atom_values ** 2 if weight_y2 else 1.0)
-        return float(vals @ w), 1e-9
-    if y_dist.kind == "samples":
-        per = inner(y_dist.samples)
-        if weight_y2:
-            per = per * y_dist.samples ** 2
-        n = per.size
-        return float(per.mean()), float(per.std(ddof=1) / np.sqrt(n))
     model = y_dist.model
+    if model is None:
+        y = y_dist.values
+        per = inner(y) * (y * y if weight_y2 else 1.0)
+        value = float((per * y_dist.weights).sum())
+        if y_dist.kind == "samples":
+            return value, float(per.std(ddof=1) / np.sqrt(per.size))
+        return value, 1e-9
 
     def f(y):
         per = model.radial_pdf(y) * inner(y)
@@ -394,18 +388,20 @@ def _pair_expectation(r_dist: MixingDistribution, y_dist: MixingDistribution,
 def limit_ear_general(r_dist: MixingDistribution, y_dist: MixingDistribution,
                       mu) -> tuple[float, float]:
     """Limiting EAR 2 E[Phi(-mu Y / R)] for a nondegenerate proposal-radius
-    limit Y; returns (value, error estimate).  With both laws sample clouds
-    it costs n_r x n_y kernel evaluations: about 13 min at 200k radii each."""
-    return _pair_expectation(r_dist, y_dist, float(mu), weight_y2=False)
+    limit Y; returns (value, error estimate).  The error is quadrature's for
+    a density Y, the sampling standard error for a cloud and 1e-9 for given
+    atoms.  With both laws sample clouds it costs n_r x n_y kernel
+    evaluations: about 13 min at 200k radii each."""
+    return _pair_expectation(r_dist, y_dist, mu, weight_y2=False)
 
 
 def limit_esjd_general(r_dist: MixingDistribution, y_dist: MixingDistribution,
                        mu) -> tuple[float, float]:
-    """Limiting ESJD 2 mu^2 E[Y^2 Phi(-mu Y / R)]; returns (value, error).
-    Two sample clouds cost n_r x n_y kernel evaluations, as in
-    limit_ear_general."""
-    mu = float(mu)
+    """Limiting ESJD 2 mu^2 E[Y^2 Phi(-mu Y / R)] for finite mu >= 0;
+    returns (value, error).  Two sample clouds cost n_r x n_y kernel
+    evaluations, as in limit_ear_general."""
     val, err = _pair_expectation(r_dist, y_dist, mu, weight_y2=True)
+    mu = float(mu)
     return mu * mu * val, mu * mu * err
 
 
@@ -459,18 +455,21 @@ def _search_grid(dist: MixingDistribution) -> np.ndarray:
 def _gap_sign(dist: MixingDistribution, grid: np.ndarray) -> np.ndarray:
     """np.sign of the stationarity gap g on solve_aots's grid.
 
-    For a sample law on [R_min, R_max], z = mu/R spans [mu/R_max, mu/R_min],
-    and where that span fixes the sign of every term of the mean, it fixes
-    the sign of g: + where every z < _Z_POS, - where every z > _Z_NEG and
-    mu/R_max <= _Z_NORMAL, 0 where every z > _Z_DEAD.  Only the other points
-    are averaged, a whole _BLOCK_X block of the grid at a time, so that each
-    skips the same radii as on the full grid and its g is bitwise the same."""
-    if dist.kind != "samples":
+    For a discrete law whose support is [R_min, R_max], z = mu/R spans
+    [mu/R_max, mu/R_min], and where that span fixes the sign of every term
+    of the weighted sum, it fixes the sign of g: + where every z < _Z_POS,
+    - where every z > _Z_NEG and mu/R_max <= _Z_NORMAL (unless R_max weighs
+    so little that its term could underflow), 0 where every z > _Z_DEAD.
+    Only the other points are averaged, a whole _BLOCK_X block of the grid
+    at a time, so that each skips the same values as on the full grid and
+    its g is bitwise the same.  A density's g is averaged everywhere."""
+    if dist.model is not None:
         return np.sign(_stationarity_gap(dist, grid, epsabs=1e-10))
     r_lo, r_hi = dist.support
     z_lo, z_hi = grid / r_hi, grid / r_lo
     sign = np.where(z_hi < _Z_POS, 1.0, 0.0)
-    sign[(z_lo > _Z_NEG) & (z_lo <= _Z_NORMAL)] = -1.0
+    if dist.weights[dist.values == r_hi].max() >= _W_NONZERO:
+        sign[(z_lo > _Z_NEG) & (z_lo <= _Z_NORMAL)] = -1.0
     unknown = np.flatnonzero((sign == 0.0) & (z_lo <= _Z_DEAD))
     for i in np.unique(unknown // _BLOCK_X) * _BLOCK_X:
         block = grid[i:i + _BLOCK_X]
@@ -488,11 +487,11 @@ def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
     ``no_finite_optimum`` — the optimal scale drifts to infinity and the
     optimal acceptance rate to zero.
 
-    The grid needs only the sign of g.  A sample law's g is averaged only at
-    grid points where its support does not fix that sign (see _gap_sign).
-    Where the support fixes it, every term h(mu/R) of the mean has that sign
-    and their sum cannot round to zero, so the signs, the brackets and the
-    result are exactly those of the full average.
+    The grid needs only the sign of g.  A discrete law's g is averaged only
+    at grid points where its support does not fix that sign (see
+    _gap_sign): elsewhere every term w h(mu/R) of the weighted sum has that
+    sign or is 0, and one term is far from underflow, so the signs, the
+    brackets and the result are exactly those of the full average.
     """
     grid = _search_grid(dist)
     sign = _gap_sign(dist, grid)

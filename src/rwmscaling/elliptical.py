@@ -24,8 +24,8 @@ import numpy as np
 
 from .asymptotics import aos
 from .engine import _sampled_ear_esjd
-from .special import (_checked_dimension, _checked_dimension_list,
-                      _checked_positive)
+from .special import (_checked_count, _checked_dimension,
+                      _checked_dimension_list, _checked_positive)
 from .targets import RadialModel
 
 __all__ = [
@@ -206,9 +206,8 @@ def elliptical_ear_esjd(spec: EllipticalSpec, lam: float, *,
     are the sampling standard errors over the fixed-seed draws.
     """
     lam = _checked_positive(lam, "lambda")
-    if n_draws < 1000:
-        raise ValueError("need at least 1000 direction draws")
-    w = _transformed_proposal_radii(spec, int(n_draws), int(seed))
+    n_draws = _checked_count(n_draws, "n_draws", 1000)
+    w = _transformed_proposal_radii(spec, n_draws, int(seed))
     ear, ear_se, esjd, esjd_se = _sampled_ear_esjd(spec.spherical_core, lam, w)
     return EllipticalPoint(lam=lam, ear=ear, esjd=esjd, ear_se=ear_se,
                            esjd_se=esjd_se, n_draws=w.size)
@@ -259,13 +258,14 @@ def lemma5_numeric_check(rule: str | Callable[[int], np.ndarray],
     eccentricity condition holds the deviation must decrease toward zero;
     for a violating sequence it stalls at a positive level.
     """
+    n_samples = _checked_count(n_samples, "n_samples", 1)
     dims, get, label = _resolve_rule(rule, dims, 2)
     seeds = np.random.SeedSequence(seed).spawn(len(dims))
     devs = []
     for d, ss in zip(dims, seeds):
         nus = get(d)
         rng = np.random.default_rng(ss)
-        z = rng.standard_normal((int(n_samples), d))
+        z = rng.standard_normal((n_samples, d))
         norm = np.sqrt(np.mean(nus ** 2))
         scaled = np.linalg.norm(z * nus, axis=1) / (math.sqrt(d) * norm)
         devs.append(float(np.mean((scaled - 1.0) ** 2)))

@@ -190,9 +190,8 @@ class MarginalTable:
         W as given."""
         w_mono = np.minimum.accumulate(np.clip(w_vals, 0.0, None))
         last = int(np.nonzero(w_mono > np.exp(_LOG_FLOOR))[0][-1])
-        self._z = knots = knots[:last + 1]
-        self._logw = np.log(w_mono[:last + 1])
-        self._spline = CubicSpline(knots, self._logw)
+        knots = knots[:last + 1]
+        self._spline = CubicSpline(knots, np.log(w_mono[:last + 1]))
         self._z_last = knots[-1]
         return knots, w_vals[:last + 1]
 

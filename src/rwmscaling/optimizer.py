@@ -158,12 +158,8 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
     if not peaks:
         raise OptimizerError("no interior local maximum on the grid")
 
-    memo: dict[float, CurvePoint] = {}
-
     def fun(t: float) -> CurvePoint:
-        if t not in memo:
-            memo[t] = table_point(table, proposal, float(np.exp(t)))
-        return memo[t]
+        return table_point(table, proposal, float(np.exp(t)))
 
     candidates: list[CurvePoint] = []
     t_g = np.log(lam_g)

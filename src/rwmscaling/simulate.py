@@ -21,7 +21,7 @@ from scipy.special import ndtri
 
 from .engine import _check_dimensions, _sampled_ear_esjd
 from .elliptical import EllipticalSpec
-from .special import _checked_positive
+from .special import _checked_count, _checked_positive
 from .targets import RadialModel
 
 __all__ = ["ChainStats", "MCExpectation", "run_rwm", "mc_expectation"]
@@ -163,11 +163,9 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     scaling.  The output is a fixed function of ``seed``.
     """
     lam = _checked_positive(lam, "lambda")
-    n_iters = int(n_iters)
-    if n_iters < 100:
-        raise ValueError("need at least 100 iterations")
-    burn = n_iters // 10 if burn_in is None else int(burn_in)
-    if not 0 <= burn <= n_iters - _N_CHAINS:
+    n_iters = _checked_count(n_iters, "n_iters", 100)
+    burn = n_iters // 10 if burn_in is None else _checked_count(burn_in, "burn_in", 0)
+    if burn > n_iters - _N_CHAINS:
         raise ValueError(f"burn_in must lie in [0, n_iters - {_N_CHAINS}]")
 
     if isinstance(target, EllipticalSpec):
@@ -266,9 +264,7 @@ def mc_expectation(target: RadialModel, proposal: RadialModel, lam: float, *,
     plug-in standard errors.
     """
     lam = _checked_positive(lam, "lambda")
-    n = int(n_samples)
-    if n < 10_000:
-        raise ValueError("need at least 10000 samples")
+    n = _checked_count(n_samples, "n_samples", 10_000)
     _check_dimensions(target, proposal)
     rng = np.random.default_rng(int(seed))
     ry = proposal.sample_radius(n, rng)

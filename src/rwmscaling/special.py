@@ -51,15 +51,21 @@ _FIT_MAX_D = 1000
 _CHUNK = 4096
 
 
-# The package's only copies of its input rules: positive integer dimensions
-# and dimension lists, finite positive values, and mu >= 0.  Each raises
-# ValueError, or the subclass given as ``error``, before any computation.
+# The package's only copies of its input rules: counts, dimensions and their
+# lists, finite positive values, and mu >= 0.  Each raises ValueError, or the
+# subclass given as ``error``, before any computation.
+
+def _checked_count(n, name: str, at_least: int, error=ValueError) -> int:
+    """n as an int; raises unless n is an integer >= at_least."""
+    if not (float(n) >= at_least and float(n).is_integer()):
+        need = "a positive integer" if at_least == 1 else f"an integer >= {at_least}"
+        raise error(f"{name} must be {need}, got {n}")
+    return int(n)
+
 
 def _checked_dimension(d, error=ValueError) -> int:
     """d as an int; raises unless d is a positive integer."""
-    if not (float(d) >= 1.0 and float(d).is_integer()):
-        raise error(f"dimension must be a positive integer, got {d}")
-    return int(d)
+    return _checked_count(d, "dimension", 1, error)
 
 
 def _checked_dimension_list(dims, at_least: int, error=ValueError) -> list[int]:
@@ -83,13 +89,16 @@ def _checked_positive(x, name: str, error=ValueError):
     return arr if arr.ndim else float(arr)
 
 
-def _checked_nonnegative(x, name: str):
+def _checked_nonnegative(x, name: str, finite: bool = False):
     """x as a float (for a scalar) or a float array whose every entry is
-    >= 0, which NaN is not; raises ValueError naming the first that is not."""
+    >= 0 (which NaN is not) and, if ``finite``, finite; raises ValueError
+    naming the first entry that is not."""
     arr = np.asarray(x, dtype=float)
-    bad = arr[~(arr >= 0.0)]
+    ok = (arr >= 0.0) & (arr < np.inf) if finite else arr >= 0.0
+    bad = arr[~ok]
     if bad.size:
-        raise ValueError(f"{name} must be nonnegative, got {bad[0]}")
+        rule = "finite and nonnegative" if finite else "nonnegative"
+        raise ValueError(f"{name} must be {rule}, got {bad[0]}")
     return arr if arr.ndim else float(arr)
 
 

@@ -98,7 +98,8 @@ POSITIVE_SITES = {
     "custom table radius": lambda v: rwmscaling.CustomRadialTable(
         io.StringIO(f"{v} 0\n1 0\n2 0\n3 0\n")),
 }
-# mu must be >= 0: 0 and inf are limits in their own right, NaN is not.
+# mu must be >= 0: 0 and inf are limits in their own right, NaN is not.  The
+# ESJD limits also reject inf, where their value depends on the law's tail.
 MU_SITES = {
     "theta_prime_neg": lambda v: rwmscaling.theta_prime_neg(_POINT, v),
     "limit_ear": lambda v: rwmscaling.limit_ear(_POINT, v),
@@ -117,11 +118,32 @@ DIMENSION_LIST_SITES = {
     "parse_eigenvalue_rule d": lambda v: rwmscaling.parse_eigenvalue_rule("iota", v),
     "parse_dims": lambda v: rwmscaling.cli.parse_dims(f"{v},40"),
 }
+# Every count must be an integer no smaller than the minimum given with its
+# site.
+COUNT_SITES = {
+    "run_rwm n_iters": (100, lambda v: rwmscaling.run_rwm(_T2, _T2, 1.0, n_iters=v)),
+    "run_rwm burn_in": (0, lambda v: rwmscaling.run_rwm(
+        _T2, _T2, 1.0, n_iters=1_000, burn_in=v)),
+    "mc_expectation n_samples": (10_000, lambda v: rwmscaling.mc_expectation(
+        _T2, _T2, 1.0, n_samples=v)),
+    "elliptical_ear_esjd n_draws": (1_000, lambda v: rwmscaling.elliptical_ear_esjd(
+        _SPEC, 1.0, n_draws=v)),
+    "lemma5_numeric_check n_samples": (1, lambda v: rwmscaling.lemma5_numeric_check(
+        "iota", [10, 40], n_samples=v)),
+    "mixing_from_spec n_samples": (100, lambda v: rwmscaling.mixing_from_spec(
+        "from-target:gaussian:3", n_samples=v)),
+}
 _BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 BAD_INPUTS = ([(site, v) for site in POSITIVE_SITES for v in _BAD]
               + [(site, v) for site in MU_SITES for v in (math.nan, -math.inf, -1.0)]
-              + [(site, v) for site in DIMENSION_LIST_SITES for v in _BAD + [2.5]])
-_SITES = {**POSITIVE_SITES, **MU_SITES, **DIMENSION_LIST_SITES}
+              + [("limit_esjd", math.inf), ("limit_esjd_general", math.inf)]
+              + [(site, v) for site in DIMENSION_LIST_SITES for v in _BAD + [2.5]]
+              # dict.fromkeys drops burn_in's minimum less one, -1 again.
+              + [(site, v) for site, (least, _) in COUNT_SITES.items()
+                 for v in dict.fromkeys([math.nan, math.inf, -math.inf, -1.0, 2.5,
+                                         float(least - 1)])])
+_SITES = {**POSITIVE_SITES, **MU_SITES, **DIMENSION_LIST_SITES,
+          **{site: check for site, (_, check) in COUNT_SITES.items()}}
 
 
 @pytest.mark.parametrize("site, value", BAD_INPUTS,

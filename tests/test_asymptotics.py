@@ -171,7 +171,7 @@ def test_samples_spec_reads_a_radius_file(tmp_path):
     np.savetxt(path, radii)
     from_file = mixing_from_spec(f"samples:{path}")
     assert from_file.kind == "samples"
-    np.testing.assert_array_equal(from_file.samples, mixing_samples(radii).samples)
+    np.testing.assert_array_equal(from_file.values, mixing_samples(radii).values)
 
 
 def test_from_target_samples_recover_family_limit():
@@ -229,10 +229,10 @@ def test_zero_mass_guard_allows_sampling_noise(spec):
 
 def test_atoms_spec_grammar():
     dist = mixing_from_spec("atoms:0.5@1,2@3")
-    assert dist.atom_values == pytest.approx([0.5, 2.0])
-    assert dist.atom_weights == pytest.approx([0.25, 0.75])
+    assert dist.values == pytest.approx([0.5, 2.0])
+    assert dist.weights == pytest.approx([0.25, 0.75])
     dist = mixing_from_spec("atoms:1,3")
-    assert dist.atom_weights == pytest.approx([0.5, 0.5])
+    assert dist.weights == pytest.approx([0.5, 0.5])
     with pytest.raises(ValueError):
         mixing_from_spec("atoms:-1@1")
     with pytest.raises(ValueError):
@@ -382,3 +382,25 @@ def test_sample_law_grid_averages_only_where_the_sign_is_open(chi_radii,
     sign = asymptotics._gap_sign(dist, grid)
     assert sum(points) <= 48 < grid.size
     assert np.array_equal(sign, np.sign(full_gap(dist, grid, epsabs=1e-10)))
+
+
+def test_a_cloud_is_its_radii_as_equal_atoms(chi_radii):
+    radii = chi_radii[:5_000]
+    atoms = mixing_atoms(radii, np.ones(radii.size))
+    cloud = mixing_samples(radii)
+    mu = np.geomspace(1e-3, 50.0, 40)
+    assert np.array_equal(theta(atoms, mu), theta(cloud, mu))
+    assert np.array_equal(theta(atoms, -mu), theta(cloud, -mu))
+    assert np.array_equal(theta_prime_neg(atoms, mu), theta_prime_neg(cloud, mu))
+    assert solve_aots(atoms) == solve_aots(cloud)
+
+
+def test_grid_sign_averages_where_a_light_atom_could_underflow():
+    # The atom at 1000 alone is alive where mu/1000 lies in (1.2, 30], but its
+    # weight times h(mu/1000) underflows, so there g rounds to 0.
+    dist = mixing_atoms([1.0, 1000.0], [1.0, 1e-300])
+    grid = asymptotics._search_grid(dist)
+    full = asymptotics._stationarity_gap(dist, grid, epsabs=1e-10)
+    assert np.any((grid / 1000.0 > asymptotics._Z_NEG) & (grid / 1000.0 <= 30.0)
+                  & (full == 0.0))
+    assert np.array_equal(asymptotics._gap_sign(dist, grid), np.sign(full))

@@ -1,8 +1,9 @@
 """Structural facts of the limit theory checked over random mixing laws
 (atoms and sample clouds): the optimal acceptance rate stays below the
 point-mass value 0.2338 with equality only at a point mass, the optimum is
-scale equivariant, and a cloud's stationary points lie in its support
-times the point-mass optimum, where solve_aots reads the gap's sign."""
+scale equivariant, and a discrete law's stationary points lie in its
+support times the point-mass optimum, where solve_aots reads the gap's
+sign."""
 
 import numpy as np
 import pytest
@@ -27,6 +28,20 @@ def atom_laws(draw):
     values = start * np.cumprod([1.0] + ratios)
     raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
     weights = 0.1 + (1.0 - 0.1 * n) * raw / raw.sum()
+    return mixing_atoms(values, weights)
+
+
+@st.composite
+def thin_atom_laws(draw):
+    """1 to 6 atoms between 1e-2 and 1e2 with weights from e^-30 to 1,
+    some of them 0."""
+    n = draw(st.integers(1, 6))
+    values = np.exp(draw(st.lists(st.floats(np.log(1e-2), np.log(1e2)),
+                                  min_size=n, max_size=n)))
+    weights = np.exp(-np.array(draw(st.lists(st.floats(0.0, 30.0),
+                                             min_size=n, max_size=n))))
+    weights[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+    hypothesis.assume(weights.sum() > 0.0)
     return mixing_atoms(values, weights)
 
 
@@ -86,9 +101,7 @@ def test_optimum_is_scale_equivariant_over_sample_laws(dist, c):
     assert opt.aoa == pytest.approx(ref.aoa, abs=1e-10)
 
 
-@settings(max_examples=40, deadline=None)
-@given(lognormal_clouds())
-def test_cloud_grid_signs_match_the_full_gap(dist):
+def _assert_grid_signs_match_the_full_gap(dist):
     grid = asymptotics._search_grid(dist)
     full = asymptotics._stationarity_gap(dist, grid, epsabs=1e-10)
     assert np.array_equal(asymptotics._gap_sign(dist, grid), np.sign(full))
@@ -99,3 +112,15 @@ def test_cloud_grid_signs_match_the_full_gap(dist):
         slack = 2e-13 + 1e-12 * root
         assert POINT_MASS_MU_HAT * r_lo - slack <= root
         assert root <= POINT_MASS_MU_HAT * r_hi + slack
+
+
+@settings(max_examples=40, deadline=None)
+@given(lognormal_clouds())
+def test_cloud_grid_signs_match_the_full_gap(dist):
+    _assert_grid_signs_match_the_full_gap(dist)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(atom_laws(), thin_atom_laws()))
+def test_atom_grid_signs_match_the_full_gap(dist):
+    _assert_grid_signs_match_the_full_gap(dist)
