@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import bdtrc, erfcx
 
 from .quadrature import adaptive_quad
@@ -477,6 +476,48 @@ def _gap_sign(dist: MixingDistribution, grid: np.ndarray) -> np.ndarray:
     return sign
 
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100) -> float:
+    """A root of f between xa and xb, bitwise scipy.optimize.brentq's (tested):
+    its C code (Brent 1973) step for step, errors included."""
+    def call(x):
+        if np.isnan(fx := f(x)):
+            raise ValueError(f"the function value at x={x:.17g} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = False  # else bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations")
+
+
 def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
     """Solve for the asymptotically optimal transformed scale.
 
@@ -514,8 +555,8 @@ def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
             roots.append(float(grid[i]))
             continue
         try:
-            root = brentq(lambda m: float(_stationarity_gap(dist, m)[0]),
-                          grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16)
+            root = _brentq(lambda m: float(_stationarity_gap(dist, m)[0]),
+                           grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16)
         except (ValueError, RuntimeError) as exc:
             raise AsymptoticsError(f"root refinement failed on "
                                    f"[{grid[i]:g}, {grid[i+1]:g}]: {exc}") from exc

@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from .cubic import PiecewiseCubic
 from .quadrature import QuadratureError, adaptive_quad, stacked_quad
 from .special import _checked_positive, kernel_K
 from .targets import RadialModel
@@ -191,18 +191,17 @@ class MarginalTable:
         w_mono = np.minimum.accumulate(np.clip(w_vals, 0.0, None))
         last = int(np.nonzero(w_mono > np.exp(_LOG_FLOOR))[0][-1])
         knots = knots[:last + 1]
-        self._spline = CubicSpline(knots, np.log(w_mono[:last + 1]))
+        self._spline = PiecewiseCubic(knots, np.log(w_mono[:last + 1]), "not-a-knot")
         self._z_last = knots[-1]
         return knots, w_vals[:last + 1]
 
     def w(self, z):
-        """Vectorized W(z); exact zero beyond the tabulated support."""
+        """W(z), vectorized: 1 at z <= 0, 0 from the last knot on, NaN at NaN."""
         z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape)
-        inside = z < self._z_last
-        if np.any(inside):
-            out[inside] = np.exp(self._spline(z[inside]))
-        out = np.where(z <= 0.0, 1.0, out)
+        out = self._spline(z)  # clamped into [0, z_last]
+        np.exp(out, out=out)
+        out[z <= 0.0] = 1.0
+        out[z >= self._z_last] = 0.0
         return out if out.ndim else float(out)
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln
 
+from .cubic import PiecewiseCubic
 from .quadrature import adaptive_quad, stacked_quad
 from .special import _checked_dimension, _checked_positive
 
@@ -63,10 +63,8 @@ class RadialModel:
     log_norm: float
     r_lo: float
     r_hi: float
-    _cdf_r: np.ndarray = field(repr=False)
-    _cdf_p: np.ndarray = field(repr=False)
-    _quantile_fn: PchipInterpolator = field(repr=False)
-    _cdf_fn: PchipInterpolator = field(repr=False)
+    _quantile_fn: PiecewiseCubic = field(repr=False)
+    _cdf_fn: PiecewiseCubic = field(repr=False)
     _breakpoints: np.ndarray = field(repr=False)
 
     def log_radial_pdf(self, r):
@@ -84,16 +82,17 @@ class RadialModel:
 
     def radial_cdf(self, r):
         r = np.asarray(r, dtype=float)
-        out = np.clip(self._cdf_fn(np.clip(r, self._cdf_r[0], self._cdf_r[-1])), 0.0, 1.0)
-        out = np.where(r <= self._cdf_r[0], 0.0, out)
-        out = np.where(r >= self._cdf_r[-1], 1.0, out)
+        knots = self._cdf_fn.x
+        out = np.clip(self._cdf_fn(r), 0.0, 1.0)
+        out = np.where(r <= knots[0], 0.0, out)
+        out = np.where(r >= knots[-1], 1.0, out)
         return out if out.ndim else float(out)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
         if np.any(p < 0.0) or np.any(p > 1.0):
             raise ValueError("quantile levels must lie in [0, 1]")
-        out = self._quantile_fn(np.clip(p, self._cdf_p[0], self._cdf_p[-1]))
+        out = self._quantile_fn(p)
         return out if out.ndim else float(out)
 
     def breakpoints(self) -> np.ndarray:
@@ -205,19 +204,18 @@ def radial_from_density(d: int, log_pi: Callable, *, family: str = "custom",
     p_k = np.maximum.accumulate(p_k)
     keep = np.concatenate([[True], np.diff(p_k) > 0.0])
     r_k, p_k = r_k[keep], p_k[keep]
-    quantile_fn = PchipInterpolator(p_k, r_k, extrapolate=False)
-    cdf_fn = PchipInterpolator(r_k, p_k, extrapolate=False)
+    quantile_fn = PiecewiseCubic(p_k, r_k, "pchip")
+    cdf_fn = PiecewiseCubic(r_k, p_k, "pchip")
 
-    r_hi_trunc = float(quantile_fn(min(1.0 - _TRUNC_TAIL, p_k[-1])))
+    r_hi_trunc = float(quantile_fn(1.0 - _TRUNC_TAIL))
     bp_levels = _QUANTILE_LEVELS[(_QUANTILE_LEVELS > p_k[0]) & (_QUANTILE_LEVELS < p_k[-1])]
-    bps = np.asarray(quantile_fn(bp_levels), dtype=float)
-    bps = np.unique(np.concatenate([bps[np.isfinite(bps)], extra]))
+    bps = np.unique(np.concatenate([quantile_fn(bp_levels), extra]))
 
     return RadialModel(
         d=d, family=family, label=label or family, log_pi=log_pi, k=k,
         limit_mixing=limit_mixing, log_norm=float(log_norm),
         r_lo=float(nodes[0]), r_hi=r_hi_trunc,
-        _cdf_r=r_k, _cdf_p=p_k, _quantile_fn=quantile_fn, _cdf_fn=cdf_fn,
+        _quantile_fn=quantile_fn, _cdf_fn=cdf_fn,
         _breakpoints=bps)
 
 
@@ -225,9 +223,7 @@ def sample_radius(model: RadialModel, n: int, rng) -> np.ndarray:
     """Inverse-CDF draws of the radius; deterministic given a seed."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    u = rng.random(int(n))
-    u = np.clip(u, model._cdf_p[0], model._cdf_p[-1])
-    return np.asarray(model._quantile_fn(u), dtype=float)
+    return model._quantile_fn(rng.random(int(n)))
 
 
 class CustomRadialTable:
@@ -252,14 +248,12 @@ class CustomRadialTable:
         self.path = path
         self.r_min = float(r[0])
         self.r_max = float(r[-1])
-        self._interp = PchipInterpolator(r, logp, extrapolate=False)
+        self._interp = PiecewiseCubic(r, logp, "pchip")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        out = np.full(r.shape, -np.inf)
         ok = (r >= self.r_min) & (r <= self.r_max)
-        if np.any(ok):
-            out[ok] = self._interp(r[ok])
+        out = np.where(ok, self._interp(r), -np.inf)
         return out if out.ndim else float(out)
 
 

@@ -8,6 +8,10 @@ import importlib
 import inspect
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,18 @@ def test_reexports_are_in_their_module_all():
             if name not in home.__all__:
                 missing.append(f"{obj.__module__}.{name}")
     assert missing == []
+
+
+def test_import_leaves_heavy_scipy_subpackages_unloaded():
+    # Any of these would add ~0.3 s and ~20 MB to every rwmscale process.
+    heavy = ["scipy.optimize", "scipy.interpolate", "scipy.sparse", "scipy.stats"]
+    code = ("import sys, rwmscaling, rwmscaling.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    src = str(Path(rwmscaling.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == "[]"
 
 
 _T2 = rwmscaling.build_example_target("gaussian", 2)

@@ -124,6 +124,23 @@ def test_default_tables_are_certified(spec, d):
     assert table_point(table, prop, 1.0).message == ""
 
 
+@pytest.mark.parametrize("spec, d", [
+    ("radial-exponential", 2), ("radial-exponential", 10),
+    ("radial-exponential", 100), ("radial-gaussian", 100),
+    ("mixture:p=1/d^2", 2)])
+def test_w_is_one_up_to_zero_zero_from_the_last_knot_and_nan_at_nan(spec, d):
+    # On these tables W(-1) used to evaluate the spline outside its knots
+    # and overflow exp, an error under the RuntimeWarning filter.
+    table = get_marginal_table(parse_target_spec(spec, d))
+    assert table.w(-1.0) == 1.0
+    z_last = table._z_last
+    z = np.array([-np.inf, -1e300, -1.0, -0.0, 0.0, z_last, 2.0 * z_last, np.inf])
+    assert np.array_equal(table.w(z), [1, 1, 1, 1, 1, 0, 0, 0])
+    assert math.isnan(table.w(np.nan))
+    inside = table.w(np.array([0.5 * z_last, np.nan]))
+    assert 0.0 < inside[0] < 1.0 and math.isnan(inside[1])
+
+
 def test_table_build_computes_each_w_once(monkeypatch):
     seen = []
     inner = engine._tail_weight_many

@@ -106,7 +106,8 @@ def _assert_grid_signs_match_the_full_gap(dist):
     full = asymptotics._stationarity_gap(dist, grid, epsabs=1e-10)
     assert np.array_equal(asymptotics._gap_sign(dist, grid), np.sign(full))
     # A radius far above the rest puts a root within rounding of
-    # POINT_MASS_MU_HAT * R_max, so allow brentq's tolerance.
+    # POINT_MASS_MU_HAT * R_max, so allow the tolerance of solve_aots's Brent
+    # refinement (xtol 1e-13, rtol 8.9e-16).
     r_lo, r_hi = dist.support
     for root in solve_aots(dist).roots:
         slack = 2e-13 + 1e-12 * root
