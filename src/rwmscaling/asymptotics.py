@@ -28,8 +28,7 @@ from .quadrature import adaptive_quad
 from .special import (_checked_count, _checked_dimension,
                       _checked_nonnegative, _checked_positive, gaussian_cdf,
                       gaussian_pdf)
-from .targets import (RadialModel, parse_target_spec, radial_from_density,
-                      sample_radius)
+from .targets import parse_target_spec, radial_from_density, sample_radius
 
 __all__ = [
     "AsymptoticsError",
@@ -66,7 +65,10 @@ POINT_MASS_MU_HAT = 1.1906012483427703
 POINT_MASS_AOA = 0.23381016133183664
 
 _MU_MAX = 1e6  # solve_aots: top of the search grid
-_DENSITY_CHUNK = 48
+# mixing_density seeds its rule's panels this far apart in t = log r.  In t
+# every kernel k(x, e^-t) is one shape shifted by log x, so one width cap
+# resolves it at every x; the core refines only where the density needs it.
+_T_STEP = 0.5
 # Discrete laws are summed over blocks of _BLOCK_X points by _BLOCK_R values,
 # so each temporary stays near 256 KB whatever the number of values.
 _BLOCK_X = 8
@@ -91,27 +93,23 @@ _ZERO_MASS_EPS = 1e-6
 class MixingDistribution:
     """Law of the limiting rescaled radius R (all mass on (0, inf)).
 
-    A discrete law is its sorted ``values`` and their probabilities
-    ``weights``, every expectation over it one weighted sum: kind ``atoms``
-    (the point mass included) or ``samples`` (a cloud of n radii, each
-    weighing 1/n, whatever order they were given in).  Only the zero-mass
-    rule and the general limits' standard error tell the two apart.  Kind
-    ``density`` keeps a normalized radial ``model`` of a log-density and is
-    handled by quadrature.
+    Every law is discrete: its sorted ``values`` and their probabilities
+    ``weights``, every expectation over it one weighted sum.  Kind ``atoms``
+    is given atoms (the point mass included), ``samples`` a cloud of n radii
+    each weighing 1/n, whatever order they were given in, and ``density``
+    the nodes of the quadrature rule for a density (see mixing_density).
+    Only the zero-mass rule and the general limits' standard error read the
+    kind.
     """
 
     kind: str
     label: str
-    values: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    model: RadialModel | None = None
+    values: np.ndarray
+    weights: np.ndarray
 
     @property
     def support(self) -> tuple[float, float]:
-        """Smallest and largest value of R: the values of positive weight;
-        (0, inf) for a density."""
-        if self.model is not None:
-            return 0.0, np.inf
+        """Smallest and largest value of R: the values of positive weight."""
         live = self.values[self.weights > 0.0]
         return float(live[0]), float(live[-1])
 
@@ -126,35 +124,27 @@ class MixingDistribution:
 
     def mass_below(self, eps: float) -> float:
         """P(R <= eps), used to reject mixing laws with mass at zero."""
-        if self.model is not None:
-            return float(self.model.radial_cdf(eps))
         return float(self.weights[self.values <= eps].sum())
 
     def scaled(self, c: float) -> "MixingDistribution":
         """The law of c R; used to test scale equivariance of the optimum."""
         c = _checked_positive(c, "scale factor")
-        label = f"{self.label}*{c:g}"
-        if self.model is not None:
-            base = self.model.log_pi
-            return mixing_density(lambda r: base(np.asarray(r) / c), label=label)
         values = _checked_positive(c * self.values, "scaled values")
-        return _validate_no_zero_mass(replace(self, label=label, values=values))
+        return _validate_no_zero_mass(
+            replace(self, label=f"{self.label}*{c:g}", values=values))
 
     def median(self) -> float:
-        """The smallest value whose cumulative weight reaches 1/2, or the
-        density's quantile 1/2."""
-        if self.model is not None:
-            return float(self.model.quantile(0.5))
+        """The smallest value whose cumulative weight reaches 1/2."""
         return float(self.values[np.searchsorted(np.cumsum(self.weights), 0.5)])
 
 
 def _validate_no_zero_mass(dist: MixingDistribution) -> MixingDistribution:
-    # Discrete laws can carry genuine point mass near zero; continuous
-    # densities only fail the intent of the rule (P(R <= eps) -> 0) when
-    # mass persists at far smaller scales, so they are probed deeper --
+    # Atoms and clouds can carry genuine point mass near zero; a density's
+    # rule only fails the intent of the rule (P(R <= eps) -> 0) when mass
+    # persists at far smaller scales, so it is probed deeper --
     # otherwise merely rescaling a legitimate law (e.g. exp shrunk by half,
     # with P(R <= 1e-6) = 2e-6) would be rejected.
-    eps = _ZERO_MASS_EPS if dist.model is None else 1e-9
+    eps = 1e-9 if dist.kind == "density" else _ZERO_MASS_EPS
     mass = dist.mass_below(eps)
     if dist.kind == "samples":
         # n radii resolve a mass only to about 1/n, so one radius below eps
@@ -194,10 +184,27 @@ def mixing_atoms(values, weights, *, label: str = "atoms") -> MixingDistribution
 def mixing_density(log_density: Callable, *, label: str = "density",
                    scan: tuple[float, float] = (1e-12, 1e12)) -> MixingDistribution:
     """Absolutely continuous R from an unnormalized, vectorized log-density
-    on (0, inf)."""
+    on (0, inf), as the discrete law of its own quadrature rule: the Kronrod
+    rule adaptive_quad accepts for r pdf(r) in t = log r (where a power-law
+    tail decays exponentially) over the model's truncated support, to
+    relative tolerance 1e-11.  Values e^t at its nodes, weights its weights
+    times r pdf(r), summing to the truncated mass 1 - 1e-12."""
     model = radial_from_density(1, log_density, family="mixing", label=label,
                                 scan=scan)
-    dist = MixingDistribution(kind="density", label=label, model=model)
+    t_lo, t_hi = np.log(model.r_lo), np.log(model.r_hi)
+
+    def mass(t):
+        r = np.exp(t)
+        return r * model.radial_pdf(r)
+
+    seeds = np.concatenate([np.arange(t_lo, t_hi, _T_STEP),
+                            np.log(model.breakpoints())])
+    rule = adaptive_quad(mass, t_lo, t_hi, epsabs=0.0, epsrel=1e-11,
+                         points=seeds)
+    order = np.argsort(rule.nodes)
+    t = rule.nodes[order]
+    dist = MixingDistribution(kind="density", label=label, values=np.exp(t),
+                              weights=rule.weights[order] * mass(t))
     return _validate_no_zero_mass(dist)
 
 
@@ -271,42 +278,14 @@ def mixing_from_spec(spec: str, *, seed: int = 0,
     raise ValueError(f"unknown mixing-law spec {spec!r}")
 
 
-def _density_expectation(model: RadialModel, x: np.ndarray, kernel,
-                         epsabs: float) -> np.ndarray:
-    """E[kernel(x, 1/R)] for density-kind R, integrated in t = log r, to
-    relative tolerance 1e-11.
-
-    In t a power-law tail of R decays exponentially, so a heavy-tailed law
-    needs few panels where in r it would need fine panels over many decades.
-    x is chunked so that each adaptive integral carries few components of
-    similar scale (a single wide-spanning vector integral would force one
-    huge shared subdivision)."""
-    out = np.empty(x.size)
-    t_pts = np.log(model.breakpoints())
-    for start in range(0, x.size, _DENSITY_CHUNK):
-        block = x[start:start + _DENSITY_CHUNK]
-
-        def f(t):
-            r = np.exp(t)
-            return ((r * model.radial_pdf(r))[:, None]
-                    * kernel(block[None, :], 1.0 / r[:, None]))
-
-        res = adaptive_quad(f, np.log(model.r_lo), np.log(model.r_hi),
-                            epsabs=epsabs, epsrel=1e-11, points=t_pts)
-        out[start:start + _DENSITY_CHUNK] = res.value
-    return out
-
-
 def _mixing_expectation(dist: MixingDistribution, x: np.ndarray, kernel,
-                        epsabs: float, z_dead: float = np.inf) -> np.ndarray:
-    """E[kernel(x, 1/R)] for each x: a quadrature over a density, or a
-    weighted sum over a discrete law's sorted values in _BLOCK_X x _BLOCK_R
-    blocks, each row's block sums added pairwise (a cloud's mean stays within
-    an ULP or so of the exactly rounded one).  The kernel must be exactly 0
-    where x/R > z_dead; values below x/z_dead are then skipped for the whole
-    block of x (none when x <= 0, z_dead is inf or x is NaN)."""
-    if dist.model is not None:
-        return _density_expectation(dist.model, x, kernel, epsabs)
+                        z_dead: float = np.inf) -> np.ndarray:
+    """E[kernel(x, 1/R)] for each x: a weighted sum over the law's sorted
+    values in _BLOCK_X x _BLOCK_R blocks, each row's block sums added
+    pairwise (a cloud's mean stays within an ULP or so of the exactly
+    rounded one).  The kernel must be exactly 0 where x/R > z_dead; values
+    below x/z_dead are then skipped for the whole block of x (none when
+    x <= 0, z_dead is inf or x is NaN)."""
     values, weights = dist.values, dist.weights
     inv = 1.0 / values
     out = np.zeros(x.size)
@@ -324,22 +303,18 @@ def _mixing_expectation(dist: MixingDistribution, x: np.ndarray, kernel,
     return out
 
 
-def theta(dist: MixingDistribution, x, *,
-          epsabs: float = 1e-12) -> float | np.ndarray:
+def theta(dist: MixingDistribution, x) -> float | np.ndarray:
     """Limiting one-coordinate marginal CDF Theta(x) = E[Phi(x/R)]."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _mixing_expectation(dist, x_arr, lambda xs, s: gaussian_cdf(xs * s),
-                              epsabs)
+    out = _mixing_expectation(dist, x_arr, lambda xs, s: gaussian_cdf(xs * s))
     return out if np.ndim(x) else float(out[0])
 
 
-def theta_prime_neg(dist: MixingDistribution, mu, *,
-                    epsabs: float = 1e-12) -> float | np.ndarray:
+def theta_prime_neg(dist: MixingDistribution, mu) -> float | np.ndarray:
     """Derivative Theta'(-mu) = E[(1/R) phi(mu/R)] for mu >= 0."""
     mu_arr = np.atleast_1d(_checked_nonnegative(mu, "mu"))
     out = _mixing_expectation(dist, mu_arr,
-                              lambda ms, s: gaussian_pdf(ms * s) * s,
-                              epsabs)
+                              lambda ms, s: gaussian_pdf(ms * s) * s)
     return out if np.ndim(mu) else float(out[0])
 
 
@@ -358,47 +333,32 @@ def limit_esjd(dist: MixingDistribution, mu) -> float | np.ndarray:
 def _pair_expectation(r_dist: MixingDistribution, y_dist: MixingDistribution,
                       mu, weight_y2: bool) -> tuple[float, float]:
     """E[w(Y) 2 Phi(-mu Y / R)] with w = 1 or Y^2 (the ESJD's, which needs a
-    finite mu), plus an error estimate."""
+    finite mu), plus an error estimate: one weighted sum over Y's values."""
     mu = _checked_nonnegative(float(mu), "mu", finite=weight_y2)
-
-    def inner(y: np.ndarray) -> np.ndarray:
-        return np.asarray(2.0 * theta(r_dist, -mu * y))
-
-    model = y_dist.model
-    if model is None:
-        y = y_dist.values
-        per = inner(y) * (y * y if weight_y2 else 1.0)
-        value = float((per * y_dist.weights).sum())
-        if y_dist.kind == "samples":
-            return value, float(per.std(ddof=1) / np.sqrt(per.size))
-        return value, 1e-9
-
-    def f(y):
-        per = model.radial_pdf(y) * inner(y)
-        if weight_y2:
-            per = per * y * y
-        return per
-
-    res = adaptive_quad(f, model.r_lo, model.r_hi, epsabs=1e-10, epsrel=1e-9,
-                        points=model.breakpoints())
-    return float(res.value), float(res.error) + 1e-9
+    y = y_dist.values
+    per = 2.0 * theta(r_dist, -mu * y) * (y * y if weight_y2 else 1.0)
+    value = float((per * y_dist.weights).sum())
+    if y_dist.kind == "samples":
+        return value, float(per.std(ddof=1) / np.sqrt(per.size))
+    return value, 1e-9
 
 
 def limit_ear_general(r_dist: MixingDistribution, y_dist: MixingDistribution,
                       mu) -> tuple[float, float]:
     """Limiting EAR 2 E[Phi(-mu Y / R)] for a nondegenerate proposal-radius
-    limit Y; returns (value, error estimate).  The error is quadrature's for
-    a density Y, the sampling standard error for a cloud and 1e-9 for given
-    atoms.  With both laws sample clouds it costs n_r x n_y kernel
-    evaluations: about 13 min at 200k radii each."""
+    limit Y; returns (value, error estimate).  The error is the sampling
+    standard error for a cloud Y and a nominal 1e-9 for atoms or a density
+    (whose rule is good to ~1e-13).  It costs n_r x n_y kernel evaluations:
+    ~12-27 ms for two densities of ~1.2k values each, about 13 min for two
+    clouds of 200k radii."""
     return _pair_expectation(r_dist, y_dist, mu, weight_y2=False)
 
 
 def limit_esjd_general(r_dist: MixingDistribution, y_dist: MixingDistribution,
                        mu) -> tuple[float, float]:
     """Limiting ESJD 2 mu^2 E[Y^2 Phi(-mu Y / R)] for finite mu >= 0;
-    returns (value, error).  Two sample clouds cost n_r x n_y kernel
-    evaluations, as in limit_ear_general."""
+    returns (value, error), with the error and the n_r x n_y cost of
+    limit_ear_general."""
     val, err = _pair_expectation(r_dist, y_dist, mu, weight_y2=True)
     mu = float(mu)
     return mu * mu * val, mu * mu * err
@@ -436,11 +396,10 @@ def _gap_kernel(mu, inv_r):
     return np.exp(-0.5 * z * z) * (erfcx(z * _INV_SQRT2) - z * _INV_SQRT2PI)
 
 
-def _stationarity_gap(dist: MixingDistribution, mu, *,
-                      epsabs: float = 1e-12) -> np.ndarray:
+def _stationarity_gap(dist: MixingDistribution, mu) -> np.ndarray:
     """g(mu) = 2 Theta(-mu) - mu Theta'(-mu), in one pass over the law."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    return _mixing_expectation(dist, mu, _gap_kernel, epsabs, z_dead=_Z_DEAD)
+    return _mixing_expectation(dist, mu, _gap_kernel, z_dead=_Z_DEAD)
 
 
 def _search_grid(dist: MixingDistribution) -> np.ndarray:
@@ -454,16 +413,14 @@ def _search_grid(dist: MixingDistribution) -> np.ndarray:
 def _gap_sign(dist: MixingDistribution, grid: np.ndarray) -> np.ndarray:
     """np.sign of the stationarity gap g on solve_aots's grid.
 
-    For a discrete law whose support is [R_min, R_max], z = mu/R spans
+    For a law whose support is [R_min, R_max], z = mu/R spans
     [mu/R_max, mu/R_min], and where that span fixes the sign of every term
     of the weighted sum, it fixes the sign of g: + where every z < _Z_POS,
     - where every z > _Z_NEG and mu/R_max <= _Z_NORMAL (unless R_max weighs
     so little that its term could underflow), 0 where every z > _Z_DEAD.
     Only the other points are averaged, a whole _BLOCK_X block of the grid
     at a time, so that each skips the same values as on the full grid and
-    its g is bitwise the same.  A density's g is averaged everywhere."""
-    if dist.model is not None:
-        return np.sign(_stationarity_gap(dist, grid, epsabs=1e-10))
+    its g is bitwise the same."""
     r_lo, r_hi = dist.support
     z_lo, z_hi = grid / r_hi, grid / r_lo
     sign = np.where(z_hi < _Z_POS, 1.0, 0.0)
@@ -472,7 +429,7 @@ def _gap_sign(dist: MixingDistribution, grid: np.ndarray) -> np.ndarray:
     unknown = np.flatnonzero((sign == 0.0) & (z_lo <= _Z_DEAD))
     for i in np.unique(unknown // _BLOCK_X) * _BLOCK_X:
         block = grid[i:i + _BLOCK_X]
-        sign[i:i + _BLOCK_X] = np.sign(_stationarity_gap(dist, block, epsabs=1e-10))
+        sign[i:i + _BLOCK_X] = np.sign(_stationarity_gap(dist, block))
     return sign
 
 
@@ -528,7 +485,7 @@ def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
     ``no_finite_optimum`` — the optimal scale drifts to infinity and the
     optimal acceptance rate to zero.
 
-    The grid needs only the sign of g.  A discrete law's g is averaged only
+    The grid needs only the sign of g.  The law's g is averaged only
     at grid points where its support does not fix that sign (see
     _gap_sign): elsewhere every term w h(mu/R) of the weighted sum has that
     sign or is 0, and one term is far from underflow, so the signs, the

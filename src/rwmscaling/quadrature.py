@@ -79,6 +79,8 @@ class QuadResult:
     value: float | np.ndarray
     error: float
     n_evals: int
+    nodes: np.ndarray
+    weights: np.ndarray
 
 
 def _panel_rule(vals: np.ndarray, half: np.ndarray):
@@ -111,7 +113,7 @@ def _panel_rule(vals: np.ndarray, half: np.ndarray):
 
 
 def _gk15(f, a: np.ndarray, b: np.ndarray, epsabs,
-          epsrel: float, points, max_evals):
+          epsrel: float, points, max_evals, rule=None):
     """The adaptive loop behind both wrappers, over items x components.
 
     Arguments are those of stacked_quad, except that f(x, item) receives the
@@ -121,7 +123,8 @@ def _gk15(f, a: np.ndarray, b: np.ndarray, epsabs,
     nodes would pass its budget.  With a scalar ``max_evals`` the budget is
     the run's total, and every open item fails when it runs out.  Returns
     (values, errors, n_evals, failures): failures maps each failed item to
-    its message, and the item's value and error are NaN.
+    its message, and the item's value and error are NaN.  A ``rule`` list
+    receives the (centers, half-widths) of the panels accepted each round.
     """
     n_items = a.size
     edges = np.column_stack([a, b] if points is None else [a, b, points])
@@ -175,7 +178,7 @@ def _gk15(f, a: np.ndarray, b: np.ndarray, epsabs,
         if bad:
             live = fail(list(bad), lambda i: (
                 f"non-finite integrand near x={np.array(bad[i][:3])}"))
-            item, lo, hi, center = item[live], lo[live], hi[live], center[live]
+            item, lo, hi, center, half = (v[live] for v in (item, lo, hi, center, half))
             integral, err, absint = integral[live], err[live], absint[live]
 
         est = values.copy()
@@ -189,6 +192,8 @@ def _gk15(f, a: np.ndarray, b: np.ndarray, epsabs,
             | (hi - lo <= _MIN_WIDTH * np.maximum(1.0, np.abs(center)))
         np.add.at(values, item[keep], integral[keep])
         np.add.at(errors, item[keep], err[keep])
+        if rule is not None:
+            rule.append((center[keep], half[keep]))
         if keep.all():
             break
         item_s, lo_s, hi_s = item[~keep], lo[~keep], hi[~keep]
@@ -239,14 +244,20 @@ def adaptive_quad(f, a: float, b: float, *, epsabs: float = 1e-10,
     k components share one panel subdivision (a panel is accepted only when
     every component meets its budget share), and the value is then a (k,)
     array with one error for all components.  Seed subdivision points may
-    be supplied via ``points``.  Raises QuadratureError if ``max_evals``
-    integrand evaluations do not suffice.
+    be supplied via ``points``.  The result also carries the composite rule
+    accepted, its ``nodes`` and ``weights``: ``weights @ f(nodes)`` is the
+    value up to rounding.  Raises QuadratureError if ``max_evals`` integrand
+    evaluations do not suffice.
     """
     pts = None if points is None else np.asarray(points, dtype=float).reshape(1, -1)
+    rule = [(np.empty(0), np.empty(0))]
     values, errors, n_evals = _raise_on_failure(*_gk15(
         lambda x, item: f(x), np.array([a], dtype=float),
-        np.array([b], dtype=float), epsabs, epsrel, pts, max_evals))
-    return QuadResult(values[0], errors[0], n_evals)
+        np.array([b], dtype=float), epsabs, epsrel, pts, max_evals, rule))
+    center, half = (np.concatenate(part) for part in zip(*rule))
+    return QuadResult(values[0], errors[0], n_evals,
+                      nodes=(center[:, None] + half[:, None] * _XGK).ravel(),
+                      weights=(half[:, None] * _WGK).ravel())
 
 
 def stacked_quad(f, a, b, *, epsabs=1e-10, epsrel: float = 0.0, points=None,

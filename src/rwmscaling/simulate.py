@@ -1,13 +1,12 @@
 """Ground-truth oracles: random walk Metropolis chains and direct Monte
 Carlo evaluation of the acceptance/jump-distance expectations.
 
-Both oracles deliberately avoid the projection-kernel quadrature path so
-that three-way agreement (chain vs. sampled expectation vs. quadrature) is
-a genuine consistency check rather than a tautology: ``run_rwm`` simulates
-50 independent d-dimensional chains in lockstep (error bars from the
-spread of their means, split-R-hat to flag chains that never mixed), and
-``mc_expectation`` samples the proposal radius and averages the tabulated
-one-coordinate marginal.
+Only ``run_rwm`` is independent of the quadrature path: it simulates 50
+independent d-dimensional chains in lockstep (error bars from the spread
+of their means, split-R-hat to flag chains that never mixed).
+``mc_expectation`` samples the proposal radius but averages the same
+tabulated one-coordinate marginal W as the analytic route, so against
+quadrature it checks only the outer integral over the proposal radius.
 """
 
 from __future__ import annotations

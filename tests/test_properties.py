@@ -103,7 +103,7 @@ def test_optimum_is_scale_equivariant_over_sample_laws(dist, c):
 
 def _assert_grid_signs_match_the_full_gap(dist):
     grid = asymptotics._search_grid(dist)
-    full = asymptotics._stationarity_gap(dist, grid, epsabs=1e-10)
+    full = asymptotics._stationarity_gap(dist, grid)
     assert np.array_equal(asymptotics._gap_sign(dist, grid), np.sign(full))
     # A radius far above the rest puts a root within rounding of
     # POINT_MASS_MU_HAT * R_max, so allow the tolerance of solve_aots's Brent

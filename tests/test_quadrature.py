@@ -33,6 +33,22 @@ def test_reported_error_is_a_bound_in_practice():
     assert abs(res.value - exact) <= max(res.error, 1e-13)
 
 
+def test_result_carries_its_accepted_rule():
+    # The accepted rule reproduces the value, for a scalar and a vector f.
+    f = lambda x: np.exp(-x) * np.sin(3 * x) ** 2
+    res = adaptive_quad(f, 0.0, 6.0, epsabs=1e-13, points=[1.0, 2.5])
+    assert res.nodes.shape == res.weights.shape
+    assert res.nodes.size % 15 == 0 and res.nodes.size < res.n_evals
+    assert np.all((res.nodes > 0.0) & (res.nodes < 6.0) & (res.weights > 0.0))
+    assert res.weights.sum() == pytest.approx(6.0, rel=1e-14)
+    assert (res.weights * f(res.nodes)).sum() == pytest.approx(res.value, rel=1e-14)
+    vec = adaptive_quad(lambda x: np.column_stack([x, x * x]), 0.0, 2.0)
+    assert vec.weights @ np.column_stack([vec.nodes, vec.nodes ** 2]) \
+        == pytest.approx(vec.value, rel=1e-14)
+    empty = adaptive_quad(f, 1.0, 1.0)
+    assert empty.value == 0.0 and empty.nodes.size == empty.weights.size == 0
+
+
 def test_budget_exhaustion_raises():
     # An endpoint singularity at a tolerance a few hundred evaluations
     # cannot reach forces the budget check to fire.
