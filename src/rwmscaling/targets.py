@@ -3,11 +3,11 @@
 A law pi(x) on R^d that depends on x only through |x| is summarized by its
 radial density f(r) = a_d r^{d-1} pi(r) on r > 0, with a_d the surface area
 of the unit (d-1)-sphere.  Everything downstream (acceptance-rate integrals,
-samplers, asymptotic rescalings) consumes this one-dimensional object, so the
-constructor here does the heavy lifting once per model: locate the mass,
-normalize by adaptive quadrature in a numerically safe scaling, tabulate the
-CDF, and expose quantiles for use as quadrature breakpoints and for
-inverse-CDF sampling.
+samplers, asymptotic rescalings) consumes this one-dimensional object.  A
+model is built from what is known up front, and the heavy lifting runs once,
+on the first read of a fitted field: locate the mass, normalize by adaptive
+quadrature in a numerically safe scaling, tabulate the CDF, and expose
+quantiles for use as quadrature breakpoints and for inverse-CDF sampling.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from scipy.special import gammaln
 
 from .cubic import PiecewiseCubic
 from .quadrature import adaptive_quad, stacked_quad
-from .special import _checked_dimension, _checked_positive
+from .special import _checked_count, _checked_dimension, _checked_positive
 
 __all__ = [
     "RadialModel", "unit_sphere_area", "radial_from_density",
@@ -33,6 +33,7 @@ _QUANTILE_LEVELS = np.array([
     0.75, 0.9, 0.95, 0.99, 1 - 1e-3, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9,
 ])
 _TRUNC_TAIL = 1e-12  # model support is cut where the radial CDF passes 1 - this
+_FITTED = ("log_norm", "r_lo", "r_hi", "_quantile_fn", "_cdf_fn", "_breakpoints")
 
 
 def unit_sphere_area(d: int) -> float:
@@ -51,7 +52,9 @@ class RadialModel:
     log_pi is the (unnormalized) x-space log density as a function of the
     radius; log_norm is chosen so that exp((d-1) log r + log_pi(r) - log_norm)
     integrates to one over r > 0.  [r_lo, r_hi] is the truncated support used
-    by the quadrature routines (tail mass beyond r_hi is below 1e-12).
+    by the quadrature routines (tail mass beyond r_hi is below 1e-12).  The
+    fields from log_norm on are fitted, not passed: the first read of any
+    runs ``_fit``, which sets them all.
     """
 
     d: int
@@ -60,12 +63,20 @@ class RadialModel:
     log_pi: Callable
     k: float | None
     limit_mixing: str | None
-    log_norm: float
-    r_lo: float
-    r_hi: float
-    _quantile_fn: PiecewiseCubic = field(repr=False)
-    _cdf_fn: PiecewiseCubic = field(repr=False)
-    _breakpoints: np.ndarray = field(repr=False)
+    scan: tuple[float, float]
+    extra_breakpoints: tuple
+    log_norm: float = field(init=False, repr=False)
+    r_lo: float = field(init=False, repr=False)
+    r_hi: float = field(init=False, repr=False)
+    _quantile_fn: PiecewiseCubic = field(init=False, repr=False)
+    _cdf_fn: PiecewiseCubic = field(init=False, repr=False)
+    _breakpoints: np.ndarray = field(init=False, repr=False)
+
+    def __getattr__(self, name):  # reached only while the fitted fields are unset
+        if name not in _FITTED:
+            raise AttributeError(f"'RadialModel' object has no attribute {name!r}")
+        self.__dict__.update(self._fit())
+        return self.__dict__[name]
 
     def log_radial_pdf(self, r):
         r = np.asarray(r, dtype=float)
@@ -113,6 +124,84 @@ class RadialModel:
             cache[key] = float(res.value)
         return cache[key]
 
+    def _fit(self) -> dict:
+        """The fitted fields: scan g(r) = (d-1) log r + log_pi(r) on a wide log grid
+        for its mass, normalize exp(g - max g) by stacked adaptive quadrature and
+        tabulate the CDF.  Raises ValueError if no mass is found in the scan window."""
+        d, log_pi = self.d, self.log_pi
+        lo_s, hi_s = self.scan
+        n_scan = int(400 * np.log10(hi_s / lo_s)) + 1
+        r_scan = np.geomspace(lo_s, hi_s, n_scan)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g_scan = (d - 1) * np.log(r_scan) + np.asarray(log_pi(r_scan), dtype=float)
+        finite = np.isfinite(g_scan)
+        if not np.any(finite):
+            raise ValueError("log density is nowhere finite on the scan window")
+        m_big = np.nanmax(np.where(finite, g_scan, -np.inf))
+
+        # Rough mass profile in the log coordinate (measure r d log r).
+        w = np.where(finite, np.exp(np.clip(g_scan - m_big, -745.0, 0.0)), 0.0) * r_scan
+        dt = np.diff(np.log(r_scan))
+        seg = 0.5 * (w[:-1] + w[1:]) * dt
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        total = cum[-1]
+        if not (total > 0.0) or not np.isfinite(total):
+            raise ValueError("could not locate integrable mass on the scan window")
+        if seg[-1] > 1e-13 * total:
+            raise ValueError("density mass appears to extend beyond the scan window")
+        i_lo = int(np.searchsorted(cum, 1e-16 * total, side="right"))
+        i_hi = int(np.searchsorted(cum, (1.0 - 1e-16) * total, side="left"))
+        i_lo = max(i_lo - 1, 0)
+        i_hi = min(i_hi + 1, n_scan - 1)
+        r_lo, r_hi_wide = r_scan[i_lo], r_scan[i_hi]
+
+        extra = np.asarray(self.extra_breakpoints, dtype=float)
+        extra = extra[(extra > r_lo) & (extra < r_hi_wide)] if extra.size else extra
+
+        # Fine node set: quantile-spaced (from the rough profile) plus geometric.
+        inv_levels = np.linspace(0.0, 1.0, 1401)[1:-1] * total
+        nodes_q = np.interp(inv_levels, cum, r_scan)
+        nodes = np.unique(np.concatenate([
+            [r_lo, r_hi_wide],
+            nodes_q[(nodes_q > r_lo) & (nodes_q < r_hi_wide)],
+            np.geomspace(r_lo, r_hi_wide, 601),
+            extra,
+        ]))
+
+        def scaled_pdf(r, _idx=None):
+            rr = np.asarray(r, dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                gg = (d - 1) * np.log(rr) + np.asarray(log_pi(rr), dtype=float) - m_big
+            return np.where(np.isfinite(gg), np.exp(np.clip(gg, -745.0, 50.0)), 0.0)
+
+        z_rough = float(np.trapezoid(scaled_pdf(nodes), nodes))
+        n_panel = nodes.size - 1
+        vals, _errs, _ = stacked_quad(
+            scaled_pdf, nodes[:-1], nodes[1:],
+            epsabs=max(z_rough, 1e-300) * 1e-13 / n_panel + 1e-300, epsrel=1e-12)
+        z_scaled = float(vals.sum())
+        if not (z_scaled > 0.0 and np.isfinite(z_scaled)):
+            raise ValueError("normalization failed")
+        log_norm = m_big + np.log(z_scaled)
+        p_knots = np.concatenate([[0.0], np.cumsum(vals)]) / z_scaled
+        p_knots[-1] = 1.0
+
+        # Strictly increasing CDF knots for the two interpolants.
+        incr = np.concatenate([[True], np.diff(p_knots) > 1e-300])
+        incr[-1] = True
+        r_k, p_k = nodes[incr], p_knots[incr]
+        p_k = np.maximum.accumulate(p_k)
+        keep = np.concatenate([[True], np.diff(p_k) > 0.0])
+        r_k, p_k = r_k[keep], p_k[keep]
+        quantile_fn = PiecewiseCubic(p_k, r_k, "pchip")
+        cdf_fn = PiecewiseCubic(r_k, p_k, "pchip")
+
+        r_hi_trunc = float(quantile_fn(1.0 - _TRUNC_TAIL))
+        bp_levels = _QUANTILE_LEVELS[(_QUANTILE_LEVELS > p_k[0]) & (_QUANTILE_LEVELS < p_k[-1])]
+        bps = np.unique(np.concatenate([quantile_fn(bp_levels), extra]))
+        return dict(log_norm=float(log_norm), r_lo=float(nodes[0]), r_hi=r_hi_trunc,
+                    _quantile_fn=quantile_fn, _cdf_fn=cdf_fn, _breakpoints=bps)
+
 
 def radial_from_density(d: int, log_pi: Callable, *, family: str = "custom",
                         label: str | None = None, k: float | None = None,
@@ -122,11 +211,8 @@ def radial_from_density(d: int, log_pi: Callable, *, family: str = "custom",
     """Build a RadialModel from an unnormalized x-space log density of the radius.
 
     log_pi must be vectorized: given an array of radii it returns an array
-    of log densities of the same shape.  The density is scanned on a wide
-    log grid to locate its mass, normalized by stacked adaptive quadrature
-    of exp(g - max g) with g(r) = (d-1) log r + log_pi(r), and tabulated.
-    Raises ValueError when log_pi is not vectorized or when no integrable
-    mass is found inside the scan window.
+    of log densities of the same shape.  Only that is checked here (raising
+    ValueError); the model fits itself on first read (RadialModel._fit).
     """
     d = _checked_dimension(d)
     probe = np.array([0.5, 1.5])
@@ -138,92 +224,16 @@ def radial_from_density(d: int, log_pi: Callable, *, family: str = "custom",
     if probe_shape != probe.shape:
         raise ValueError("log density must be vectorized; on 2 radii it "
                          f"returned shape {probe_shape}")
-
-    lo_s, hi_s = scan
-    n_scan = int(400 * np.log10(hi_s / lo_s)) + 1
-    r_scan = np.geomspace(lo_s, hi_s, n_scan)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g_scan = (d - 1) * np.log(r_scan) + np.asarray(log_pi(r_scan), dtype=float)
-    finite = np.isfinite(g_scan)
-    if not np.any(finite):
-        raise ValueError("log density is nowhere finite on the scan window")
-    m_big = np.nanmax(np.where(finite, g_scan, -np.inf))
-
-    # Rough mass profile in the log coordinate (measure r d log r).
-    w = np.where(finite, np.exp(np.clip(g_scan - m_big, -745.0, 0.0)), 0.0) * r_scan
-    dt = np.diff(np.log(r_scan))
-    seg = 0.5 * (w[:-1] + w[1:]) * dt
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if not (total > 0.0) or not np.isfinite(total):
-        raise ValueError("could not locate integrable mass on the scan window")
-    if seg[-1] > 1e-13 * total:
-        raise ValueError("density mass appears to extend beyond the scan window")
-    i_lo = int(np.searchsorted(cum, 1e-16 * total, side="right"))
-    i_hi = int(np.searchsorted(cum, (1.0 - 1e-16) * total, side="left"))
-    i_lo = max(i_lo - 1, 0)
-    i_hi = min(i_hi + 1, n_scan - 1)
-    r_lo, r_hi_wide = r_scan[i_lo], r_scan[i_hi]
-
-    extra = np.asarray(list(extra_breakpoints), dtype=float)
-    extra = extra[(extra > r_lo) & (extra < r_hi_wide)] if extra.size else extra
-
-    # Fine node set: quantile-spaced (from the rough profile) plus geometric.
-    inv_levels = np.linspace(0.0, 1.0, 1401)[1:-1] * total
-    nodes_q = np.interp(inv_levels, cum, r_scan)
-    nodes = np.unique(np.concatenate([
-        [r_lo, r_hi_wide],
-        nodes_q[(nodes_q > r_lo) & (nodes_q < r_hi_wide)],
-        np.geomspace(r_lo, r_hi_wide, 601),
-        extra,
-    ]))
-
-    def scaled_pdf(r, _idx=None):
-        rr = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            gg = (d - 1) * np.log(rr) + np.asarray(log_pi(rr), dtype=float) - m_big
-        return np.where(np.isfinite(gg), np.exp(np.clip(gg, -745.0, 50.0)), 0.0)
-
-    z_rough = float(np.trapezoid(scaled_pdf(nodes), nodes))
-    n_panel = nodes.size - 1
-    vals, _errs, _ = stacked_quad(
-        scaled_pdf, nodes[:-1], nodes[1:],
-        epsabs=max(z_rough, 1e-300) * 1e-13 / n_panel + 1e-300, epsrel=1e-12)
-    z_scaled = float(vals.sum())
-    if not (z_scaled > 0.0
-            and np.isfinite(z_scaled)):
-        raise ValueError("normalization failed")
-    log_norm = m_big + np.log(z_scaled)
-    p_knots = np.concatenate([[0.0], np.cumsum(vals)]) / z_scaled
-    p_knots[-1] = 1.0
-
-    # Strictly increasing CDF knots for the two interpolants.
-    incr = np.concatenate([[True], np.diff(p_knots) > 1e-300])
-    incr[-1] = True
-    r_k, p_k = nodes[incr], p_knots[incr]
-    p_k = np.maximum.accumulate(p_k)
-    keep = np.concatenate([[True], np.diff(p_k) > 0.0])
-    r_k, p_k = r_k[keep], p_k[keep]
-    quantile_fn = PiecewiseCubic(p_k, r_k, "pchip")
-    cdf_fn = PiecewiseCubic(r_k, p_k, "pchip")
-
-    r_hi_trunc = float(quantile_fn(1.0 - _TRUNC_TAIL))
-    bp_levels = _QUANTILE_LEVELS[(_QUANTILE_LEVELS > p_k[0]) & (_QUANTILE_LEVELS < p_k[-1])]
-    bps = np.unique(np.concatenate([quantile_fn(bp_levels), extra]))
-
     return RadialModel(
         d=d, family=family, label=label or family, log_pi=log_pi, k=k,
-        limit_mixing=limit_mixing, log_norm=float(log_norm),
-        r_lo=float(nodes[0]), r_hi=r_hi_trunc,
-        _quantile_fn=quantile_fn, _cdf_fn=cdf_fn,
-        _breakpoints=bps)
+        limit_mixing=limit_mixing, scan=scan, extra_breakpoints=tuple(extra_breakpoints))
 
 
 def sample_radius(model: RadialModel, n: int, rng) -> np.ndarray:
-    """Inverse-CDF draws of the radius; deterministic given a seed."""
+    """n >= 0 inverse-CDF draws of the radius; deterministic given a seed."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return model._quantile_fn(rng.random(int(n)))
+    return model._quantile_fn(rng.random(_checked_count(n, "n", 0)))
 
 
 class CustomRadialTable:

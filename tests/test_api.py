@@ -148,6 +148,7 @@ COUNT_SITES = {
         "iota", [10, 40], n_samples=v)),
     "mixing_from_spec n_samples": (100, lambda v: rwmscaling.mixing_from_spec(
         "from-target:gaussian:3", n_samples=v)),
+    "sample_radius n": (0, lambda v: rwmscaling.sample_radius(_T2, v, 0)),
 }
 _BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 BAD_INPUTS = ([(site, v) for site in POSITIVE_SITES for v in _BAD]

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rwmscaling import targets
 from rwmscaling.asymptotics import mixing_from_spec, solve_aots
 from rwmscaling.cli import UsageError, main, parse_dims
 from rwmscaling.elliptical import (EllipticalSpec, elliptical_aos,
@@ -342,6 +343,40 @@ def test_elliptical_core_without_shell_constant_exits_2(tmp_path, capsys):
                                    "--mu-hat", "1.19"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "shell constants" in err
+
+
+def test_elliptical_reaches_dimensions_its_cores_could_not_be_fitted_at(capsys):
+    # The rule reads only the cores' shell constants, so a gaussian core at
+    # d = 5000 (whose radial fit exhausts its evaluation budget) never fits.
+    code, out, _ = _run(capsys, ["elliptical", "--rule", "iota", "--dims", "8,32,5000"])
+    assert code == 0
+    _, _, data = _parse_csv(out)
+    assert [int(row[0]) for row in data] == [8, 32, 5000]
+    d = 5000
+    mu_hat = solve_aots(mixing_from_spec("point:1")).mu_hat
+    closed_form = 2.0 * mu_hat / (np.sqrt(d) * np.sqrt((d + 1) * (2 * d + 1) / 6.0))
+    assert float(data[-1][2]) == pytest.approx(closed_form, rel=1e-9)
+
+
+def test_elliptical_fits_no_radial_model(monkeypatch, capsys):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a radial model was fitted")
+
+    monkeypatch.setattr(targets, "stacked_quad", no_fit)
+    code, out, err = _run(capsys, ["elliptical", "--rule", "iota", "--dims", "8,32,128"])
+    assert code == 0 and err == ""
+    assert len(_parse_csv(out)[2]) == 3
+
+
+def test_custom_table_with_mass_past_its_last_radius_exits_2(tmp_path, capsys):
+    r = np.geomspace(0.1, 5.0, 20)
+    path = tmp_path / "rising.tsv"
+    path.write_text("\n".join(f"{a:.17g} {2.0 * np.log(a):.17g}" for a in r))
+    code, out, err = _run(capsys, ["curve", f"custom:{path}", "gaussian", "--dim", "3",
+                                   "--lambda-min", "0.5", "--lambda-max", "2",
+                                   "--points", "3"])
+    assert code == 2 and out == ""
+    assert err == "error: density mass appears to extend beyond the scan window\n"
 
 
 @pytest.mark.parametrize("argv", [

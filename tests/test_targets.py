@@ -1,17 +1,21 @@
 """Tests for radial target construction, sampling, and the spec-string grammar."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from rwmscaling import targets
 from rwmscaling.targets import (
     RadialModel,
     build_example_target,
     parse_mixture_weight,
     parse_target_spec,
     radial_from_density,
+    sample_radius,
     unit_sphere_area,
 )
 
@@ -129,6 +133,12 @@ def test_sample_radius_reproducible_and_calibrated():
     assert np.mean(a <= t.quantile(0.5)) == pytest.approx(0.5, abs=0.01)
 
 
+def test_sample_radius_draws_nothing_for_a_zero_count():
+    t = build_example_target("gaussian", 2)
+    assert sample_radius(t, 0, 0).shape == (0,)
+    assert sample_radius(t, 5.0, 0).shape == (5,)
+
+
 def test_mixture_weight_grammar():
     assert parse_mixture_weight("0.2", 10) == pytest.approx(0.2)
     assert parse_mixture_weight("1/d", 10) == pytest.approx(0.1)
@@ -209,3 +219,69 @@ def test_breakpoints_sorted_within_support():
         bp = t.breakpoints()
         assert np.all(np.diff(bp) > 0)
         assert bp[0] >= t.r_lo and bp[-1] <= t.r_hi
+
+
+def test_model_fits_once_on_first_read(monkeypatch):
+    calls = []
+    real = targets.stacked_quad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(targets, "stacked_quad", counted)
+    t = build_example_target("exponential", 4)
+    # what is known up front reads without a fit
+    assert (t.d, t.family, t.k, t.limit_mixing) == (4, "exponential", 4.0, "point:1")
+    assert "exponential" in repr(t)
+    assert not calls
+    t.quantile(0.5)
+    assert len(calls) == 1
+    t.r_lo, t.r_hi, t.log_norm, t.breakpoints(), t.radial_cdf(2.0)
+    t.radial_pdf(2.0), t.moment(1.0), t.sample_radius(10, 0)
+    assert len(calls) == 1
+    with pytest.raises(AttributeError, match="no attribute 'r_mid'"):
+        t.r_mid
+
+
+def test_scan_errors_are_raised_on_first_read():
+    # A density still rising at the top of its scan window builds, and
+    # says so when first read.
+    t = radial_from_density(3, lambda r: 2.0 * np.log(r), scan=(0.1, 5.0))
+    assert t.k is None
+    for _ in range(2):
+        with pytest.raises(ValueError, match="extend beyond the scan window"):
+            t.r_hi
+
+
+_PINS = json.loads((Path(__file__).parent / "radial_fit_pins.json").read_text())
+_PIN_LEVELS = [1e-6, 0.1, 0.5, 0.9, 1 - 1e-6]
+
+
+def _pinned_model(case, tmp_path):
+    spec, d = case.rsplit("@", 1)
+    if spec == "custom":
+        r = np.geomspace(0.05, 12.0, 80)
+        path = tmp_path / "table.txt"
+        np.savetxt(path, np.column_stack([r, -0.5 * r ** 2 + 0.3 * np.sin(r)]), fmt="%.17g")
+        spec = f"custom:{path}"
+    return parse_target_spec(spec, int(d))
+
+
+@pytest.mark.parametrize("first_read", ["quantile", "r_lo"])
+@pytest.mark.parametrize("case", sorted(_PINS))
+def test_fitted_values_are_pinned_bit_for_bit(case, first_read, tmp_path):
+    # float.hex values of the fit as the model built it eagerly (recorded at
+    # commit a9b8323); whichever field is read first, the fit is the same.
+    pins = _PINS[case]
+    t = _pinned_model(case, tmp_path)
+    q = t.quantile(_PIN_LEVELS) if first_read == "quantile" else None
+    assert t.r_lo.hex() == pins["r_lo"]
+    assert t.r_hi.hex() == pins["r_hi"]
+    assert t.log_norm.hex() == pins["log_norm"]
+    assert [float(v).hex() for v in t.breakpoints()] == pins["breakpoints"]
+    if q is None:
+        q = t.quantile(_PIN_LEVELS)
+    assert [float(v).hex() for v in q] == pins["quantile"]
+    cdf = t.radial_cdf(np.array([float.fromhex(v) for v in pins["quantile"]]))
+    assert [float(v).hex() for v in cdf] == pins["radial_cdf"]
