@@ -75,15 +75,13 @@ _BLOCK_X = 8
 _BLOCK_R = 4096
 # Beyond z = mu/R = _Z_DEAD, exp(-z^2/2) underflows and _gap_kernel is exactly 0.
 _Z_DEAD = 40.0
-# _gap_kernel h(z) changes sign once, at z = POINT_MASS_MU_HAT; h' = phi(z)(z^2 - 3)
-# makes h fall on [0, sqrt 3] and rise to 0 from below after.  So h >= 3.7e-3 for
-# z < _Z_POS, and on (_Z_NEG, _Z_NORMAL] h < 0 with |h| >= |h(30)| = 4.4e-195,
-# so a term w h there stays nonzero for any weight w >= _W_NONZERO (a cloud's
-# 1/n always is).
-_Z_POS = 0.99 * POINT_MASS_MU_HAT
-_Z_NEG = 1.01 * POINT_MASS_MU_HAT
-_Z_NORMAL = 30.0
-_W_NONZERO = 1e-120
+# _gap_kernel h(z) falls on [0, sqrt 3] to its minimum _H_MIN and rises to 0
+# from below after.  Its rounding error is a few ULPs of A(z) = 2 Phi(-z) +
+# z phi(z) <= 1 plus z^2/2 ULPs of |h|, and A <= 14 |h| outside _Z_ABS (h >=
+# 0.075 on [0, 1]; Mills' ratio past sqrt 3).  Underflow loses ~1e-322 a term.
+_Z_ABS = (1.0, np.sqrt(3.0))
+_TINY = 1e-300
+_GAP_BLOCKS = (1, 16, 128, 4096)  # run counts _gap_sign tries in turn
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _ZERO_MASS_EPS = 1e-6
@@ -396,6 +394,9 @@ def _gap_kernel(mu, inv_r):
     return np.exp(-0.5 * z * z) * (erfcx(z * _INV_SQRT2) - z * _INV_SQRT2PI)
 
 
+_H_MIN = float(_gap_kernel(_Z_ABS[1], 1.0))
+
+
 def _stationarity_gap(dist: MixingDistribution, mu) -> np.ndarray:
     """g(mu) = 2 Theta(-mu) - mu Theta'(-mu), in one pass over the law."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
@@ -413,20 +414,42 @@ def _search_grid(dist: MixingDistribution) -> np.ndarray:
 def _gap_sign(dist: MixingDistribution, grid: np.ndarray) -> np.ndarray:
     """np.sign of the stationarity gap g on solve_aots's grid.
 
-    For a law whose support is [R_min, R_max], z = mu/R spans
-    [mu/R_max, mu/R_min], and where that span fixes the sign of every term
-    of the weighted sum, it fixes the sign of g: + where every z < _Z_POS,
-    - where every z > _Z_NEG and mu/R_max <= _Z_NORMAL (unless R_max weighs
-    so little that its term could underflow), 0 where every z > _Z_DEAD.
-    Only the other points are averaged, a whole _BLOCK_X block of the grid
-    at a time, so that each skips the same values as on the full grid and
-    its g is bitwise the same."""
-    r_lo, r_hi = dist.support
-    z_lo, z_hi = grid / r_hi, grid / r_lo
-    sign = np.where(z_hi < _Z_POS, 1.0, 0.0)
-    if dist.weights[dist.values == r_hi].max() >= _W_NONZERO:
-        sign[(z_lo > _Z_NEG) & (z_lo <= _Z_NORMAL)] = -1.0
-    unknown = np.flatnonzero((sign == 0.0) & (z_lo <= _Z_DEAD))
+    g(mu) is the weighted sum of h(mu/R) over the law's sorted values.  Cut
+    them into runs: for each count in _GAP_BLOCKS, that many runs of equal
+    length, with the largest value a run of its own.  h is monotone on each
+    side of sqrt 3, so a run of weight W whose z = mu/R span [z_lo, z_hi]
+    adds at least W times h(z_hi), h(z_lo) or _H_MIN (the span below, above
+    or across sqrt 3) and at most W max(h(z_lo), h(z_hi)).  Widened by
+    1e-12 W times the bound's own size, or times 1 where the span meets
+    _Z_ABS, the summed bounds hold for the rounded sum as well, so where
+    they clear 0 by _TINY they fix the sign of the computed g.  Each count
+    decides what it can and leaves the rest to the next; a later count
+    over half the number of values costs more than averaging and is not
+    tried.  g is 0 where every z > _Z_DEAD.  Only the points left open are
+    averaged, a whole _BLOCK_X block of the grid at a time, so that each
+    skips the same values as on the full grid and its g is bitwise the
+    same."""
+    values, weights = dist.values, dist.weights
+    sign = np.zeros(grid.size)
+    unknown = np.flatnonzero(grid / dist.support[1] <= _Z_DEAD)
+    for blocks in _GAP_BLOCKS:
+        if not unknown.size or (blocks > 1 and 2 * blocks > values.size):
+            break
+        size = -(-values.size // blocks)
+        first = np.append(np.arange(0, values.size - 1, size), values.size - 1)
+        last = np.append(first[1:] - 1, values.size - 1)
+        mass = np.add.reduceat(weights, first)
+        mu = grid[unknown, None]
+        z_lo, z_hi = mu * (1.0 / values[last]), mu * (1.0 / values[first])
+        h_lo, h_hi = _gap_kernel(z_lo, 1.0), _gap_kernel(z_hi, 1.0)
+        low = np.where(z_hi <= _Z_ABS[1], h_hi,
+                       np.where(z_lo >= _Z_ABS[1], h_lo, _H_MIN))
+        high = np.maximum(h_lo, h_hi)
+        absolute = (z_lo < _Z_ABS[1]) & (z_hi > _Z_ABS[0])
+        lo = low @ mass - 1e-12 * (np.maximum(np.abs(low), absolute) @ mass)
+        hi = high @ mass + 1e-12 * (np.maximum(np.abs(high), absolute) @ mass)
+        sign[unknown] = np.select([lo > _TINY, hi < -_TINY], [1.0, -1.0], 0.0)
+        unknown = unknown[sign[unknown] == 0.0]
     for i in np.unique(unknown // _BLOCK_X) * _BLOCK_X:
         block = grid[i:i + _BLOCK_X]
         sign[i:i + _BLOCK_X] = np.sign(_stationarity_gap(dist, block))
@@ -485,11 +508,11 @@ def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
     ``no_finite_optimum`` — the optimal scale drifts to infinity and the
     optimal acceptance rate to zero.
 
-    The grid needs only the sign of g.  The law's g is averaged only
-    at grid points where its support does not fix that sign (see
-    _gap_sign): elsewhere every term w h(mu/R) of the weighted sum has that
-    sign or is 0, and one term is far from underflow, so the signs, the
-    brackets and the result are exactly those of the full average.
+    The grid needs only the sign of g.  The law's g is averaged only at
+    grid points where bounds over sorted runs of its values leave that sign
+    open (see _gap_sign): elsewhere the bounds, widened past any rounding of
+    the weighted sum, fix it, so the signs, the brackets and the result are
+    exactly those of the full average.
     """
     grid = _search_grid(dist)
     sign = _gap_sign(dist, grid)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import rwmscaling
+import rwmscaling.cli
 
 SUBMODULES = ["asymptotics", "cli", "elliptical", "engine", "optimizer",
               "quadrature", "simulate", "special", "targets"]

@@ -448,9 +448,8 @@ def test_from_target_cloud_solve_is_pinned():
     assert opt.aoa == pytest.approx(0.22948667230338826, rel=1e-13)
 
 
-def test_sample_law_grid_averages_only_where_the_sign_is_open(chi_radii,
-                                                              monkeypatch):
-    dist = mixing_samples(chi_radii)
+def _points_averaged(dist, monkeypatch):
+    """The grid points _gap_sign averages; its signs must be the full gap's."""
     grid = asymptotics._search_grid(dist)
     points = []
     full_gap = asymptotics._stationarity_gap
@@ -461,8 +460,29 @@ def test_sample_law_grid_averages_only_where_the_sign_is_open(chi_radii,
 
     monkeypatch.setattr(asymptotics, "_stationarity_gap", counted)
     sign = asymptotics._gap_sign(dist, grid)
-    assert sum(points) <= 48 < grid.size
     assert np.array_equal(sign, np.sign(full_gap(dist, grid)))
+    assert grid.size > 500
+    return sum(points)
+
+
+def test_sample_law_grid_averages_only_where_the_sign_is_open(chi_radii,
+                                                              monkeypatch):
+    assert _points_averaged(mixing_samples(chi_radii), monkeypatch) <= 16
+
+
+@pytest.mark.parametrize("spec, most", [("halfnormal", 24), ("exp", 32),
+                                        ("lognormal", 40),
+                                        ("loguniform-cloud", 24)])
+def test_grid_averages_few_points(spec, most, monkeypatch):
+    # Measured: 16, 24, 32 and 16 points (352, 392 and 328 for the three
+    # densities when only the law's extreme values bounded the sign).
+    if spec == "loguniform-cloud":
+        # 20k radii spread over eight decades
+        u = np.random.default_rng(0).uniform(-4.0, 4.0, 20_000)
+        dist = mixing_samples(10.0 ** u)
+    else:
+        dist = mixing_from_spec(spec)
+    assert _points_averaged(dist, monkeypatch) <= most
 
 
 def test_a_cloud_is_its_radii_as_equal_atoms(chi_radii):
@@ -482,6 +502,19 @@ def test_grid_sign_averages_where_a_light_atom_could_underflow():
     dist = mixing_atoms([1.0, 1000.0], [1.0, 1e-300])
     grid = asymptotics._search_grid(dist)
     full = asymptotics._stationarity_gap(dist, grid)
-    assert np.any((grid / 1000.0 > asymptotics._Z_NEG) & (grid / 1000.0 <= 30.0)
+    assert np.any((grid / 1000.0 > 1.01 * POINT_MASS_MU_HAT) & (grid / 1000.0 <= 30.0)
+                  & (full == 0.0))
+    assert np.array_equal(asymptotics._gap_sign(dist, grid), np.sign(full))
+
+
+@pytest.mark.parametrize("weight", [1e-315, 1e-320])
+def test_grid_sign_averages_where_light_atoms_underflow_one_by_one(weight):
+    # 100 atoms near 100, each so light that its term underflows to 0 where
+    # the atom at 1 is dead, though the run's weight times h would not.
+    values = np.concatenate([[1.0], np.linspace(100.0, 101.0, 100)])
+    dist = mixing_atoms(values, np.concatenate([[1.0], np.full(100, weight)]))
+    grid = asymptotics._search_grid(dist)
+    full = asymptotics._stationarity_gap(dist, grid)
+    assert np.any((grid > asymptotics._Z_DEAD) & (grid / 101.0 <= 30.0)
                   & (full == 0.0))
     assert np.array_equal(asymptotics._gap_sign(dist, grid), np.sign(full))

@@ -1,16 +1,18 @@
 """Structural facts of the limit theory checked over random mixing laws
-(atoms and sample clouds): the optimal acceptance rate stays below the
-point-mass value 0.2338 with equality only at a point mass, the optimum is
-scale equivariant, and a discrete law's stationary points lie in its
-support times the point-mass optimum, where solve_aots reads the gap's
-sign."""
+(atoms, sample clouds and densities): the optimal acceptance rate stays
+below the point-mass value 0.2338 with equality only at a point mass, the
+optimum is scale equivariant, and a discrete law's stationary points lie in
+its support times the point-mass optimum.  solve_aots reads the gap's sign
+off bounds over runs of the law's values, and each sign is that of the full
+average."""
 
 import numpy as np
 import pytest
 
 from rwmscaling import asymptotics
 from rwmscaling.asymptotics import (POINT_MASS_AOA, POINT_MASS_MU_HAT,
-                                    aoa_bound_check, mixing_atoms, mixing_point,
+                                    aoa_bound_check, mixing_atoms, mixing_density,
+                                    mixing_from_spec, mixing_point,
                                     mixing_samples, solve_aots)
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -65,6 +67,26 @@ def lognormal_clouds(draw):
     radii = rng.lognormal(0.0, sigma, n)
     radii[:n_tiny] = rng.uniform(5e-7, 2e-6, n_tiny)
     return mixing_samples(radii)
+
+
+@st.composite
+def density_laws(draw):
+    """A lognormal law with log R ~ N(m, sigma^2), or a pareto:a law, each
+    as the quadrature rule mixing_density builds."""
+    if draw(st.booleans()):
+        m, sigma = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.05, 2.5))
+        return mixing_density(
+            lambda r: -0.5 * ((np.log(r) - m) / sigma) ** 2 - np.log(r))
+    return mixing_from_spec(f"pareto:{draw(st.floats(1.0, 6.0))!r}")
+
+
+@st.composite
+def wide_clouds(draw):
+    """1k to 10k radii spread log-uniformly over 2 to 8 decades."""
+    n = draw(st.integers(1_000, 10_000))
+    centre, decades = draw(st.floats(-1.0, 1.0)), draw(st.floats(2.0, 8.0))
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n)
+    return mixing_samples(10.0 ** (centre + decades * (u - 0.5)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -124,4 +146,16 @@ def test_cloud_grid_signs_match_the_full_gap(dist):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(atom_laws(), thin_atom_laws()))
 def test_atom_grid_signs_match_the_full_gap(dist):
+    _assert_grid_signs_match_the_full_gap(dist)
+
+
+@settings(max_examples=50, deadline=None)
+@given(density_laws())
+def test_density_grid_signs_match_the_full_gap(dist):
+    _assert_grid_signs_match_the_full_gap(dist)
+
+
+@settings(max_examples=50, deadline=None)
+@given(wide_clouds())
+def test_wide_cloud_grid_signs_match_the_full_gap(dist):
     _assert_grid_signs_match_the_full_gap(dist)
