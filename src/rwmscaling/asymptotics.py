@@ -224,9 +224,10 @@ def mixing_from_spec(spec: str, *, seed: int = 0,
     ``pareto:<alpha>`` | ``atoms:v@w,v@w,...`` | ``samples:<path>`` |
     ``from-target:<target-spec>:<d>``.  ``lognormal`` is the law with
     log R ~ N(1, 1) (the weak limit of the unimodal lognormal example);
-    ``pareto:<alpha>`` has density proportional to r^-(alpha+1) on r > 1 and
-    for alpha <= 2 exercises the no-finite-optimum path.  ``from-target``
-    draws radii from a finite-d example target and rescales by its k_d.
+    ``pareto:<alpha>``, alpha >= 0.1, has density proportional to r^-(alpha+1)
+    on r > 1 and for alpha <= 2 exercises the no-finite-optimum path.
+    ``from-target`` draws radii from a finite-d example target and rescales
+    by its k_d.
     """
     spec = spec.strip()
     n_samples = _checked_count(n_samples, "n_samples", 100)
@@ -241,13 +242,17 @@ def mixing_from_spec(spec: str, *, seed: int = 0,
             lambda r: -0.5 * (np.log(r) - 1.0) ** 2 - np.log(r), label="lognormal")
     if spec.startswith("pareto:"):
         alpha = _checked_positive(float(spec[7:]), "pareto exponent")
+        if alpha < 0.1:  # a wider scan's cubic slopes overflow below
+            raise ValueError("pareto exponent must be at least 0.1")
 
         def log_pareto(r):
             r = np.asarray(r, dtype=float)
             return np.where(r >= 1.0, -(alpha + 1.0) * np.log(np.maximum(r, 1.0)),
                             -np.inf)
 
-        return mixing_density(log_pareto, label=spec, scan=(1.0, 1e14))
+        # A scan top that leaves ~1e-13 of the tail out; 1e14 for alpha >= 0.7601.
+        top = 10.0 ** max(14.0, 10.65 / alpha)
+        return mixing_density(log_pareto, label=spec, scan=(1.0, top))
     if spec.startswith("atoms:"):
         values, weights = [], []
         for part in spec[6:].split(","):
@@ -528,6 +533,12 @@ def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
                                "whole search grid")
     grid, sign = grid[:nonzero[-1] + 1], sign[:nonzero[-1] + 1]
 
+    gap = {}  # g where Brent evaluated it; the residual reads g(mu_hat) here
+
+    def g(m):
+        gap[m] = float(_stationarity_gap(dist, m)[0])
+        return gap[m]
+
     sign_flip = np.nonzero(sign[:-1] != sign[1:])[0]
     roots = []
     for i in sign_flip:
@@ -535,8 +546,7 @@ def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
             roots.append(float(grid[i]))
             continue
         try:
-            root = _brentq(lambda m: float(_stationarity_gap(dist, m)[0]),
-                           grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16)
+            root = _brentq(g, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16)
         except (ValueError, RuntimeError) as exc:
             raise AsymptoticsError(f"root refinement failed on "
                                    f"[{grid[i]:g}, {grid[i+1]:g}]: {exc}") from exc
@@ -563,7 +573,7 @@ def solve_aots(dist: MixingDistribution) -> AsymptoticOptimum:
         limit_esjd_at_mu_hat=esjd_at[0],
         roots=tuple(roots),
         esjd_argmax_mu=argmax,
-        residual=float(abs(_stationarity_gap(dist, mu_hat)[0])),
+        residual=abs(gap[mu_hat] if mu_hat in gap else g(mu_hat)),
         no_finite_optimum=False,
         mu_max=_MU_MAX)
 

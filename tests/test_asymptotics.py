@@ -89,6 +89,27 @@ def test_pareto_heavy_tail_has_no_finite_optimum():
     assert opt.roots == ()
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.76, 0.8, 1.0])
+def test_every_pareto_tail_down_to_the_bound_builds(alpha):
+    # A (1, 1e14) scan holds too little of an r^-alpha tail below alpha =
+    # 0.7601; there the window widens with 1/alpha.  Where 1e14 suffices
+    # the law is the one that window gives, bit for bit.
+    law = mixing_from_spec(f"pareto:{alpha}")
+    assert solve_aots(law).no_finite_optimum
+    assert abs(law.weights.sum() - 1.0) < 2e-12
+    if alpha >= 0.8:
+        log_pdf = _pareto_law(alpha)[0]
+        want = mixing_density(log_pdf, label=f"pareto:{alpha}", scan=(1.0, 1e14))
+        assert np.array_equal(law.values, want.values)
+        assert np.array_equal(law.weights, want.weights)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.0999])
+def test_pareto_tails_below_the_bound_raise(alpha):
+    with pytest.raises(ValueError, match="at least 0.1"):
+        mixing_from_spec(f"pareto:{alpha}")
+
+
 def test_optimum_is_scale_equivariant():
     # A density law is the nodes of its rule, so scaling it is exact.
     base = mixing_from_spec("halfnormal")

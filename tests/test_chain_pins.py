@@ -1,0 +1,60 @@
+"""Bit-for-bit pins of the sampling oracles: run_rwm, mc_expectation,
+elliptical_ear_esjd and a sample-cloud solve_aots.
+
+tests/chain_pins.json holds each call's arguments and the float.hex of every
+field of its result, recorded at commit 4c8cc7b, before the radius draws
+were evaluated in sorted order and the R-hat ranks taken from run
+boundaries.  Both changes are meant to move no bit of any result.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from rwmscaling.asymptotics import mixing_from_spec, solve_aots
+from rwmscaling.elliptical import (EllipticalSpec, elliptical_ear_esjd,
+                                   parse_eigenvalue_rule)
+from rwmscaling.simulate import mc_expectation, run_rwm
+from rwmscaling.targets import parse_target_spec
+
+_PINS = json.loads((Path(__file__).parent / "chain_pins.json").read_text())
+
+
+def _hexed(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def pinned_result(kind: str, args: dict) -> dict:
+    """The hexed fields of one pinned call; ``args`` as stored in the pins."""
+    if kind == "solve_aots":
+        result = solve_aots(mixing_from_spec(args["mixing"]))
+    else:
+        d, lam = args["d"], float.fromhex(args["lam"])
+        target = parse_target_spec(args["target"], d)
+        proposal = (target if args["proposal"] == args["target"]
+                    else parse_target_spec(args["proposal"], d))
+        if args.get("eigenvalues"):
+            target = EllipticalSpec(
+                d=d, eigenvalues=tuple(parse_eigenvalue_rule(args["eigenvalues"], d)),
+                spherical_core=target, proposal_core=proposal)
+        if kind == "run_rwm":
+            result = run_rwm(target, proposal, lam, n_iters=args["n_iters"],
+                             burn_in=args.get("burn_in"), seed=args["seed"])
+        elif kind == "mc_expectation":
+            result = mc_expectation(target, proposal, lam, seed=args["seed"])
+        else:
+            result = elliptical_ear_esjd(target, lam)
+    return {k: _hexed(v) for k, v in dataclasses.asdict(result).items()}
+
+
+@pytest.mark.parametrize("name", sorted(_PINS))
+def test_sampling_oracles_are_pinned_bit_for_bit(name):
+    pin = _PINS[name]
+    assert pinned_result(pin["kind"], pin["args"]) == pin["result"]
+

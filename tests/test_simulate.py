@@ -9,8 +9,8 @@ import pytest
 from rwmscaling.elliptical import EllipticalSpec
 from rwmscaling.engine import (closed_form_gaussian_1d, get_marginal_table,
                                table_point)
-from rwmscaling.simulate import (_lockstep, _split_rhat, mc_expectation,
-                                 run_rwm)
+from rwmscaling.simulate import (_average_ranks, _lockstep, _split_rhat,
+                                 mc_expectation, run_rwm)
 from rwmscaling.targets import build_example_target, parse_target_spec
 
 
@@ -267,6 +267,21 @@ def test_metastable_mixture_chains_are_flagged():
     narrow = run_rwm(t, p, 0.8, n_iters=400_000, seed=2)
     assert narrow.flag == ""
     assert stuck.accept_se > 5 * narrow.accept_se
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (400, 6), (20, 4)])
+def test_average_ranks_match_scipy_on_ties(shape):
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(shape[0])
+    # Draws rounded to integers tie heavily; a frozen chain is one long tie.
+    values = np.round(rng.standard_normal(shape))
+    if len(shape) == 2:
+        values[:, 1] = 0.0
+    if shape == (20, 4):
+        values[:] = 2.5  # every draw tied
+    ranks = _average_ranks(values)
+    assert ranks.tobytes() == rankdata(values, axis=None).tobytes()
 
 
 def test_split_rhat_matches_the_rank_normalized_formula():

@@ -139,6 +139,19 @@ def test_sample_radius_draws_nothing_for_a_zero_count():
     assert sample_radius(t, 5.0, 0).shape == (5,)
 
 
+@pytest.mark.parametrize("n", [0, 1, 65_537])
+@pytest.mark.parametrize("spec", ["gaussian", "exponential", "mixture:p=1/d^2",
+                                  "custom"])
+def test_sample_radius_is_the_quantile_of_its_uniforms(spec, n, tmp_path):
+    # Bit for bit, in draw order: however the quantile is evaluated, a draw
+    # is the quantile of the uniform the generator gave in its place.
+    t = _pinned_model(f"{spec}@10", tmp_path)
+    r = sample_radius(t, n, np.random.default_rng(7))
+    want = t._quantile_fn(np.random.default_rng(7).random(n))
+    assert r.shape == (n,)
+    assert r.tobytes() == want.tobytes()
+
+
 def test_mixture_weight_grammar():
     assert parse_mixture_weight("0.2", 10) == pytest.approx(0.2)
     assert parse_mixture_weight("1/d", 10) == pytest.approx(0.1)
