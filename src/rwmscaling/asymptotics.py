@@ -65,6 +65,7 @@ POINT_MASS_MU_HAT = 1.1906012483427703
 POINT_MASS_AOA = 0.23381016133183664
 
 _MU_MAX = 1e6  # solve_aots: top of the search grid
+_FROM_TARGET_DRAWS = 200_000  # radii in a from-target: cloud
 # mixing_density seeds its rule's panels this far apart in t = log r.  In t
 # every kernel k(x, e^-t) is one shape shifted by log x, so one width cap
 # resolves it at every x; the core refines only where the density needs it.
@@ -216,21 +217,19 @@ def mixing_samples(radii, *, label: str = "samples") -> MixingDistribution:
     return _validate_no_zero_mass(dist)
 
 
-def mixing_from_spec(spec: str, *, seed: int = 0,
-                     n_samples: int = 200_000) -> MixingDistribution:
+def mixing_from_spec(spec: str, *, seed: int = 0) -> MixingDistribution:
     """Parse a mixing-law string.
 
     Grammar: ``point:<c>`` | ``halfnormal`` | ``exp`` | ``lognormal`` |
     ``pareto:<alpha>`` | ``atoms:v@w,v@w,...`` | ``samples:<path>`` |
     ``from-target:<target-spec>:<d>``.  ``lognormal`` is the law with
     log R ~ N(1, 1) (the weak limit of the unimodal lognormal example);
-    ``pareto:<alpha>``, alpha >= 0.1, has density proportional to r^-(alpha+1)
+    ``pareto:<alpha>``, alpha >= 0.05, has density proportional to r^-(alpha+1)
     on r > 1 and for alpha <= 2 exercises the no-finite-optimum path.
-    ``from-target`` draws radii from a finite-d example target and rescales
-    by its k_d.
+    ``from-target`` draws 200 000 radii from a finite-d example target,
+    seeded by the integer seed >= 0, and rescales them by its k_d.
     """
     spec = spec.strip()
-    n_samples = _checked_count(n_samples, "n_samples", 100)
     if spec.startswith("point:"):
         return mixing_point(float(spec[6:]))
     if spec == "halfnormal":
@@ -242,8 +241,8 @@ def mixing_from_spec(spec: str, *, seed: int = 0,
             lambda r: -0.5 * (np.log(r) - 1.0) ** 2 - np.log(r), label="lognormal")
     if spec.startswith("pareto:"):
         alpha = _checked_positive(float(spec[7:]), "pareto exponent")
-        if alpha < 0.1:  # a wider scan's cubic slopes overflow below
-            raise ValueError("pareto exponent must be at least 0.1")
+        if alpha < 0.05:  # keeps the scan top below a double's range
+            raise ValueError("pareto exponent must be at least 0.05")
 
         def log_pareto(r):
             r = np.asarray(r, dtype=float)
@@ -275,8 +274,8 @@ def mixing_from_spec(spec: str, *, seed: int = 0,
             raise AsymptoticsError(
                 f"target {target_spec!r} has no known radial scale k_d; "
                 "cannot form the rescaled-radius sample")
-        rng = np.random.default_rng(seed)
-        radii = sample_radius(model, n_samples, rng) / model.k
+        rng = np.random.default_rng(_checked_count(seed, "seed", 0))
+        radii = sample_radius(model, _FROM_TARGET_DRAWS, rng) / model.k
         return mixing_samples(radii, label=spec)
     raise ValueError(f"unknown mixing-law spec {spec!r}")
 
@@ -614,20 +613,19 @@ def aoa_bound_check(dist: MixingDistribution) -> BoundCheckReport:
                             equality=abs(gap) <= 1e-4)
 
 
-def _k_value(k, d: int) -> float:
-    return _checked_positive(k(d) if callable(k) else k, "radial scale k")
-
-
-def aos(mu_hat: float, k_x, k_y, d: int) -> float:
+def aos(mu_hat: float, k_x: float, k_y: float, d: int) -> float:
     """Asymptotically optimal proposal scale at dimension d:
-    lambda_hat = 2 mu_hat k_x(d) / (sqrt(d) k_y(d))."""
+    lambda_hat = 2 mu_hat k_x / (sqrt(d) k_y), with k_x and k_y the radial
+    scales of target and proposal at d."""
     d = _checked_dimension(d)
     mu_hat = _checked_positive(mu_hat, "mu_hat")
-    return 2.0 * mu_hat * _k_value(k_x, d) / (np.sqrt(d) * _k_value(k_y, d))
+    k_x, k_y = (_checked_positive(k, "radial scale k") for k in (k_x, k_y))
+    return 2.0 * mu_hat * k_x / (np.sqrt(d) * k_y)
 
 
-def transformed_scale(lam: float, d: int, k_x, k_y) -> float:
+def transformed_scale(lam: float, d: int, k_x: float, k_y: float) -> float:
     """Dimension-stabilized scale mu = (1/2) sqrt(d) (k_y / k_x) lambda."""
     d = _checked_dimension(d)
     lam = _checked_positive(lam, "lambda")
-    return 0.5 * np.sqrt(d) * _k_value(k_y, d) / _k_value(k_x, d) * lam
+    k_x, k_y = (_checked_positive(k, "radial scale k") for k in (k_x, k_y))
+    return 0.5 * np.sqrt(d) * k_y / k_x * lam

@@ -21,7 +21,7 @@ def _pchip_slopes(x, h, m):
     at the ends a one-sided three-point slope kept to the data's shape."""
     flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
     w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
     d = np.zeros(x.size)
     d[1:-1][~flat] = 1.0 / whmean[~flat]

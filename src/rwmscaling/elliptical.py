@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-import warnings
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .asymptotics import aos
 from .engine import _sampled_ear_esjd
 from .special import (_checked_count, _checked_dimension,
                       _checked_dimension_list, _checked_positive)
-from .targets import RadialModel
+from .targets import RadialModel, sample_radius
 
 __all__ = [
     "EllipticalError",
@@ -54,8 +53,7 @@ class EllipticalSpec:
 
     ``eigenvalues`` are the axis scalings nu_i applied to both the target
     and the proposal when moving to the coordinates in which the target is
-    spherical.  ``mean_sq`` caches d^{-1} sum nu_i^2 and ``nu_max`` the
-    largest eigenvalue.
+    spherical.  ``mean_sq`` caches d^{-1} sum nu_i^2.
     """
 
     d: int
@@ -63,7 +61,6 @@ class EllipticalSpec:
     spherical_core: RadialModel
     proposal_core: RadialModel
     mean_sq: float = field(init=False)
-    nu_max: float = field(init=False)
 
     def __post_init__(self):
         nus = _checked_eigenvalues(self.eigenvalues, self.d)
@@ -71,7 +68,6 @@ class EllipticalSpec:
             raise EllipticalError("core dimensions must match d")
         object.__setattr__(self, "eigenvalues", tuple(float(v) for v in nus))
         object.__setattr__(self, "mean_sq", float(np.mean(nus ** 2)))
-        object.__setattr__(self, "nu_max", float(nus.max()))
 
 
 def _checked_eigenvalues(nus, d: int) -> np.ndarray:
@@ -87,8 +83,9 @@ def parse_eigenvalue_rule(rule: str, d: int) -> np.ndarray:
 
     ``const:<c>`` gives nu_i = c, ``iota`` gives nu_i = i, ``spike:<c>``
     gives (1, ..., 1, c*d), and ``file:<path>`` reads one real per line
-    (padded by repeating the last value, truncated if longer than d).
-    Every eigenvalue must come out finite and positive.
+    (padded by repeating the last value, truncated if longer than d), so
+    any sequence can be given as a file.  Every eigenvalue must come out
+    finite and positive.
     """
     d = _checked_dimension(d, EllipticalError)
     rule = rule.strip()
@@ -115,18 +112,6 @@ def parse_eigenvalue_rule(rule: str, d: int) -> np.ndarray:
     return _checked_eigenvalues(nus, d)
 
 
-def _resolve_rule(rule: str | Callable[[int], np.ndarray], dims: Sequence[int],
-                  at_least: int):
-    """Checked dims, with the rule as (function of d giving its checked
-    eigenvalues, label).  The dims must be at least ``at_least`` strictly
-    increasing positive integers."""
-    dims = _checked_dimension_list(dims, at_least, EllipticalError)
-    if callable(rule):
-        return (dims, lambda d: _checked_eigenvalues(rule(d), d),
-                getattr(rule, "__name__", "custom"))
-    return dims, (lambda d: parse_eigenvalue_rule(rule, d)), rule
-
-
 @dataclass(frozen=True)
 class EccentricityReport:
     """Trend of nu_max^2 / sum nu_i^2 along a dimension sequence."""
@@ -137,8 +122,7 @@ class EccentricityReport:
     satisfied: bool
 
 
-def eccentricity_condition(rule: str | Callable[[int], np.ndarray],
-                           dims: Sequence[int]) -> EccentricityReport:
+def eccentricity_condition(rule: str, dims: Sequence[int]) -> EccentricityReport:
     """Classify whether nu_max^2 / sum nu_i^2 tends to zero along dims.
 
     The ratio is tabulated for every d; the trend is judged on the last
@@ -146,16 +130,16 @@ def eccentricity_condition(rule: str | Callable[[int], np.ndarray],
     consistent with decay to zero, violated means it stays bounded away
     from zero.
     """
-    dims, get, label = _resolve_rule(rule, dims, 3)
+    dims = _checked_dimension_list(dims, 3, EllipticalError)
     ratios = []
     for d in dims:
-        nus = get(d)
+        nus = parse_eigenvalue_rule(rule, d)
         ratios.append(float(nus.max() ** 2 / np.sum(nus ** 2)))
     # Decay to zero shows up as the ratio still falling by at least the
     # dimension ratio would suggest; a violating sequence flattens out.
     r1, r2, r3 = ratios[-3], ratios[-2], ratios[-1]
     satisfied = r3 < 0.5 * r1 and r3 < 0.9 * r2
-    return EccentricityReport(rule=label, dims=tuple(dims),
+    return EccentricityReport(rule=rule, dims=tuple(dims),
                               ratios=tuple(ratios), satisfied=satisfied)
 
 
@@ -189,7 +173,7 @@ def _transformed_proposal_radii(spec: EllipticalSpec, n_draws: int,
         m = n_draws // _N_STREAMS + (i < n_draws % _N_STREAMS)
         z = rng.standard_normal((m, spec.d))
         u = z / np.linalg.norm(z, axis=1, keepdims=True)
-        r = spec.proposal_core.sample_radius(m, rng)
+        r = sample_radius(spec.proposal_core, m, rng)
         parts.append(r * np.linalg.norm(u * nus, axis=1))
     return np.concatenate(parts)
 
@@ -207,34 +191,26 @@ def elliptical_ear_esjd(spec: EllipticalSpec, lam: float, *,
     """
     lam = _checked_positive(lam, "lambda")
     n_draws = _checked_count(n_draws, "n_draws", 1000)
-    w = _transformed_proposal_radii(spec, n_draws, int(seed))
+    seed = _checked_count(seed, "seed", 0)
+    w = _transformed_proposal_radii(spec, n_draws, seed)
     ear, ear_se, esjd, esjd_se = _sampled_ear_esjd(spec.spherical_core, lam, w)
     return EllipticalPoint(lam=lam, ear=ear, esjd=esjd, ear_se=ear_se,
                            esjd_se=esjd_se, n_draws=w.size)
 
 
-def elliptical_aos(spec: EllipticalSpec, mu_hat: float, *,
-                   condition: EccentricityReport | None = None) -> float:
+def elliptical_aos(spec: EllipticalSpec, mu_hat: float) -> float:
     """Optimal proposal scale for the elliptical target at dimension spec.d.
 
     Transfers the transformed-space optimum mu_hat back through the
     spherical rule, with k_x the spherical core's shell constant and the
     proposal core's k_y inflated to k_y_star = sqrt(mean nu^2) k_y, i.e. an
     extra (mean square eigenvalue)^{-1/2} factor relative to the spherical
-    case.  Raises EllipticalError when either core has no shell constant.  If an
-    eccentricity report is supplied and says the condition fails, the rule
-    is still returned but a warning is issued: the limit theory does not
-    cover that sequence.
+    case.  Raises EllipticalError when either core has no shell constant.
     """
     k_x, k_y = spec.spherical_core.k, spec.proposal_core.k
     if k_x is None or k_y is None:
         raise EllipticalError("core and proposal families must have shell "
                               "constants for the scaling rule")
-    if condition is not None and not condition.satisfied:
-        warnings.warn(
-            "eccentricity condition violated: the asymptotic rule is not "
-            "supported by the limit theory for this eigenvalue sequence",
-            RuntimeWarning, stacklevel=2)
     return aos(mu_hat, k_x, k_y, spec.d) / math.sqrt(spec.mean_sq)
 
 
@@ -248,8 +224,8 @@ class ShellDeviationReport:
     decreasing: bool
 
 
-def lemma5_numeric_check(rule: str | Callable[[int], np.ndarray],
-                         dims: Sequence[int], *, n_samples: int = 100_000,
+def lemma5_numeric_check(rule: str, dims: Sequence[int], *,
+                         n_samples: int = 100_000,
                          seed: int = 31208) -> ShellDeviationReport:
     """Monte Carlo check that the scaled map output concentrates on a shell.
 
@@ -259,17 +235,18 @@ def lemma5_numeric_check(rule: str | Callable[[int], np.ndarray],
     for a violating sequence it stalls at a positive level.
     """
     n_samples = _checked_count(n_samples, "n_samples", 1)
-    dims, get, label = _resolve_rule(rule, dims, 2)
+    seed = _checked_count(seed, "seed", 0)
+    dims = _checked_dimension_list(dims, 2, EllipticalError)
     seeds = np.random.SeedSequence(seed).spawn(len(dims))
     devs = []
     for d, ss in zip(dims, seeds):
-        nus = get(d)
+        nus = parse_eigenvalue_rule(rule, d)
         rng = np.random.default_rng(ss)
         z = rng.standard_normal((n_samples, d))
         norm = np.sqrt(np.mean(nus ** 2))
         scaled = np.linalg.norm(z * nus, axis=1) / (math.sqrt(d) * norm)
         devs.append(float(np.mean((scaled - 1.0) ** 2)))
     decreasing = all(b < a for a, b in zip(devs, devs[1:]))
-    return ShellDeviationReport(rule=label, dims=tuple(dims),
+    return ShellDeviationReport(rule=rule, dims=tuple(dims),
                                 deviations=tuple(devs),
                                 decreasing=decreasing)

@@ -38,7 +38,7 @@ from .special import _checked_positive, kernel_K
 from .targets import RadialModel
 
 __all__ = [
-    "EngineError", "CurvePoint", "marginal_cdf", "MarginalTable",
+    "EngineError", "CurvePoint", "MarginalTable",
     "get_marginal_table", "ear_esjd", "table_point", "curve",
     "closed_form_gaussian_1d", "closed_form_laplace_1d",
 ]
@@ -67,21 +67,6 @@ def closed_form_laplace_1d(lam: float) -> tuple[float, float]:
     ear_v = 2.0 / (lam + 2.0)
     esjd_v = 16.0 * lam * lam / (lam + 2.0) ** 3
     return float(ear_v), float(esjd_v)
-
-
-def marginal_cdf(model: RadialModel, x1: float) -> float:
-    """CDF of one coordinate of the spherically symmetric law, by quadrature.
-
-    Uses the projection identity F_{1|d}(x1) = 1 - W(|x1|)/2 (x1 >= 0) with
-    W the two-sided tail weight; absolute error well below 1e-10.
-    """
-    x1 = float(x1)
-    z = abs(x1)
-    if z == 0.0:
-        return 0.5
-    w, _, _ = _tail_weight_many(model, np.array([z]), epsabs=1e-12)
-    half_w = 0.5 * min(float(w[0]), 2.0)
-    return half_w if x1 < 0.0 else 1.0 - half_w
 
 
 def _tail_weight_many(model: RadialModel, z: np.ndarray, *, epsabs=1e-14,
@@ -144,8 +129,9 @@ class MarginalTable:
 
     rel_tol = 3e-9
     w_floor = 1e-10
+    max_rounds = 12
 
-    def __init__(self, model: RadialModel, *, max_rounds: int = 12):
+    def __init__(self, model: RadialModel):
         self.model = model
         q999 = float(model.quantile(0.999))
         q_small = float(model.quantile(1e-4))
@@ -161,7 +147,7 @@ class MarginalTable:
         # Every midpoint W computed so far, sorted by z.
         seen_z = seen_w = np.empty(0)
         self.max_interp_rel_err = np.inf
-        for _ in range(max_rounds):
+        for _ in range(self.max_rounds):
             knots, w_vals = self._fit(knots, w_vals)
             mids = 0.5 * (knots[:-1] + knots[1:])
             mids = mids[mids < self._z_last]

@@ -23,7 +23,7 @@ from .asymptotics import (AsymptoticsError, aos, mixing_from_spec,
 from .engine import (CurvePoint, EngineError, curve, get_marginal_table,
                      table_point)
 from .quadrature import QuadratureError
-from .special import _checked_dimension_list, _checked_positive
+from .special import _checked_count, _checked_dimension_list, _checked_positive
 from .targets import RadialModel, _parse_pair, parse_target_spec
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _REL_TOL = 1e-5  # golden-section tolerance on log(lambda)
+_TIE_REL = 1e-6  # maxima within this relative ESJD of the best tie with it
 
 
 class OptimizerError(RuntimeError):
@@ -111,7 +112,7 @@ def _golden_refine(fun, t_lo: float, t_hi: float, tol: float) -> CurvePoint:
 
 def optimize(target: RadialModel, proposal: RadialModel, *,
              lam_lo: float | None = None, lam_hi: float | None = None,
-             grid: int = 512, tie_rel: float = 1e-6) -> ScalingOptimum:
+             grid: int = 512) -> ScalingOptimum:
     """Maximize the ESJD curve over [lam_lo, lam_hi].
 
     Every grid point exceeding both neighbours seeds a golden-section
@@ -128,8 +129,7 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
     lam_lo, lam_hi = _checked_positive([lam_lo, lam_hi], "lam_lo and lam_hi")
     if not lam_lo < lam_hi:
         raise ValueError("need 0 < lam_lo < lam_hi")
-    if grid < 64:
-        raise ValueError("grid must have at least 64 points")
+    grid = _checked_count(grid, "grid", 64)
     table = get_marginal_table(target)
 
     lambdas = np.geomspace(lam_lo, lam_hi, grid)
@@ -180,7 +180,7 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
             merged.append(p)
 
     best_esjd = max(p.esjd for p in merged)
-    winners = [p for p in merged if p.esjd >= best_esjd * (1.0 - tie_rel)]
+    winners = [p for p in merged if p.esjd >= best_esjd * (1.0 - _TIE_REL)]
     champion = min(winners, key=lambda p: p.lam)
     return ScalingOptimum(
         lambda_hat=champion.lam, ear_hat=champion.ear, esjd_hat=champion.esjd,

@@ -21,7 +21,7 @@ from scipy.special import ndtri
 from .engine import _check_dimensions, _sampled_ear_esjd
 from .elliptical import EllipticalSpec
 from .special import _checked_count, _checked_positive
-from .targets import RadialModel
+from .targets import RadialModel, sample_radius
 
 __all__ = ["ChainStats", "MCExpectation", "run_rwm", "mc_expectation"]
 
@@ -173,6 +173,7 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     burn = n_iters // 10 if burn_in is None else _checked_count(burn_in, "burn_in", 0)
     if burn > n_iters - _N_CHAINS:
         raise ValueError(f"burn_in must lie in [0, n_iters - {_N_CHAINS}]")
+    seed = _checked_count(seed, "seed", 0)
 
     if isinstance(target, EllipticalSpec):
         if proposal is not target.proposal_core:
@@ -189,10 +190,10 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     d = core.d
 
     k = _N_CHAINS
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     u0 = rng.standard_normal((k, d))
     u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
-    r0 = core.sample_radius(k, rng)
+    r0 = sample_radius(core, k, rng)
     # The chains live in the coordinates where the target is spherical,
     # x_* = nu * x: a proposal step that is spherical in the original
     # coordinates becomes nu * step there, and its squared length is the
@@ -211,7 +212,7 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
         m = min(_BLOCK // k, n_steps - t0)
         z = rng.standard_normal((m, k, d))
         z /= np.linalg.norm(z, axis=2, keepdims=True)
-        ry = lam * proposal.sample_radius(m * k, rng).reshape(m, k)
+        ry = lam * sample_radius(proposal, m * k, rng).reshape(m, k)
         steps = np.multiply(z, ry[..., None], out=z)
         if nus is None:
             mah_sq = ry * ry
@@ -254,7 +255,7 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
         flags.append(f"chains disagree (R-hat = {rhat:.5g}): not mixed")
     return ChainStats(
         target=label, proposal=proposal.label, d=d, lam=lam,
-        n_iters=n_iters, burn_in=burn, seed=int(seed),
+        n_iters=n_iters, burn_in=burn, seed=seed,
         accept_rate=rate, accept_se=rate_se, esjd=esjd, esjd_se=esjd_se,
         mean_sq_radius=mean_and_se(radii_sq)[0], rhat=rhat,
         flag="; ".join(flags))
@@ -271,9 +272,10 @@ def mc_expectation(target: RadialModel, proposal: RadialModel, lam: float, *,
     """
     lam = _checked_positive(lam, "lambda")
     n = _checked_count(n_samples, "n_samples", 10_000)
+    seed = _checked_count(seed, "seed", 0)
     _check_dimensions(target, proposal)
-    rng = np.random.default_rng(int(seed))
-    ry = proposal.sample_radius(n, rng)
+    rng = np.random.default_rng(seed)
+    ry = sample_radius(proposal, n, rng)
     ear, ear_se, esjd, esjd_se = _sampled_ear_esjd(target, lam, ry)
     return MCExpectation(ear=ear, ear_se=ear_se, esjd=esjd, esjd_se=esjd_se,
-                         n_samples=n, seed=int(seed))
+                         n_samples=n, seed=seed)

@@ -1,4 +1,4 @@
-"""Gaussian and incomplete-beta special functions and the projection kernel.
+"""Gaussian special functions, the input rules and the projection kernel.
 
 The kernel K_d is the survival function of the length of the first coordinate
 of a uniform unit vector in d dimensions: K_d(x) = P(|U_1| > x) with
@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy import special as _sp
 
-__all__ = ["gaussian_cdf", "gaussian_pdf", "beta_cdf", "kernel_K"]
+__all__ = ["gaussian_cdf", "gaussian_pdf", "kernel_K"]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -111,22 +111,6 @@ def gaussian_pdf(x):
     """Standard normal density."""
     x = np.asarray(x, dtype=float)
     out = np.exp(-0.5 * x * x) / _SQRT2PI
-    return out if out.ndim else float(out)
-
-
-def beta_cdf(u, a: float, b: float):
-    """Regularized incomplete beta function I_u(a, b).
-
-    Continued-fraction evaluation (with the symmetry switch at
-    u = (a+1)/(a+b+2)) via scipy's Cephes routine.  Raises ValueError for
-    u outside [0, 1] or non-positive shape parameters.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"beta_cdf requires a > 0 and b > 0, got a={a}, b={b}")
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0) or np.any(np.isnan(u_arr)):
-        raise ValueError("beta_cdf requires u in [0, 1]")
-    out = _sp.betainc(a, b, u_arr)
     return out if out.ndim else float(out)
 
 

@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .cubic import PiecewiseCubic
 from .quadrature import adaptive_quad, stacked_quad
 from .special import _checked_count, _checked_dimension, _checked_positive
 
 __all__ = [
-    "RadialModel", "unit_sphere_area", "radial_from_density",
+    "RadialModel", "radial_from_density",
     "build_example_target", "parse_mixture_weight", "parse_target_spec",
     "sample_radius", "CustomRadialTable",
 ]
@@ -34,15 +33,6 @@ _QUANTILE_LEVELS = np.array([
 ])
 _TRUNC_TAIL = 1e-12  # model support is cut where the radial CDF passes 1 - this
 _FITTED = ("log_norm", "r_lo", "r_hi", "_quantile_fn", "_cdf_fn", "_breakpoints")
-
-
-def unit_sphere_area(d: int) -> float:
-    """Surface area a_d = 2 pi^{d/2} / Gamma(d/2) of the unit sphere in R^d.
-
-    a_1 = 2, a_2 = 2 pi, a_3 = 4 pi.
-    """
-    d = _checked_dimension(d)
-    return float(np.exp(np.log(2.0) + 0.5 * d * np.log(np.pi) - gammaln(0.5 * d)))
 
 
 @dataclass(eq=False)
@@ -109,9 +99,6 @@ class RadialModel:
     def breakpoints(self) -> np.ndarray:
         """Radii at standard quantile levels; seeds for adaptive quadrature."""
         return self._breakpoints
-
-    def sample_radius(self, n: int, rng) -> np.ndarray:
-        return sample_radius(self, n, rng)
 
     def moment(self, p: float) -> float:
         cache = self.__dict__.setdefault("_moment_cache", {})
@@ -229,12 +216,11 @@ def radial_from_density(d: int, log_pi: Callable, *, family: str = "custom",
         limit_mixing=limit_mixing, scan=scan, extra_breakpoints=tuple(extra_breakpoints))
 
 
-def sample_radius(model: RadialModel, n: int, rng) -> np.ndarray:
-    """n >= 0 inverse-CDF draws of the radius; deterministic given a seed.  The
+def sample_radius(model: RadialModel, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """n >= 0 inverse-CDF draws of the radius from the Generator rng.  The
     quantile is evaluated over the sorted uniforms, where its knot search
     predicts well; it acts point by point, so no draw's bits change."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     u = rng.random(_checked_count(n, "n", 0))
     order = np.argsort(u)
     u[order] = model._quantile_fn(u[order])

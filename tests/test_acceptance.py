@@ -13,6 +13,7 @@ import pytest
 from rwmscaling.asymptotics import (
     POINT_MASS_AOA,
     mixing_from_spec,
+    mixing_samples,
     solve_aots,
 )
 from rwmscaling.elliptical import (
@@ -24,7 +25,7 @@ from rwmscaling.elliptical import (
 from rwmscaling.engine import curve, get_marginal_table, table_point
 from rwmscaling.optimizer import optimize, sweep_dimension
 from rwmscaling.simulate import mc_expectation, run_rwm
-from rwmscaling.targets import build_example_target, parse_target_spec
+from rwmscaling.targets import build_example_target, parse_target_spec, sample_radius
 
 _SWEEP_DIMS = [1, 2, 5, 10, 30, 100]
 # Families 1-4 share a Gaussian proposal; their limiting optimal acceptance
@@ -245,6 +246,7 @@ def test_criterion_08_heavy_tail_small_d_values():
 
 
 def test_criterion_09_acceptance_bound_battery():
+    model = parse_target_spec("radial-gaussian", 64)
     battery = [
         mixing_from_spec("point:1"),
         mixing_from_spec("halfnormal"),
@@ -254,8 +256,8 @@ def test_criterion_09_acceptance_bound_battery():
         mixing_from_spec("atoms:0.5@3,1.5@1"),
         mixing_from_spec("atoms:0.95@1,1.05@1"),
         mixing_from_spec("halfnormal").scaled(2.0),
-        mixing_from_spec("from-target:radial-gaussian:64", seed=3,
-                         n_samples=60_000),
+        mixing_samples(sample_radius(model, 60_000, np.random.default_rng(3))
+                       / model.k, label="from-target:radial-gaussian:64"),
     ]
     checks = [(f"battery holds {len(battery)} >= 8 laws", len(battery) >= 8)]
     aoas = {}

@@ -4,6 +4,7 @@ every entry point applies the same rules to its proposal scale, to the
 dimensions of its target and proposal, and to its other scales, mu values
 and dimension lists."""
 
+import ast
 import importlib
 import inspect
 import io
@@ -13,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rwmscaling
@@ -100,7 +102,7 @@ POSITIVE_SITES = {
     "optimize lam_lo": lambda v: rwmscaling.optimize(_T2, _T2, lam_lo=v, lam_hi=10.0),
     "optimize lam_hi": lambda v: rwmscaling.optimize(_T2, _T2, lam_lo=1e-3, lam_hi=v),
     "aos mu_hat": lambda v: rwmscaling.aos(v, 1.0, 1.0, 4),
-    "aos k_x": lambda v: rwmscaling.aos(1.19, lambda d: v, 1.0, 4),
+    "aos k_x": lambda v: rwmscaling.aos(1.19, v, 1.0, 4),
     "aos k_y": lambda v: rwmscaling.aos(1.19, 1.0, v, 4),
     "transformed_scale lambda": lambda v: rwmscaling.transformed_scale(v, 4, 1.0, 1.0),
     "transformed_scale k_x": lambda v: rwmscaling.transformed_scale(1.0, 4, v, 1.0),
@@ -147,9 +149,20 @@ COUNT_SITES = {
         _SPEC, 1.0, n_draws=v)),
     "lemma5_numeric_check n_samples": (1, lambda v: rwmscaling.lemma5_numeric_check(
         "iota", [10, 40], n_samples=v)),
-    "mixing_from_spec n_samples": (100, lambda v: rwmscaling.mixing_from_spec(
-        "from-target:gaussian:3", n_samples=v)),
-    "sample_radius n": (0, lambda v: rwmscaling.sample_radius(_T2, v, 0)),
+    "sample_radius n": (0, lambda v: rwmscaling.sample_radius(
+        _T2, v, np.random.default_rng(0))),
+    "optimize grid": (64, lambda v: rwmscaling.optimize(
+        _T2, _T2, lam_lo=0.1, lam_hi=10.0, grid=v)),
+    "run_rwm seed": (0, lambda v: rwmscaling.run_rwm(_T2, _T2, 1.0, n_iters=1_000,
+                                                     seed=v)),
+    "mc_expectation seed": (0, lambda v: rwmscaling.mc_expectation(
+        _T2, _T2, 1.0, seed=v)),
+    "elliptical_ear_esjd seed": (0, lambda v: rwmscaling.elliptical_ear_esjd(
+        _SPEC, 1.0, seed=v)),
+    "lemma5_numeric_check seed": (0, lambda v: rwmscaling.lemma5_numeric_check(
+        "iota", [10, 40], seed=v)),
+    "mixing_from_spec seed": (0, lambda v: rwmscaling.mixing_from_spec(
+        "from-target:gaussian:3", seed=v)),
 }
 _BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 BAD_INPUTS = ([(site, v) for site in POSITIVE_SITES for v in _BAD]
@@ -171,3 +184,31 @@ def test_bad_input_raises_value_error(site, value):
     # value must be rejected before it reaches any arithmetic.
     with pytest.raises(ValueError):
         _SITES[site](value)
+
+
+def test_optimize_takes_a_whole_float_grid_as_its_integer():
+    opt = rwmscaling.optimize(_T2, _T2, lam_lo=0.5, lam_hi=8.0, grid=100.0)
+    assert opt == rwmscaling.optimize(_T2, _T2, lam_lo=0.5, lam_hi=8.0, grid=100)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports at its top level but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items()
+            if name not in read]
+
+
+def test_package_modules_import_nothing_they_do_not_use():
+    # __init__ imports to re-export; every other module must read each name.
+    package = Path(rwmscaling.__file__).resolve().parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 10
+    assert [u for p in modules for u in _unused_imports(p)] == []

@@ -18,7 +18,6 @@ from rwmscaling.engine import (
     curve,
     ear_esjd,
     get_marginal_table,
-    marginal_cdf,
     table_point,
 )
 from rwmscaling.optimizer import default_search_range, optimize
@@ -44,20 +43,22 @@ def test_closed_form_laplace_values():
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 25])
 def test_gaussian_marginal_is_standard_normal(d):
     # One coordinate of a spherical standard Gaussian is N(0,1) in every
-    # dimension; this pins the projection-kernel integral end to end.
+    # dimension, so W(z) = 2 Phi(-z); this pins the projection-kernel
+    # integral end to end.
     t = build_example_target("gaussian", d)
-    for x in (-3.0, -1.0, -0.2, 0.0, 0.4, 2.5):
-        assert marginal_cdf(t, x) == pytest.approx(norm.cdf(x), abs=5e-12)
+    z = np.array([0.0, 0.2, 0.4, 1.0, 2.5, 3.0])
+    w, _, _ = engine._tail_weight_many(t, z)
+    assert np.abs(w - 2.0 * norm.cdf(-z)).max() <= 1e-11
 
 
 def test_marginal_cdf_basic_properties():
+    # Read through W(z) = 2 F(-z): F(0) = 1/2 makes W(0) the whole mass, less
+    # the 1e-12 tail the model truncates, and F non-decreasing makes W
+    # non-increasing.
     t = build_example_target("exponential", 3)
-    xs = np.linspace(-4, 4, 17)
-    vals = [marginal_cdf(t, float(x)) for x in xs]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-    assert marginal_cdf(t, 0.0) == 0.5
-    for x in (0.5, 1.7):
-        assert marginal_cdf(t, x) + marginal_cdf(t, -x) == pytest.approx(1.0, abs=1e-12)
+    w, _, _ = engine._tail_weight_many(t, np.linspace(0.0, 4.0, 9))
+    assert abs(w[0] - 1.0) <= 2e-12
+    assert np.all(np.diff(w) <= 0.0)
 
 
 def test_quadrature_matches_gaussian_closed_form():
@@ -77,6 +78,20 @@ def test_table_matches_gaussian_closed_form():
         pt = table_point(table, t, lam)
         assert abs(pt.ear - ear_c) <= pt.ear_err + 1e-12
         assert abs(pt.esjd - esjd_c) <= pt.esjd_err + 1e-11
+
+
+def test_both_routes_match_the_laplace_closed_form():
+    # Fixed tolerances: ear_esjd's reported errors (~1e-15 here) leave out
+    # the inner integrals' errors and the truncated tails.
+    t = build_example_target("laplace", 1)
+    table = get_marginal_table(t)
+    for lam in (0.3, 1.0, 4.0, 12.0):
+        ear_c, esjd_c = closed_form_laplace_1d(lam)
+        pt = table_point(table, t, lam)
+        ear_q, esjd_q, _, _ = ear_esjd(t, t, lam)
+        for ear, esjd in ((pt.ear, pt.esjd), (ear_q, esjd_q)):
+            assert abs(ear - ear_c) <= 1e-9
+            assert abs(esjd - esjd_c) <= 1e-8
 
 
 def test_laplace_identity_on_grid():
@@ -106,9 +121,10 @@ def test_table_certificate_is_tight():
         assert table.max_interp_rel_err <= 3e-9
 
 
-def test_uncertified_table_is_flagged_on_its_points():
+def test_uncertified_table_is_flagged_on_its_points(monkeypatch):
     t = build_example_target("gaussian", 1)
-    table = MarginalTable(t, max_rounds=1)
+    monkeypatch.setattr(MarginalTable, "max_rounds", 1)
+    table = MarginalTable(t)
     assert table.max_interp_rel_err > 3e-9 and not table.certified
     pt = table_point(table, t, 2.4)
     assert pt.ok and "certificate" in pt.message

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rwmscaling import optimizer
 from rwmscaling.engine import get_marginal_table, table_point
 from rwmscaling.optimizer import (
     DimensionSweep,
@@ -85,12 +86,13 @@ def test_mixture_d10_has_two_separated_maxima():
     assert opt.lambda_hat == pytest.approx(lams[0], rel=1e-6)
 
 
-def test_tie_break_prefers_smaller_scale():
-    # With tie_rel = 1 every local maximum counts as tied for best, so the
-    # canonical answer must be the smallest scale among them.
+def test_tie_break_prefers_smaller_scale(monkeypatch):
+    # With a tie tolerance of 1 every local maximum counts as tied for best,
+    # so the canonical answer must be the smallest scale among them.
+    monkeypatch.setattr(optimizer, "_TIE_REL", 1.0)
     t = parse_target_spec("mixture:p=1/d^2", 10)
     p = build_example_target("gaussian", 10)
-    opt = optimize(t, p, lam_lo=0.05, lam_hi=40.0, grid=256, tie_rel=1.0)
+    opt = optimize(t, p, lam_lo=0.05, lam_hi=40.0, grid=256)
     assert opt.n_local_maxima >= 2
     assert opt.lambda_hat == min(m.lam for m in opt.local_maxima)
     assert opt.canonical_rule == "smallest-lambda-among-argmax"

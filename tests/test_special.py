@@ -1,11 +1,11 @@
-"""Tests for the Gaussian/incomplete-beta helpers and the projection kernel."""
+"""Tests for the Gaussian helpers and the projection kernel."""
 
 import numpy as np
 import pytest
 from scipy import special
-from scipy.stats import beta as beta_dist, norm
+from scipy.stats import norm
 
-from rwmscaling.special import beta_cdf, gaussian_cdf, gaussian_pdf, kernel_K
+from rwmscaling.special import gaussian_cdf, gaussian_pdf, kernel_K
 
 
 def test_gaussian_cdf_matches_reference_values():
@@ -18,24 +18,6 @@ def test_gaussian_pdf_matches_reference_values():
     x = np.linspace(-5, 5, 21)
     assert np.allclose(gaussian_pdf(x), norm.pdf(x), rtol=1e-14, atol=0)
     assert isinstance(gaussian_pdf(0.3), float)
-
-
-def test_beta_cdf_matches_scipy_distribution():
-    u = np.linspace(0.0, 1.0, 41)
-    for a, b in [(0.5, 0.5), (0.5, 4.5), (2.0, 3.0), (0.5, 49.5)]:
-        assert np.allclose(beta_cdf(u, a, b), beta_dist.cdf(u, a, b),
-                           rtol=1e-12, atol=1e-14)
-
-
-def test_beta_cdf_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        beta_cdf(0.5, -1.0, 2.0)
-    with pytest.raises(ValueError):
-        beta_cdf(0.5, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        beta_cdf(1.5, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        beta_cdf(-0.1, 1.0, 2.0)
 
 
 def test_kernel_bounds_and_endpoints():

@@ -16,20 +16,10 @@ from rwmscaling.targets import (
     parse_target_spec,
     radial_from_density,
     sample_radius,
-    unit_sphere_area,
 )
 
 FAMILIES = ["gaussian", "exponential", "laplace", "radial-gaussian",
             "radial-exponential", "lognormal"]
-
-
-def test_unit_sphere_area_known_values():
-    assert unit_sphere_area(1) == pytest.approx(2.0)
-    assert unit_sphere_area(2) == pytest.approx(2.0 * math.pi)
-    assert unit_sphere_area(3) == pytest.approx(4.0 * math.pi)
-    for d in (0, -4, 2.5):
-        with pytest.raises(ValueError, match="positive integer"):
-            unit_sphere_area(d)
 
 
 @pytest.mark.parametrize("log_pi", [
@@ -124,8 +114,8 @@ def test_quantile_cdf_roundtrip():
 
 def test_sample_radius_reproducible_and_calibrated():
     t = build_example_target("exponential", 3)
-    a = t.sample_radius(50_000, np.random.default_rng(11))
-    b = t.sample_radius(50_000, np.random.default_rng(11))
+    a = sample_radius(t, 50_000, np.random.default_rng(11))
+    b = sample_radius(t, 50_000, np.random.default_rng(11))
     assert np.array_equal(a, b)
     # Gamma(3,1): mean 3, variance 3.
     assert a.mean() == pytest.approx(3.0, abs=5 * math.sqrt(3 / 50_000))
@@ -135,8 +125,8 @@ def test_sample_radius_reproducible_and_calibrated():
 
 def test_sample_radius_draws_nothing_for_a_zero_count():
     t = build_example_target("gaussian", 2)
-    assert sample_radius(t, 0, 0).shape == (0,)
-    assert sample_radius(t, 5.0, 0).shape == (5,)
+    assert sample_radius(t, 0, np.random.default_rng(0)).shape == (0,)
+    assert sample_radius(t, 5.0, np.random.default_rng(0)).shape == (5,)
 
 
 @pytest.mark.parametrize("n", [0, 1, 65_537])
@@ -251,7 +241,7 @@ def test_model_fits_once_on_first_read(monkeypatch):
     t.quantile(0.5)
     assert len(calls) == 1
     t.r_lo, t.r_hi, t.log_norm, t.breakpoints(), t.radial_cdf(2.0)
-    t.radial_pdf(2.0), t.moment(1.0), t.sample_radius(10, 0)
+    t.radial_pdf(2.0), t.moment(1.0), sample_radius(t, 10, np.random.default_rng(0))
     assert len(calls) == 1
     with pytest.raises(AttributeError, match="no attribute 'r_mid'"):
         t.r_mid
