@@ -21,6 +21,7 @@ from rwmscaling import (
     closed_form_gaussian_1d,
     curve,
     optimize,
+    parse_target_spec,
 )
 
 
@@ -50,7 +51,7 @@ def bimodal_mixture_curve() -> None:
     print("Two-component Gaussian mixture (weight p = 1/d^2), d = 10")
     print("-" * 66)
     d = 10
-    target = build_example_target("mixture", d, mixture_p="1/d^2")
+    target = parse_target_spec("mixture:p=1/d^2", d)
     proposal = build_example_target("gaussian", d)
     opt = optimize(target, proposal, lam_lo=0.05, lam_hi=40.0, grid=1024)
     print("local ESJD maxima (narrow component tunes one, wide the other):")

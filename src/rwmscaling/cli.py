@@ -131,14 +131,6 @@ def _emit(args, columns: Sequence[str], rows: Sequence[Sequence],
             out.write("\n")
 
 
-def _gnuplot_hint(args, using: str, title: str) -> None:
-    if getattr(args, "gnuplot_hint", False):
-        path = args.out if args.out not in (None, "-") else "data.csv"
-        sys.stderr.write(
-            "gnuplot -persist -e \"set datafile separator ','; set logscale x; "
-            f"plot '{path}' using {using} with lines title '{title}'\"\n")
-
-
 def cmd_curve(args) -> int:
     lam_lo = _checked_positive(args.lambda_min, "--lambda-min", UsageError)
     lam_hi = _checked_positive(args.lambda_max, "--lambda-max", UsageError)
@@ -159,7 +151,6 @@ def cmd_curve(args) -> int:
         raise EngineError("no curve point could be evaluated")
     _emit(args, ["lambda", "ear", "esjd"], rows,
           comments=[f"target={args.target} proposal={args.proposal} d={args.dim}"])
-    _gnuplot_hint(args, "1:3", "esjd")
     return 0
 
 
@@ -208,7 +199,6 @@ def cmd_sweep(args) -> int:
         comments.append(f"limit_mu_hat={_fmt(sweep.limit_mu_hat)} "
                         f"limit_aoa={_fmt(sweep.limit_aoa)}")
     _emit(args, columns, rows, comments=comments)
-    _gnuplot_hint(args, "1:3", "optimal EAR")
     return 0
 
 
@@ -254,7 +244,6 @@ def cmd_elliptical(args) -> int:
     if not report.satisfied:
         sys.stderr.write("warning: eccentricity condition violated; the "
                          "asymptotic rule is not supported for this sequence\n")
-    _gnuplot_hint(args, "1:2", "eccentricity ratio")
     return 0
 
 
@@ -300,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda-min", type=float, required=True)
     sp.add_argument("--lambda-max", type=float, required=True)
     sp.add_argument("--points", type=int, default=200)
-    sp.add_argument("--gnuplot-hint", action="store_true")
     common(sp)
     sp.set_defaults(func=cmd_curve)
 
@@ -320,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dims", required=True,
                     help="comma list or a:b:linN / a:b:logN")
     sp.add_argument("--grid", type=int, default=512)
-    sp.add_argument("--gnuplot-hint", action="store_true")
     common(sp)
     sp.set_defaults(func=cmd_sweep)
 
@@ -344,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--proposal", default="gaussian")
     sp.add_argument("--mu-hat", type=float,
                     help="override the transformed-space optimum")
-    sp.add_argument("--gnuplot-hint", action="store_true")
     common(sp)
     sp.set_defaults(func=cmd_elliptical)
 

@@ -1,9 +1,10 @@
 """Piecewise cubics with scipy's slopes and sums, bit for bit (tested).
 
-Slopes are PchipInterpolator's (Fritsch & Butland 1984), for the radial CDF
-and quantile, or CubicSpline's not-a-knot ones through the same LAPACK gtsv
-solve, for log W; pieces are summed as PPoly sums them.  scipy.interpolate
-itself would load scipy.sparse, .spatial and .fft into every process.
+Slopes are PchipInterpolator's (Fritsch & Butland 1984), for the radial
+quantile and custom tables, or CubicSpline's not-a-knot ones through the
+same LAPACK gtsv solve, for log W; pieces are summed as PPoly sums them.
+scipy.interpolate itself would load scipy.sparse, .spatial and .fft into
+every process.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ import numpy as np
 from .cubic import PiecewiseCubic
 from .quadrature import QuadratureError, adaptive_quad, stacked_quad
 from .special import _checked_positive, kernel_K
-from .targets import RadialModel
+from .targets import _TRUNC_TAIL, RadialModel
 
 __all__ = [
     "EngineError", "CurvePoint", "MarginalTable",
@@ -206,19 +206,22 @@ def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float):
     Outer integral over the proposal radius y, inner over the target radius x
     from lambda y / 2 to the target truncation, with seeded splits at
     x = lambda y / 2 and x = lambda y.  Returns (ear, esjd, ear_err,
-    esjd_err).  Raises EngineError if the evaluation budget is exhausted.
+    esjd_err), the errors counting both quadratures and both truncations.
+    Raises EngineError if the evaluation budget is exhausted.
     """
     lam = _checked_positive(lam, "lambda")
     _check_dimensions(target, proposal)
     budget = [_NESTED_MAX_EVALS]
+    w_err = [0.0]  # the largest inner error estimate
 
     def inner(y_nodes):
         z = 0.5 * lam * y_nodes
-        vals, _, n = _tail_weight_many(target, z, epsabs=1e-13, epsrel=3e-11,
-                                       max_evals=budget[0])
+        vals, errs, n = _tail_weight_many(target, z, epsabs=1e-13, epsrel=3e-11,
+                                          max_evals=budget[0])
         budget[0] -= n
         if budget[0] <= 0:
             raise QuadratureError("inner-integral budget exhausted")
+        w_err[0] = max(w_err[0], float(errs.max(initial=0.0)))
         return vals
 
     y_hi = min(proposal.r_hi, 2.0 * target.r_hi / lam)
@@ -238,8 +241,18 @@ def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float):
     except QuadratureError as exc:
         raise EngineError(f"nested quadrature failed at lambda={lam}: {exc}") from exc
     value = np.asarray(res.value)
-    err = np.broadcast_to(np.asarray(res.error), (2,))
+    err = np.asarray(res.error) + _cut_errors(target, proposal, lam, w_err[0])
     return float(value[0]), float(value[1]), float(err[0]), float(err[1])
+
+
+def _cut_errors(target: RadialModel, proposal: RadialModel, lam, w_err):
+    """EAR and ESJD errors from an absolute error w_err on W and from the two
+    cuts, each past _TRUNC_TAIL of a law's mass: W misses the target's past its
+    r_hi, and the outer integral the proposal's, where W <= 1 and, by
+    Chebyshev's inequality on one coordinate, y^2 W(lam y / 2) <= 4 E|X|^2 / (d lam^2)."""
+    w_err = w_err + _TRUNC_TAIL
+    return (w_err + _TRUNC_TAIL, lam * lam * proposal.moment(2) * w_err
+            + 4.0 * _TRUNC_TAIL * target.moment(2) / target.d)
 
 
 @dataclass
@@ -282,13 +295,10 @@ def _table_points(table: MarginalTable, proposal: RadialModel,
         failures = {}
     except QuadratureError as exc:
         (values, errors, _), failures = exc.result, exc.failures
-    # |dW| <= cert * (W + w_floor) pointwise, integrated against the
-    # proposal radial density and lam^2 y^2 times it respectively.
+    # |dW| <= cert * (W + w_floor) pointwise, plus the cuts.
     cert = table.max_interp_rel_err
-    floor = table.w_floor
-    ear_err = errors + cert * (np.abs(values[:, 0]) + floor)
-    esjd_err = errors + cert * (np.abs(values[:, 1])
-                                + lam * lam * proposal.moment(2) * floor)
+    cut = _cut_errors(target, proposal, lam, cert * table.w_floor)
+    ear_err, esjd_err = (errors + cert * np.abs(values[:, i]) + cut[i] for i in (0, 1))
     message = "" if table.certified else (
         f"W table certificate {cert:.3g} above its target {table.rel_tol:.3g}")
     for j, i in enumerate(np.nonzero(active)[0]):

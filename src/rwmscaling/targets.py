@@ -6,8 +6,8 @@ of the unit (d-1)-sphere.  Everything downstream (acceptance-rate integrals,
 samplers, asymptotic rescalings) consumes this one-dimensional object.  A
 model is built from what is known up front, and the heavy lifting runs once,
 on the first read of a fitted field: locate the mass, normalize by adaptive
-quadrature in a numerically safe scaling, tabulate the CDF, and expose
-quantiles for use as quadrature breakpoints and for inverse-CDF sampling.
+quadrature in a numerically safe scaling, and interpolate the quantile, which
+gives the quadrature breakpoints and the inverse-CDF draws.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ _QUANTILE_LEVELS = np.array([
     0.75, 0.9, 0.95, 0.99, 1 - 1e-3, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9,
 ])
 _TRUNC_TAIL = 1e-12  # model support is cut where the radial CDF passes 1 - this
-_FITTED = ("log_norm", "r_lo", "r_hi", "_quantile_fn", "_cdf_fn", "_breakpoints")
+_FITTED = ("log_norm", "r_lo", "r_hi", "_quantile_fn", "_breakpoints")
 
 
 @dataclass(eq=False)
@@ -59,7 +59,6 @@ class RadialModel:
     r_lo: float = field(init=False, repr=False)
     r_hi: float = field(init=False, repr=False)
     _quantile_fn: PiecewiseCubic = field(init=False, repr=False)
-    _cdf_fn: PiecewiseCubic = field(init=False, repr=False)
     _breakpoints: np.ndarray = field(init=False, repr=False)
 
     def __getattr__(self, name):  # reached only while the fitted fields are unset
@@ -80,14 +79,6 @@ class RadialModel:
     def radial_pdf(self, r):
         out = np.exp(self.log_radial_pdf(np.asarray(r, dtype=float)))
         return out if np.ndim(out) else float(out)
-
-    def radial_cdf(self, r):
-        r = np.asarray(r, dtype=float)
-        knots = self._cdf_fn.x
-        out = np.clip(self._cdf_fn(r), 0.0, 1.0)
-        out = np.where(r <= knots[0], 0.0, out)
-        out = np.where(r >= knots[-1], 1.0, out)
-        return out if out.ndim else float(out)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -114,7 +105,8 @@ class RadialModel:
     def _fit(self) -> dict:
         """The fitted fields: scan g(r) = (d-1) log r + log_pi(r) on a wide log grid
         for its mass, normalize exp(g - max g) by stacked adaptive quadrature and
-        tabulate the CDF.  Raises ValueError if no mass is found in the scan window."""
+        interpolate the quantile through the cumulative panel masses.  Raises
+        ValueError if no mass is found in the scan window."""
         d, log_pi = self.d, self.log_pi
         lo_s, hi_s = self.scan
         n_scan = int(400 * np.log10(hi_s / lo_s)) + 1
@@ -173,7 +165,7 @@ class RadialModel:
         p_knots = np.concatenate([[0.0], np.cumsum(vals)]) / z_scaled
         p_knots[-1] = 1.0
 
-        # Strictly increasing CDF knots for the two interpolants.
+        # Strictly increasing CDF knots for the quantile interpolant.
         incr = np.concatenate([[True], np.diff(p_knots) > 1e-300])
         incr[-1] = True
         r_k, p_k = nodes[incr], p_knots[incr]
@@ -181,13 +173,12 @@ class RadialModel:
         keep = np.concatenate([[True], np.diff(p_k) > 0.0])
         r_k, p_k = r_k[keep], p_k[keep]
         quantile_fn = PiecewiseCubic(p_k, r_k, "pchip")
-        cdf_fn = PiecewiseCubic(r_k, p_k, "pchip")
 
         r_hi_trunc = float(quantile_fn(1.0 - _TRUNC_TAIL))
         bp_levels = _QUANTILE_LEVELS[(_QUANTILE_LEVELS > p_k[0]) & (_QUANTILE_LEVELS < p_k[-1])]
         bps = np.unique(np.concatenate([quantile_fn(bp_levels), extra]))
         return dict(log_norm=float(log_norm), r_lo=float(nodes[0]), r_hi=r_hi_trunc,
-                    _quantile_fn=quantile_fn, _cdf_fn=cdf_fn, _breakpoints=bps)
+                    _quantile_fn=quantile_fn, _breakpoints=bps)
 
 
 def radial_from_density(d: int, log_pi: Callable, *, family: str = "custom",
@@ -306,14 +297,13 @@ def parse_mixture_weight(expr: str, d: int) -> float:
     return p
 
 
-def build_example_target(family: str, d: int, *,
-                         mixture_p: float | str | None = None,
-                         table_path: str | None = None) -> RadialModel:
+def build_example_target(family: str, d: int) -> RadialModel:
     """Construct one of the built-in example laws at dimension d.
 
     family is ``gaussian``, ``exponential`` (alias ``laplace``),
-    ``radial-gaussian``, ``radial-exponential``, ``lognormal``, ``mixture``
-    or ``custom``; letter case is ignored.
+    ``radial-gaussian``, ``radial-exponential`` or ``lognormal``; letter case
+    is ignored.  ``mixture:p=<w>`` and ``custom:<path>`` take a parameter and
+    are built by parse_target_spec.
     """
     family = family.lower()
     if family == "laplace":
@@ -342,25 +332,9 @@ def build_example_target(family: str, d: int, *,
             d, _lognormal_log_pi(d), family="lognormal",
             label=f"lognormal(d={d})", k=1.0, limit_mixing="lognormal",
             extra_breakpoints=[np.exp(-(d - 1.0))])
-    if family == "mixture":
-        if d < 2:
-            raise ValueError("the two-component scale mixture is defined for d >= 2")
-        if mixture_p is None:
-            raise ValueError("mixture family requires a weight, e.g. 'mixture:p=0.2'")
-        p = parse_mixture_weight(str(mixture_p), d)
-        return radial_from_density(
-            d, _mixture_log_pi(d, p), family="mixture",
-            label=f"mixture:p={mixture_p}(d={d},p={p:.6g})", k=float(np.sqrt(d)),
-            limit_mixing=None,
-            extra_breakpoints=[np.sqrt(d), float(d), d * np.sqrt(d)])
-    if family == "custom":
-        if table_path is None:
-            raise ValueError("custom family requires a table path")
-        table = CustomRadialTable(table_path)
-        return radial_from_density(
-            d, table, family="custom", label=f"custom:{table_path}(d={d})",
-            k=None, limit_mixing=None,
-            scan=(table.r_min, table.r_max))
+    if family in ("mixture", "custom"):
+        arg = "p=<w>" if family == "mixture" else "<path>"
+        raise ValueError(f"build {family} targets with parse_target_spec('{family}:{arg}', d)")
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -376,9 +350,18 @@ def parse_target_spec(spec: str, d: int) -> RadialModel:
         arg = spec[len("mixture:"):]
         if not arg.startswith("p="):
             raise ValueError(f"malformed mixture spec {spec!r}; expected 'mixture:p=<w>'")
-        return build_example_target("mixture", d, mixture_p=arg[2:])
+        if d < 2:
+            raise ValueError("the two-component scale mixture is defined for d >= 2")
+        p = parse_mixture_weight(arg[2:], d)
+        return radial_from_density(
+            d, _mixture_log_pi(d, p), family="mixture",
+            label=f"mixture:{arg}(d={d},p={p:.6g})", k=float(np.sqrt(d)),
+            extra_breakpoints=[np.sqrt(d), float(d), d * np.sqrt(d)])
     if spec.startswith("custom:"):
-        return build_example_target("custom", d, table_path=spec[len("custom:"):])
+        path = spec[len("custom:"):]
+        table = CustomRadialTable(path)
+        return radial_from_density(d, table, family="custom", label=f"custom:{path}(d={d})",
+                                   scan=(table.r_min, table.r_max))
     return build_example_target(spec, d)
 
 

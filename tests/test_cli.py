@@ -445,16 +445,19 @@ def test_json_integer_fields_are_integers(capsys):
 
 def test_out_file_and_gnuplot_hint(tmp_path, capsys):
     path = tmp_path / "curve.csv"
-    code, out, err = _run(capsys, ["curve", "gaussian", "gaussian",
-                                   "--dim", "2", "--lambda-min", "0.5",
-                                   "--lambda-max", "2", "--points", "5",
-                                   "--out", str(path), "--gnuplot-hint"])
+    argv = ["curve", "gaussian", "gaussian", "--dim", "2", "--lambda-min", "0.5",
+            "--lambda-max", "2", "--points", "5", "--out", str(path)]
+    code, out, err = _run(capsys, argv)
     assert code == 0
-    assert out == ""
-    assert "gnuplot" in err and str(path) in err
+    assert out == "" and err == ""
     text = path.read_text()
     assert text.startswith("# target=gaussian")
     assert "lambda,ear,esjd" in text
+    # --gnuplot-hint is no longer an option of any subcommand
+    for cmd in (argv, ["sweep", "gaussian", "gaussian", "--dims", "1,2"],
+                ["elliptical", "--rule", "iota", "--dims", "8,32"]):
+        code, out, err = _run(capsys, cmd + ["--gnuplot-hint"])
+        assert code == 2 and out == "" and "--gnuplot-hint" in err
 
 
 def test_out_unwritable_exits_2(tmp_path, capsys):

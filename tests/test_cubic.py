@@ -11,7 +11,7 @@ import pytest
 from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.optimize import brentq
 
-from rwmscaling import asymptotics, engine
+from rwmscaling import asymptotics, engine, targets
 from rwmscaling.asymptotics import (AsymptoticsError, _brentq,
                                     mixing_from_spec, solve_aots)
 from rwmscaling.cubic import PiecewiseCubic
@@ -50,10 +50,18 @@ def test_not_a_knot_spline_is_scipys_on_w_table_knots(monkeypatch, spec, d):
 
 @pytest.mark.parametrize("spec, d", [("gaussian", 1), ("radial-exponential", 10),
                                      ("lognormal", 30), ("mixture:p=0.2", 100)])
-def test_pchip_is_scipys_on_model_cdf_and_quantile_knots(spec, d):
+def test_pchip_is_scipys_on_model_cdf_and_quantile_knots(monkeypatch, spec, d):
+    # The quantile's knots are the tabulated CDF's (p, r) pairs.
+    fits = []
+
+    def recording(x, y, slopes):
+        fits.append((x, y))
+        return PiecewiseCubic(x, y, slopes)
+
+    monkeypatch.setattr(targets, "PiecewiseCubic", recording)
     model = parse_target_spec(spec, d)
-    r, p = model._cdf_fn.x, model._quantile_fn.x
-    _assert_same_cubic(model._cdf_fn, PchipInterpolator(r, p))
+    model.r_lo
+    [(p, r)] = fits
     _assert_same_cubic(model._quantile_fn, PchipInterpolator(p, r))
 
 

@@ -22,7 +22,7 @@ from rwmscaling.engine import (
 )
 from rwmscaling.optimizer import default_search_range, optimize
 from rwmscaling.quadrature import QuadratureError, adaptive_quad
-from rwmscaling.targets import build_example_target, parse_target_spec
+from rwmscaling.targets import _TRUNC_TAIL, build_example_target, parse_target_spec
 
 
 def test_closed_form_gaussian_values():
@@ -81,17 +81,22 @@ def test_table_matches_gaussian_closed_form():
 
 
 def test_both_routes_match_the_laplace_closed_form():
-    # Fixed tolerances: ear_esjd's reported errors (~1e-15 here) leave out
-    # the inner integrals' errors and the truncated tails.
-    t = build_example_target("laplace", 1)
-    table = get_marginal_table(t)
-    for lam in (0.3, 1.0, 4.0, 12.0):
-        ear_c, esjd_c = closed_form_laplace_1d(lam)
-        pt = table_point(table, t, lam)
-        ear_q, esjd_q, _, _ = ear_esjd(t, t, lam)
-        for ear, esjd in ((pt.ear, pt.esjd), (ear_q, esjd_q)):
-            assert abs(ear - ear_c) <= 1e-9
-            assert abs(esjd - esjd_c) <= 1e-8
+    # And the Gaussian one.  Both routes miss the mass past the target's and
+    # the proposal's r_hi, about lam^2 E|Y|^2 1e-12 on ESJD: each reported
+    # error covers its gap to the closed form and stays below 1e-7.
+    for family, closed_form in (("laplace", closed_form_laplace_1d),
+                                ("gaussian", closed_form_gaussian_1d)):
+        t = build_example_target(family, 1)
+        table = get_marginal_table(t)
+        for lam in (0.3, 1.0, 4.0, 12.0):
+            ear_c, esjd_c = closed_form(lam)
+            pt = table_point(table, t, lam)
+            for ear, esjd, ear_err, esjd_err in (
+                    (pt.ear, pt.esjd, pt.ear_err, pt.esjd_err), ear_esjd(t, t, lam)):
+                assert abs(ear - ear_c) <= 1e-9
+                assert abs(esjd - esjd_c) <= 1e-8
+                assert abs(ear - ear_c) <= ear_err < 1e-7
+                assert abs(esjd - esjd_c) <= esjd_err < 1e-7
 
 
 def test_laplace_identity_on_grid():
@@ -287,9 +292,11 @@ def _per_point_reference(table, proposal, lam):
     value = np.asarray(res.value)
     err = np.broadcast_to(np.asarray(res.error), (2,)).copy()
     cert = table.max_interp_rel_err
-    floor = table.w_floor
-    err[0] += cert * (abs(value[0]) + floor)
-    err[1] += cert * (abs(value[1]) + lam * lam * proposal.moment(2) * floor)
+    # W's absolute error with the target's cut, and the proposal's cut
+    w_err = cert * table.w_floor + _TRUNC_TAIL
+    err[0] += cert * abs(value[0]) + w_err + _TRUNC_TAIL
+    err[1] += (cert * abs(value[1]) + lam * lam * proposal.moment(2) * w_err
+               + 4.0 * _TRUNC_TAIL * table.model.moment(2) / table.model.d)
     message = "" if table.certified else (
         f"W table certificate {cert:.3g} above its target {table.rel_tol:.3g}")
     return CurvePoint(lam, float(value[0]), float(value[1]),
