@@ -1,16 +1,15 @@
-"""Piecewise cubics with scipy's slopes and sums, bit for bit (tested).
+"""Piecewise cubics with scipy's slopes and sums (tested).
 
-Slopes are PchipInterpolator's (Fritsch & Butland 1984), for the radial
-quantile and custom tables, or CubicSpline's not-a-knot ones through the
-same LAPACK gtsv solve, for log W; pieces are summed as PPoly sums them.
-scipy.interpolate itself would load scipy.sparse, .spatial and .fft into
-every process.
+Slopes are PchipInterpolator's (Fritsch & Butland 1984), bit for bit, for
+the radial quantile and custom tables, or CubicSpline's not-a-knot ones to
+rounding, for log W, by cyclic reduction in place of LAPACK's gtsv; pieces
+are built and summed as PPoly does.  scipy.interpolate would load
+scipy.sparse, .spatial and .fft, and scipy.linalg LAPACK, into every process.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 # Points per evaluation pass: fresh arrays of a few 1e4 values cost more in
 # page faults than the arithmetic, and smaller ones are reused.
@@ -34,17 +33,40 @@ def _pchip_slopes(x, h, m):
     return d
 
 
+def _solve_tridiagonal(a, b, c, r):
+    """x with a_i x_i-1 + b_i x_i + c_i x_i+1 = r_i (a_0 and c_last unread),
+    for |b_i| > |a_i| + |c_i|, which needs no pivoting: cyclic reduction,
+    where at each level the odd rows absorb their even neighbours."""
+    n = b.size
+    if n & (n + 1):  # pad with rows x = 0 to 2^k - 1 rows, odd at every level
+        pad = 2 ** n.bit_length() - 1 - n
+        return _solve_tridiagonal(*(np.append(v, np.full(pad, e)) for v, e in
+                                    zip((a, b, c, r), (0.0, 1.0, 0.0, 0.0))))[:n]
+    if n == 1:
+        return r / b
+    lo, hi = -a[1::2] / b[:-1:2], -c[1::2] / b[2::2]
+    x = np.zeros(n + 2)  # x_i at i + 1, between two zeros
+    x[2:-1:2] = _solve_tridiagonal(
+        lo * a[:-1:2], b[1::2] + lo * c[:-1:2] + hi * a[2::2], hi * c[2::2],
+        r[1::2] + lo * r[:-1:2] + hi * r[2::2])
+    x[1:-1:2] = (r[::2] - a[::2] * x[:-2:2] - c[::2] * x[2::2]) / b[::2]
+    return x[1:-1]
+
+
 def _not_a_knot_slopes(x, h, m):
-    ab = np.zeros((3, x.size))  # upper, main and lower diagonals
-    ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = h[:-1], 2 * (h[:-1] + h[1:]), h[1:]
-    b = np.empty((x.size, 1))
-    b[1:-1, 0] = 3 * (h[1:] * m[:-1] + h[:-1] * m[1:])
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]  # the end rows: not-a-knot
-    ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = h[1], d0, h[-2], d1
-    b[0] = ((h[0] + 2 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0
-    b[-1] = (h[-1] ** 2 * m[-2] + (2 * d1 + h[-1]) * h[-2] * m[-1]) / d1
-    return solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
-                        check_finite=False)[:, 0]
+    """CubicSpline's rows: C2 inside, C3 at the second and last-but-one knots.
+    Each end row taken from its neighbour leaves a diagonally dominant
+    system in the inner slopes; the end rows then give the outer two."""
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    r0 = ((h[0] + 2 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0
+    r1 = (h[-1] ** 2 * m[-2] + (2 * d1 + h[-1]) * h[-2] * m[-1]) / d1
+    b, r = 2 * (h[:-1] + h[1:]), 3 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    b[[0, -1]] -= d0, d1
+    r[[0, -1]] -= r0, r1
+    # Rows over their diagonals: as accurate as unscaled, and the
+    # mc_expectation results in tests/chain_pins.json stay bitwise.
+    s = _solve_tridiagonal(h[1:] / b, np.ones(b.size), h[:-1] / b, r / b)
+    return np.concatenate([[(r0 - d0 * s[0]) / h[1]], s, [(r1 - d1 * s[-1]) / h[-2]]])
 
 
 class PiecewiseCubic:

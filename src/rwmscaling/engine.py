@@ -225,8 +225,8 @@ def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float):
         return vals
 
     y_hi = min(proposal.r_hi, 2.0 * target.r_hi / lam)
-    if y_hi <= proposal.r_lo:
-        return 0.0, 0.0, 0.0, 0.0
+    if y_hi <= proposal.r_lo:  # only the two cuts' mass is left
+        return (0.0, 0.0, *map(float, _cut_errors(target, proposal, lam, 0.0)))
 
     def outer(y):
         w = inner(y)
@@ -275,8 +275,10 @@ def _table_points(table: MarginalTable, proposal: RadialModel,
     target = table.model
     _check_dimensions(target, proposal)
     y_hi = np.minimum(proposal.r_hi, 2.0 * target.r_hi / lams)
-    active = y_hi > proposal.r_lo  # the others are exact zero points
+    active = y_hi > proposal.r_lo
     points = [CurvePoint(float(lam), 0.0, 0.0, 0.0, 0.0) for lam in lams]
+    for p in (points[i] for i in np.nonzero(~active)[0]):  # zero but for the cuts
+        p.ear_err, p.esjd_err = map(float, _cut_errors(target, proposal, p.lam, 0.0))
     if not active.any():
         return points
     lam = lams[active]

@@ -42,8 +42,12 @@ def test_reexports_are_in_their_module_all():
 
 
 def test_import_leaves_heavy_scipy_subpackages_unloaded():
-    # Any of these would add ~0.3 s and ~20 MB to every rwmscale process.
-    heavy = ["scipy.optimize", "scipy.interpolate", "scipy.sparse", "scipy.stats"]
+    # Each would slow every rwmscale process's start; imported one at a time
+    # after this import (2 CPUs): scipy.sparse ~15 ms and ~1 MB, scipy.linalg
+    # ~55 ms and ~5 MB, scipy.optimize and scipy.interpolate ~0.25 s and
+    # ~23 MB, scipy.stats ~0.75 s and ~45 MB of peak memory.
+    heavy = ["scipy.optimize", "scipy.interpolate", "scipy.sparse", "scipy.stats",
+             "scipy.linalg"]
     code = ("import sys, rwmscaling, rwmscaling.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules])")
     src = str(Path(rwmscaling.__file__).resolve().parents[1])

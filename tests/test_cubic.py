@@ -2,19 +2,23 @@
 
 The package imports neither scipy.interpolate nor scipy.optimize (see
 tests/test_api.py); these tests do, to check that the replacements give
-bitwise the same numbers on the data the package feeds them."""
+bitwise the same numbers on the data the package feeds them: the pchip
+cubics and the Brent roots outright, and the not-a-knot spline of log W
+through its pieces, which are CubicHermiteSpline's on the same slopes.
+Those slopes come from a tridiagonal solve by cyclic reduction, where
+CubicSpline uses LAPACK's, so they agree with CubicSpline's to rounding."""
 
 import functools
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator
 from scipy.optimize import brentq
 
 from rwmscaling import asymptotics, engine, targets
 from rwmscaling.asymptotics import (AsymptoticsError, _brentq,
                                     mixing_from_spec, solve_aots)
-from rwmscaling.cubic import PiecewiseCubic
+from rwmscaling.cubic import PiecewiseCubic, _not_a_knot_slopes, _solve_tridiagonal
 from rwmscaling.targets import CustomRadialTable, parse_target_spec
 
 # The laws of the benchmark's `limits` workload but pareto:1.5, which has
@@ -32,9 +36,15 @@ def _assert_same_cubic(ours, theirs):
     assert np.array_equal(ours(z), theirs(z))
 
 
+def _scipy_hermite_on_our_slopes(x, y):
+    """scipy's cubic through (x, y) with the package's not-a-knot slopes."""
+    h = np.diff(x)
+    return CubicHermiteSpline(x, y, _not_a_knot_slopes(x, h, np.diff(y) / h))
+
+
 @pytest.mark.parametrize("spec, d", [("gaussian", 10), ("exponential", 30),
                                      ("lognormal", 2), ("mixture:p=1/d^2", 5)])
-def test_not_a_knot_spline_is_scipys_on_w_table_knots(monkeypatch, spec, d):
+def test_not_a_knot_spline_on_w_table_knots(monkeypatch, spec, d):
     fits = []
 
     def recording(x, y, slopes):
@@ -45,7 +55,34 @@ def test_not_a_knot_spline_is_scipys_on_w_table_knots(monkeypatch, spec, d):
     engine.MarginalTable(parse_target_spec(spec, d))
     assert fits
     for x, y in fits:  # every refinement round's fit
-        _assert_same_cubic(PiecewiseCubic(x, y, "not-a-knot"), CubicSpline(x, y))
+        ours = PiecewiseCubic(x, y, "not-a-knot")
+        _assert_same_cubic(ours, _scipy_hermite_on_our_slopes(x, y))
+        # CubicSpline's slopes to 3e-14 of the larger of the slope and a
+        # thousandth of the steepest secant (measured: 6.0e-15), and its
+        # values to 2e-15 of max(|log W|, 1) (measured: 2.5e-16).
+        h = np.diff(x)
+        m = np.diff(y) / h
+        slopes, theirs = _not_a_knot_slopes(x, h, m), CubicSpline(x, y)
+        scale = np.maximum(np.abs(slopes), 1e-3 * np.abs(m).max())
+        assert np.all(np.abs(slopes - theirs(x, 1)) <= 3e-14 * scale)
+        z = np.random.default_rng(1).uniform(x[0], x[-1], 20_000)
+        want = theirs(z)
+        assert np.all(np.abs(ours(z) - want) <= 2e-15 * np.maximum(np.abs(want), 1.0))
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 800])
+def test_tridiagonal_solve_matches_a_dense_solve(n):
+    # Strictly diagonally dominant rows of both signs, as cyclic reduction
+    # needs; a_0 and c_last lie outside the matrix and must go unread
+    # (measured: 3.9e-16 of the largest unknown; bound 1e-14).
+    rng = np.random.default_rng(n)
+    a, c, rhs = rng.standard_normal((3, n))
+    b = (np.abs(a) + np.abs(c) + 0.1) * rng.uniform(1.01, 2.0, n) * rng.choice([-1, 1], n)
+    dense = np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1)
+    want = np.linalg.solve(dense, rhs)
+    got = _solve_tridiagonal(a, b, c, rhs)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("spec, d", [("gaussian", 1), ("radial-exponential", 10),
@@ -87,8 +124,9 @@ def test_pchip_is_scipys_on_its_slope_branches(y):
     _assert_same_cubic(PiecewiseCubic(x, y, "pchip"), PchipInterpolator(x, y))
 
 
-@pytest.mark.parametrize("slopes, scipy_cubic", [("pchip", PchipInterpolator),
-                                                 ("not-a-knot", CubicSpline)])
+@pytest.mark.parametrize("slopes, scipy_cubic", [
+    ("pchip", PchipInterpolator),
+    pytest.param("not-a-knot", _scipy_hermite_on_our_slopes, id="not-a-knot-Hermite")])
 def test_cubic_steps_back_where_the_index_rounds_up_onto_a_knot(slopes, scipy_cubic):
     # Just below a wide piece's right end, the fractional knot index of a
     # point rounds up to that knot's index.

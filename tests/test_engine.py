@@ -13,6 +13,7 @@ from rwmscaling.engine import (
     CurvePoint,
     EngineError,
     MarginalTable,
+    _cut_errors,
     closed_form_gaussian_1d,
     closed_form_laplace_1d,
     curve,
@@ -276,7 +277,10 @@ def _per_point_reference(table, proposal, lam):
     target = table.model
     y_hi = min(proposal.r_hi, 2.0 * target.r_hi / lam)
     if y_hi <= proposal.r_lo:
-        return CurvePoint(lam, 0.0, 0.0, 0.0, 0.0)
+        # Only the proposal's mass below r_lo and W past the target's r_hi.
+        return CurvePoint(lam, 0.0, 0.0, 2.0 * _TRUNC_TAIL,
+                          lam * lam * proposal.moment(2) * _TRUNC_TAIL
+                          + 4.0 * _TRUNC_TAIL * target.moment(2) / target.d)
 
     def f(y):
         base = proposal.radial_pdf(y) * table.w(0.5 * lam * y)
@@ -318,7 +322,13 @@ def test_stacked_curve_matches_per_point_route(spec, d):
     assert [(p.lam, p.ok, p.message) for p in got] == \
         [(p.lam, p.ok, p.message) for p in want]
     if spec in ("gaussian", "exponential") and d >= 10:
-        assert any(p.ear == 0.0 and p.ear_err == 0.0 for p in got)
+        # Zero points bound what the two cuts leave out.
+        zeros = [p for p in got if p.ear == 0.0]
+        assert zeros
+        for p in zeros:
+            cut = _cut_errors(t, prop, p.lam, 0.0)
+            assert p.esjd == 0.0 and (p.ear_err, p.esjd_err) == cut
+            assert min(cut) > 0.0
     for p, q in zip(got, want):
         for v, w in [(p.ear, q.ear), (p.esjd, q.esjd)]:
             assert v == pytest.approx(w, rel=1e-13, abs=0)
@@ -328,6 +338,18 @@ def test_stacked_curve_matches_per_point_route(spec, d):
         for e, w, v in [(p.ear_err, q.ear_err, q.ear),
                         (p.esjd_err, q.esjd_err, q.esjd)]:
             assert e == pytest.approx(w, rel=1e-13, abs=1e-16 * v)
+
+
+def test_nested_zero_point_reports_the_cut_errors():
+    # Past 2 target.r_hi / proposal.r_lo the outer range is empty: both
+    # routes give zeros with the same error bars, those of the two cuts.
+    t, prop = parse_target_spec("gaussian", 10), build_example_target("exponential", 10)
+    lam = 1.5 * 2.0 * t.r_hi / prop.r_lo
+    cut = _cut_errors(t, prop, lam, 0.0)
+    assert min(cut) > 0.0
+    assert ear_esjd(t, prop, lam) == (0.0, 0.0, *cut)
+    p = table_point(get_marginal_table(t), prop, lam)
+    assert (p.ear, p.esjd, p.ear_err, p.esjd_err) == (0.0, 0.0, *cut)
 
 
 def _patched_stacked_quad(monkeypatch, rewrite):
