@@ -6,7 +6,8 @@ spherical proposal Y in the original coordinates becomes the elliptical
 Y_* = T(Y) in the transformed ones, so the acceptance rate and the
 Mahalanobis squared jump distance reduce to the spherical formulas averaged
 over the law of |Y_*| = R_Y |nu . U| with U uniform on the sphere.  The
-module provides that averaging, the eccentricity condition
+module provides that averaging (engine's Monte Carlo estimator, the one
+mc_expectation uses, over draws of |Y_*|), the eccentricity condition
 nu_max^2 / sum nu_i^2 -> 0 under which the spherical limit theory carries
 over, the corresponding optimal-scaling rule with its (mean square
 eigenvalue)^{-1/2} correction, and a Monte Carlo check that |S(U)| for a
@@ -22,16 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from .asymptotics import aos
-from .engine import _sampled_ear_esjd
+from .engine import MCExpectation, _sampled_expectation
 from .special import (_checked_count, _checked_dimension,
                       _checked_dimension_list, _checked_positive)
-from .targets import RadialModel, sample_radius
+from .targets import RadialModel
 
 __all__ = [
     "EllipticalError",
     "EllipticalSpec",
     "EccentricityReport",
-    "EllipticalPoint",
     "ShellDeviationReport",
     "parse_eigenvalue_rule",
     "eccentricity_condition",
@@ -39,9 +39,6 @@ __all__ = [
     "elliptical_aos",
     "lemma5_numeric_check",
 ]
-
-_N_STREAMS = 8
-
 
 class EllipticalError(ValueError):
     """Invalid elliptical specification."""
@@ -125,77 +122,37 @@ class EccentricityReport:
 def eccentricity_condition(rule: str, dims: Sequence[int]) -> EccentricityReport:
     """Classify whether nu_max^2 / sum nu_i^2 tends to zero along dims.
 
-    The ratio is tabulated for every d; the trend is judged on the last
-    three dimensions: satisfied means the ratio keeps shrinking at a rate
-    consistent with decay to zero, violated means it stays bounded away
-    from zero.
+    The ratio r is tabulated for every d and judged on the last three
+    dimensions: satisfied means it falls at both steps and, from the first
+    to the last, at least as fast as d^(-1/4) (halving over a 16-fold span),
+    a rate per unit log d, so the verdict does not depend on the spacing.
     """
     dims = _checked_dimension_list(dims, 3, EllipticalError)
     ratios = []
     for d in dims:
         nus = parse_eigenvalue_rule(rule, d)
         ratios.append(float(nus.max() ** 2 / np.sum(nus ** 2)))
-    # Decay to zero shows up as the ratio still falling by at least the
-    # dimension ratio would suggest; a violating sequence flattens out.
-    r1, r2, r3 = ratios[-3], ratios[-2], ratios[-1]
-    satisfied = r3 < 0.5 * r1 and r3 < 0.9 * r2
+    r1, r2, r3 = ratios[-3:]
+    satisfied = r3 < r2 < r1 and 4 * math.log(r1 / r3) >= math.log(dims[-1] / dims[-3])
     return EccentricityReport(rule=rule, dims=tuple(dims),
                               ratios=tuple(ratios), satisfied=satisfied)
 
 
-@dataclass(frozen=True)
-class EllipticalPoint:
-    """EAR/ESJD of an elliptical target at one proposal scale.
-
-    Errors are Monte Carlo standard errors of the direction/radius
-    averaging; the quadrature error of the underlying marginal table is
-    orders of magnitude smaller.
-    """
-
-    lam: float
-    ear: float
-    esjd: float
-    ear_se: float
-    esjd_se: float
-    n_draws: int
-
-
-def _transformed_proposal_radii(spec: EllipticalSpec, n_draws: int,
-                                seed: int) -> np.ndarray:
-    """Draws of |Y_*| = R_Y |nu . U| from 8 seeded streams, in stream order.
-
-    The split into streams fixes which draws a seed gives.
-    """
-    nus = np.asarray(spec.eigenvalues, dtype=float)
-    parts = []
-    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(_N_STREAMS)):
-        rng = np.random.default_rng(ss)
-        m = n_draws // _N_STREAMS + (i < n_draws % _N_STREAMS)
-        z = rng.standard_normal((m, spec.d))
-        u = z / np.linalg.norm(z, axis=1, keepdims=True)
-        r = sample_radius(spec.proposal_core, m, rng)
-        parts.append(r * np.linalg.norm(u * nus, axis=1))
-    return np.concatenate(parts)
-
-
 def elliptical_ear_esjd(spec: EllipticalSpec, lam: float, *,
                         n_draws: int = 200_000,
-                        seed: int = 20240) -> EllipticalPoint:
+                        seed: int = 20240) -> MCExpectation:
     """EAR and Mahalanobis ESJD of the elliptical chain at scale lam.
 
     Works in the transformed coordinates: acceptance depends on the target
     only through the spherical core's one-coordinate marginal, averaged
-    over the sampled law of the transformed proposal radius |Y_*|.  The
-    average EAR is exact-in-quadrature given the draws; the reported errors
-    are the sampling standard errors over the fixed-seed draws.
+    over n_draws seeded draws of |Y_*| = R_Y |nu . U|, with sampling
+    standard errors.  The draws are mc_expectation's radii times |nu . U|,
+    so a const:c map gives mc_expectation at c * lam for the same seed.
     """
-    lam = _checked_positive(lam, "lambda")
     n_draws = _checked_count(n_draws, "n_draws", 1000)
-    seed = _checked_count(seed, "seed", 0)
-    w = _transformed_proposal_radii(spec, n_draws, seed)
-    ear, ear_se, esjd, esjd_se = _sampled_ear_esjd(spec.spherical_core, lam, w)
-    return EllipticalPoint(lam=lam, ear=ear, esjd=esjd, ear_se=ear_se,
-                           esjd_se=esjd_se, n_draws=w.size)
+    return _sampled_expectation(spec.spherical_core, spec.proposal_core, lam,
+                                n_draws, seed,
+                                np.asarray(spec.eigenvalues, dtype=float))
 
 
 def elliptical_aos(spec: EllipticalSpec, mu_hat: float) -> float:

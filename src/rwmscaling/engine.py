@@ -24,6 +24,11 @@ Two evaluation routes are provided and are kept mutually checkable:
   each with its own evaluation budget and its own failure flag;
   table_point is the one-lambda case.  Table and nested routes agree to
   < 1e-7 by test.
+
+The sampled estimate is the outer integral done by Monte Carlo over draws
+of the proposal radius (of |Y_*| for an elliptical target), with W from the
+table; it serves both Monte Carlo oracles, mc_expectation and
+elliptical_ear_esjd.
 """
 
 from __future__ import annotations
@@ -34,11 +39,11 @@ import numpy as np
 
 from .cubic import PiecewiseCubic
 from .quadrature import QuadratureError, adaptive_quad, stacked_quad
-from .special import _checked_positive, kernel_K
-from .targets import _TRUNC_TAIL, RadialModel
+from .special import _checked_count, _checked_positive, kernel_K
+from .targets import _TRUNC_TAIL, RadialModel, sample_radius
 
 __all__ = [
-    "EngineError", "CurvePoint", "MarginalTable",
+    "EngineError", "CurvePoint", "MCExpectation", "MarginalTable",
     "get_marginal_table", "ear_esjd", "table_point", "curve",
     "closed_form_gaussian_1d", "closed_form_laplace_1d",
 ]
@@ -321,15 +326,46 @@ def table_point(table: MarginalTable, proposal: RadialModel, lam: float) -> Curv
                          np.array([_checked_positive(lam, "lambda")]))[0]
 
 
-def _sampled_ear_esjd(target: RadialModel, lam: float, radii: np.ndarray):
-    """EAR and ESJD averaged over draws r of the proposal radius: the means
-    and standard errors of W(lam r / 2), clipped at 2, and of lam^2 r^2 W,
-    with W from the target's table.  Returns (ear, ear_se, esjd, esjd_se)."""
-    tail = np.minimum(get_marginal_table(target).w(0.5 * lam * radii), 2.0)
+@dataclass(frozen=True)
+class MCExpectation:
+    """Monte Carlo estimate of the acceptance/jump expectations."""
+
+    ear: float
+    ear_se: float
+    esjd: float
+    esjd_se: float
+    n_samples: int
+    seed: int
+
+
+_NORMAL_BLOCK = 2 ** 18  # most standard normals held at once for directions
+
+
+def _sampled_expectation(core: RadialModel, proposal: RadialModel, lam: float,
+                         n: int, seed: int, nus=None) -> MCExpectation:
+    """EAR and ESJD with the outer integral over the proposal radius done by
+    Monte Carlo: means and standard errors of W(lam r / 2), from the core's
+    table, and of lam^2 r^2 W over n draws r.  One Generator seeded with
+    ``seed`` draws the proposal radii first; given eigenvalues ``nus`` (an
+    elliptical target), each is then multiplied by |nu . U| for a uniform
+    direction U, drawn in blocks of at most _NORMAL_BLOCK normals so memory
+    does not grow with d."""
+    lam = _checked_positive(lam, "lambda")
+    seed = _checked_count(seed, "seed", 0)
+    _check_dimensions(core, proposal)
+    rng = np.random.default_rng(seed)
+    radii = sample_radius(proposal, n, rng)
+    if nus is not None:
+        rows = max(1, _NORMAL_BLOCK // nus.size)
+        for i in range(0, n, rows):
+            z = rng.standard_normal((min(rows, n - i), nus.size))
+            radii[i:i + rows] *= (np.linalg.norm(z * nus, axis=1)
+                                  / np.linalg.norm(z, axis=1))
+    tail = get_marginal_table(core).w(0.5 * lam * radii)
     out = []
     for draws in (tail, lam * lam * radii * radii * tail):
         out += [float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(draws.size))]
-    return tuple(out)
+    return MCExpectation(*out, n_samples=n, seed=seed)
 
 
 def _check_dimensions(target: RadialModel, proposal: RadialModel) -> None:

@@ -6,7 +6,8 @@ independent d-dimensional chains in lockstep (error bars from the spread
 of their means, split-R-hat to flag chains that never mixed).
 ``mc_expectation`` samples the proposal radius but averages the same
 tabulated one-coordinate marginal W as the analytic route, so against
-quadrature it checks only the outer integral over the proposal radius.
+quadrature it checks only the outer integral over the proposal radius;
+it is engine's sampled estimator, shared with elliptical_ear_esjd.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from typing import Union
 import numpy as np
 from scipy.special import ndtri
 
-from .engine import _check_dimensions, _sampled_ear_esjd
+from .engine import MCExpectation, _check_dimensions, _sampled_expectation
 from .elliptical import EllipticalSpec
 from .special import _checked_count, _checked_positive
 from .targets import RadialModel, sample_radius
 
-__all__ = ["ChainStats", "MCExpectation", "run_rwm", "mc_expectation"]
+__all__ = ["ChainStats", "run_rwm", "mc_expectation"]
 
 _BLOCK = 65_536
 _N_CHAINS = 50
@@ -83,18 +84,6 @@ class ChainStats:
             "esjd": self.esjd,
             "esjd_se": self.esjd_se,
         }
-
-
-@dataclass(frozen=True)
-class MCExpectation:
-    """Monte Carlo estimate of the acceptance/jump expectations."""
-
-    ear: float
-    ear_se: float
-    esjd: float
-    esjd_se: float
-    n_samples: int
-    seed: int
 
 
 def _lockstep(x, lp, steps, log_u, log_pi):
@@ -270,12 +259,5 @@ def mc_expectation(target: RadialModel, proposal: RadialModel, lam: float, *,
     2 lam^2 |Y|^2 F(-lam |Y| / 2) for the squared jump distance), with
     plug-in standard errors.
     """
-    lam = _checked_positive(lam, "lambda")
-    n = _checked_count(n_samples, "n_samples", 10_000)
-    seed = _checked_count(seed, "seed", 0)
-    _check_dimensions(target, proposal)
-    rng = np.random.default_rng(seed)
-    ry = sample_radius(proposal, n, rng)
-    ear, ear_se, esjd, esjd_se = _sampled_ear_esjd(target, lam, ry)
-    return MCExpectation(ear=ear, ear_se=ear_se, esjd=esjd, esjd_se=esjd_se,
-                         n_samples=n, seed=seed)
+    return _sampled_expectation(target, proposal, lam,
+                                _checked_count(n_samples, "n_samples", 10_000), seed)

@@ -26,6 +26,7 @@ from rwmscaling.engine import curve, get_marginal_table, table_point
 from rwmscaling.optimizer import optimize, sweep_dimension
 from rwmscaling.simulate import mc_expectation, run_rwm
 from rwmscaling.targets import build_example_target, parse_target_spec, sample_radius
+from test_elliptical import gaussian_elliptical_exact
 
 _SWEEP_DIMS = [1, 2, 5, 10, 30, 100]
 # Families 1-4 share a Gaussian proposal; their limiting optimal acceptance
@@ -353,6 +354,17 @@ def test_criterion_11_elliptical_consistency():
          f"within 3 SE ({3 * esjd_se:.5f})",
          abs(analytic.esjd - chain.esjd) <= 3 * esjd_se),
     ]
+    # Gaussian core and proposal: both estimates against the exact value.
+    exact = gaussian_elliptical_exact(spec.eigenvalues, lam)
+    for name, ests in [("Monte Carlo", (analytic.ear, analytic.ear_se,
+                                        analytic.esjd, analytic.esjd_se)),
+                       ("chain", (chain.accept_rate, chain.accept_se,
+                                  chain.esjd, chain.esjd_se))]:
+        for stat, value, se, ref in [("EAR", *ests[:2], exact[0]),
+                                     ("ESJD", *ests[2:], exact[1])]:
+            checks.append((f"{stat} {name} {value:.5f} vs exact {ref:.5f} "
+                           f"within 3 SE ({3 * se:.5f})",
+                           abs(value - ref) <= 3 * se))
 
     dims = [8, 32, 128]
     for rule, want in [("const:1", True), ("iota", True), ("spike:1", False)]:
@@ -371,7 +383,8 @@ def test_criterion_11_elliptical_consistency():
          (not stall.decreasing) and stall.deviations[-1] > 0.1),
     ]
     _line(11, all(p for _, p in checks),
-          f"chain vs analytic EAR {chain.accept_rate:.5f}/{analytic.ear:.5f}, "
-          f"ESJD {chain.esjd:.5f}/{analytic.esjd:.5f}; classifier and shell "
+          f"chain/Monte Carlo/exact EAR {chain.accept_rate:.5f}/"
+          f"{analytic.ear:.5f}/{exact[0]:.5f}, ESJD {chain.esjd:.5f}/"
+          f"{analytic.esjd:.5f}/{exact[1]:.5f}; classifier and shell "
           "checks as predicted")
     _assert_all(checks)

@@ -5,6 +5,12 @@ tests/chain_pins.json holds each call's arguments and the float.hex of every
 field of its result, recorded at commit 4c8cc7b, before the radius draws
 were evaluated in sorted order and the R-hat ranks taken from run
 boundaries.  Both changes are meant to move no bit of any result.
+
+The ``elliptical_ear_esjd iota d=10`` entry alone was re-recorded when
+elliptical_ear_esjd came to share mc_expectation's estimator: its draws now
+come from one Generator (the proposal radii first, then the directions in
+blocks) instead of eight seeded streams, and its result is an
+MCExpectation.  Its arguments are unchanged.
 """
 
 import dataclasses

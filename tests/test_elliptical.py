@@ -1,5 +1,8 @@
 """Tests for elliptical targets: eigenvalue rules, the transformed-space
-EAR/ESJD average, the eccentricity condition, and the scaling correction."""
+EAR/ESJD average (against an exact oracle for Gaussian cores), the
+eccentricity condition, and the scaling correction."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +17,31 @@ from rwmscaling.elliptical import (
     lemma5_numeric_check,
     parse_eigenvalue_rule,
 )
-from rwmscaling.engine import get_marginal_table, table_point
+from rwmscaling.engine import (closed_form_gaussian_1d, get_marginal_table,
+                               table_point)
+from rwmscaling.quadrature import adaptive_quad
+from rwmscaling.simulate import mc_expectation
 from rwmscaling.targets import build_example_target
+
+
+def gaussian_elliptical_exact(nus, lam: float) -> np.ndarray:
+    """Exact (EAR, Mahalanobis ESJD) for a Gaussian core and proposal under
+    the axis map nu.
+
+    There |Y_*|^2 = sum nu_i^2 Z_i^2 and W(z) = erfc(z / sqrt 2).  Craig's
+    (1991) form erfc(x) = (2/pi) int_0^{pi/2} exp(-x^2 / sin^2 t) dt turns
+    E W(lam |Y_*| / 2) into one integral over t of
+    prod_i (1 + a_i)^(-1/2), a_i = lam^2 nu_i^2 / (4 sin^2 t), and the ESJD
+    into that times lam^2 sum_i nu_i^2 / (1 + a_i).
+    """
+    nu2 = np.asarray(nus, dtype=float) ** 2
+
+    def f(t):
+        a = 1.0 + (0.25 * lam * lam) * nu2 / np.sin(t)[:, None] ** 2
+        p = np.exp(-0.5 * np.log(a).sum(axis=1))
+        return np.column_stack([p, lam * lam * p * (nu2 / a).sum(axis=1)])
+
+    return (2.0 / np.pi) * adaptive_quad(f, 0.0, 0.5 * np.pi, epsabs=1e-13).value
 
 
 def _spec(rule: str, d: int, core: str = "gaussian") -> EllipticalSpec:
@@ -99,6 +125,52 @@ def test_const_map_is_a_scale_shift():
         ref = table_point(table, spec.proposal_core, c * lam)
         assert pt.ear == pytest.approx(ref.ear, abs=3 * pt.ear_se)
         assert pt.esjd == pytest.approx(ref.esjd, abs=3 * pt.esjd_se)
+        # The elliptical draws are mc_expectation's radii times |nu . U| = c.
+        same = elliptical_ear_esjd(spec, lam, n_draws=150_000, seed=5)
+        sph = mc_expectation(spec.spherical_core, spec.proposal_core, c * lam,
+                             n_samples=150_000, seed=5)
+        for field in ("ear", "ear_se", "esjd", "esjd_se"):
+            assert getattr(same, field) == pytest.approx(getattr(sph, field),
+                                                         rel=1e-12, abs=0.0)
+        assert (same.n_samples, same.seed) == (sph.n_samples, sph.seed)
+
+
+def test_exact_gaussian_oracle_reduces_to_the_spherical_values():
+    for c, lam in [(1.0, 0.1), (1.0, 0.7), (2.5, 0.9), (1.0, 10.0)]:
+        exact = gaussian_elliptical_exact([c], lam)
+        assert exact == pytest.approx(closed_form_gaussian_1d(c * lam),
+                                      rel=0.0, abs=1e-13)
+    c, spec = 2.5, _spec("const:2.5", 4)
+    table = get_marginal_table(spec.spherical_core)
+    for lam in (0.3, 0.9):
+        ear, esjd = gaussian_elliptical_exact(spec.eigenvalues, lam)
+        ref = table_point(table, spec.proposal_core, c * lam)
+        assert abs(ear - ref.ear) <= min(ref.ear_err, 1e-10)
+        assert abs(esjd - ref.esjd) <= min(ref.esjd_err, 1e-10)
+
+
+@pytest.mark.parametrize("rule, d, lam", [("iota", 10, 0.1), ("spike:1", 8, 0.3),
+                                          ("iota", 3, 0.8)])
+def test_elliptical_average_matches_the_exact_gaussian_value(rule, d, lam):
+    spec = _spec(rule, d)
+    ear, esjd = gaussian_elliptical_exact(spec.eigenvalues, lam)
+    pt = elliptical_ear_esjd(spec, lam)
+    assert abs(pt.ear - ear) <= 4 * pt.ear_se
+    assert abs(pt.esjd - esjd) <= 4 * pt.esjd_se
+
+
+def test_elliptical_draws_hold_bounded_memory_in_d():
+    # Directions come in blocks of at most 2^18 normals, so a default call's
+    # peak stays near its 200k radii and W values (~8 MB) at any d.
+    spec = _spec("iota", 128)
+    get_marginal_table(spec.spherical_core)
+    tracemalloc.start()
+    try:
+        elliptical_ear_esjd(spec, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_elliptical_point_reproducibility_and_validation():
@@ -129,6 +201,12 @@ def test_eccentricity_condition_classifications():
     assert not rep.satisfied
     assert rep.ratios[-1] > 0.9  # the spike dominates the whole spectrum
 
+    # The verdict reads the decay per unit log d, so close dims agree.
+    for dims in ([8, 9, 10], [100, 110, 120], [2, 3, 4]):
+        for rule in ("const:1", "const:2.5", "iota"):
+            assert eccentricity_condition(rule, dims).satisfied, (rule, dims)
+        assert not eccentricity_condition("spike:1", dims).satisfied, dims
+
     with pytest.raises(EllipticalError):
         eccentricity_condition("const:1", [10, 30])
     with pytest.raises(EllipticalError):
@@ -145,6 +223,12 @@ def test_eccentricity_reads_any_sequence_from_a_file_rule(tmp_path):
     assert rep.rule == rule
     # sum of 1/i^2 converges, so the top eigenvalue keeps a fixed share
     assert not rep.satisfied
+
+    # One axis of squared length s over unit ones has the share s/(s + d - 1):
+    # over dims 2, 8, 32 it halves (the d^(-1/4) rate) exactly when s <= 29.
+    for s, want in [(28.0, True), (30.0, False)]:
+        path.write_text(f"{s ** 0.5!r}\n1.0\n")
+        assert eccentricity_condition(rule, [2, 8, 32]).satisfied == want, s
 
 
 def test_lemma5_shell_concentration():
