@@ -15,15 +15,17 @@ infinitesimally informed observer of the radial chain sees.
 Two evaluation routes are provided and are kept mutually checkable:
 
 * ear_esjd, the reference: literal nested adaptive quadrature of the
-  double integral (absolute error <= 1e-8; raises on budget exhaustion);
+  double integral, f K_d through kernel_K (absolute error <= 1e-8; raises
+  on budget exhaustion);
 * the table route, behind curve, table_point and the optimizer: a
-  per-target table of W (built once by stacked adaptive quadrature and kept
-  on the target model, interpolated as a cubic spline of log W with a
-  measured midpoint-error certificate), after which a whole lambda grid is
-  one stacked 1-d integral over the proposal radius, one item per lambda,
-  each with its own evaluation budget and its own failure flag;
-  table_point is the one-lambda case.  Table and nested routes agree to
-  < 1e-7 by test.
+  per-target table of W (built once by stacked adaptive quadrature of an
+  integrand written apart, in log space, and kept on the target model,
+  interpolated as a cubic spline of log W with a measured midpoint-error
+  certificate), after which a whole lambda grid is one stacked 1-d
+  integral over the proposal radius, one item per lambda, each with its
+  own evaluation budget and its own failure flag; table_point is the
+  one-lambda case.  Table and nested routes, so independent code, agree
+  to < 1e-7 by test.
 
 The sampled estimate is the outer integral done by Monte Carlo over draws
 of the proposal radius (of |Y_*| for an elliptical target), with W from the
@@ -39,7 +41,7 @@ import numpy as np
 
 from .cubic import PiecewiseCubic
 from .quadrature import QuadratureError, adaptive_quad, stacked_quad
-from .special import _checked_count, _checked_positive, kernel_K
+from .special import _checked_count, _checked_positive, _log_x_kernel, kernel_K
 from .targets import _TRUNC_TAIL, RadialModel, sample_radius
 
 __all__ = [
@@ -75,23 +77,39 @@ def closed_form_laplace_1d(lam: float) -> tuple[float, float]:
 
 
 def _tail_weight_many(model: RadialModel, z: np.ndarray, *, epsabs=1e-14,
-                      epsrel=1e-11, max_evals: int = 20_000_000):
+                      epsrel=1e-11, max_evals: int = 20_000_000, literal=False):
     """W(z) = 2 F_{1|d}(-z) for a batch of z >= 0, by stacked quadrature.
 
     W(z) = int_z^inf fbar(x) K_d(z/x) dx, evaluated in the substituted
     variable x = z + u^2: at d = 2 the kernel has a square-root singularity
     at x = z that defeats plain bisection, and the substitution makes the
     integrand smooth there for every d.
+
+    The table's integrand is 2u exp(log(x^(d-1) K_d(z/x)) + log pi(x) -
+    log_norm), with x^2 - z^2 = u^2 (2z + u^2) exact (special._log_x_kernel),
+    x and z in units of the median radius s so no term of size d log x rounds
+    near the mass.  ``literal`` gives the nested route its own 2u fbar(x)
+    K_d(z/x) through kernel_K, so the routes check each other.
     """
     d = model.d
     z = np.asarray(z, dtype=float)
+    s = float(model.quantile(0.5))
+    log_c = model.log_norm - (d - 1) * np.log(s)
 
-    def integrand(u, idx):
+    def literal_form(u, idx):  # x > 0: where z = 0, u starts at sqrt(r_lo)
         zi = z[idx]
         x = zi + u * u
-        with np.errstate(divide="ignore", invalid="ignore"):
-            arg = np.where(x > 0.0, zi / x, np.inf)
-        return 2.0 * u * model.radial_pdf(x) * kernel_K(d, np.minimum(arg, 1.0))
+        return 2.0 * u * model.radial_pdf(x) * kernel_K(d, np.minimum(zi / x, 1.0))
+
+    def fused_form(u, idx):
+        zi, gap = z[idx], u * u
+        out = _log_x_kernel(d, zi / s, gap / s)
+        gap += zi  # x, in place like the rest
+        out += model.log_pi(gap)
+        out -= log_c
+        np.exp(out, out=out)
+        out *= 2.0 * u
+        return out
 
     x_lo = np.maximum(z, model.r_lo)
     lo = np.sqrt(np.maximum(x_lo - z, 0.0))
@@ -102,8 +120,8 @@ def _tail_weight_many(model: RadialModel, z: np.ndarray, *, epsabs=1e-14,
         np.broadcast_to(qs, (z.size, qs.size)),
     ], axis=1)
     pts = np.sqrt(np.clip(x_pts - z[:, None], 0.0, None))
-    vals, errs, n = stacked_quad(integrand, lo, hi, epsabs=epsabs,
-                                 epsrel=epsrel, points=pts,
+    vals, errs, n = stacked_quad(literal_form if literal else fused_form, lo, hi,
+                                 epsabs=epsabs, epsrel=epsrel, points=pts,
                                  max_evals=max_evals)
     return np.clip(vals, 0.0, None), errs, n
 
@@ -222,7 +240,7 @@ def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float):
     def inner(y_nodes):
         z = 0.5 * lam * y_nodes
         vals, errs, n = _tail_weight_many(target, z, epsabs=1e-13, epsrel=3e-11,
-                                          max_evals=budget[0])
+                                          max_evals=budget[0], literal=True)
         budget[0] -= n
         if budget[0] <= 0:
             raise QuadratureError("inner-integral budget exhausted")

@@ -26,6 +26,9 @@ How K_d is evaluated:
 * d > 1000: the complemented incomplete beta of x^2.  There the fit's error
   grows with d (2.5e-13 at d = 2000) while the incomplete beta's falls
   (3e-14), as K_d underflows long before x^2 rounding matters.
+
+The W table's integrand takes log(x^(d-1) K_d(z/x)) from (z, gap = x - z)
+through _log_x_kernel, with x^2 - z^2 = gap (2z + gap) exact.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ _FIT_DEGREE = 128
 _FIT_TAIL = 16
 # Largest d evaluated through the fit; above it, the incomplete beta.
 _FIT_MAX_D = 1000
-# Points per Clenshaw pass: small enough that its buffers stay in cache.
-_CHUNK = 4096
+# Points per Clenshaw pass: its four buffers (256 KB) still stay in L2 cache.
+_CHUNK = 8192
 
 
 # The package's only copies of its input rules: counts, dimensions and their
@@ -174,9 +177,8 @@ def _clenshaw(c, t2, p, q, tmp):
     return tmp
 
 
-def _fitted_K(coef, b: float, x):
-    """exp(g_d(x) + b log(1 - x^2)) for x >= 0, summed chunk by chunk."""
-    flat = np.minimum(x, 1.0).ravel()
+def _fitted_excess(coef, flat):
+    """g_d at each point of a flat array in [0, 1], summed chunk by chunk."""
     out = np.empty_like(flat)
     n = min(flat.size, _CHUNK)
     p, q, tmp, t2 = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
@@ -186,14 +188,8 @@ def _fitted_K(coef, b: float, x):
         # 2t with t = 2x - 1 the Chebyshev variable of [0, 1].
         np.multiply(xs, 4.0, out=t2[:m])
         t2[:m] -= 2.0
-        g = _clenshaw(coef, t2[:m], p[:m], q[:m], tmp[:m])
-        o = out[s:s + m]
-        np.multiply(_log1m_sq(xs), b, out=o)
-        o += g
-        np.exp(o, out=o)
-    out[flat == 0.0] = 1.0
-    np.minimum(out, 1.0, out=out)
-    return out.reshape(np.shape(x))
+        out[s:s + m] = _clenshaw(coef, t2[:m], p[:m], q[:m], tmp[:m])
+    return out
 
 
 def kernel_K(d: int, x):
@@ -225,9 +221,35 @@ def kernel_K(d: int, x):
     elif d == 3:
         out = np.maximum(1.0 - x_arr, 0.0)
     elif d <= _FIT_MAX_D:
-        out = _fitted_K(_excess_coeffs(d), 0.5 * (d - 1), x_arr)
+        flat = np.minimum(x_arr, 1.0).ravel()
+        out = np.exp(_fitted_excess(_excess_coeffs(d), flat) + _log1m_sq(flat) * (0.5 * (d - 1)))
+        out[flat == 0.0] = 1.0
+        out = np.minimum(out, 1.0).reshape(x_arr.shape)
     else:
         inside = x_arr < 1.0
         u = np.where(inside, x_arr, 0.0) ** 2
         out = np.where(inside, _sp.betaincc(0.5, 0.5 * (d - 1), u), 0.0)
     return out if out.ndim else float(out)
+
+
+def _log_x_kernel(d: int, z, gap):
+    """log(x^(d-1) K_d(z/x)) at x = z + gap, for 1-d arrays z >= 0, gap > 0.
+
+    x^2 - z^2 = gap (2z + gap) is exact where 1 - (z/x)^2 would cancel.  For
+    4 <= d <= 1000 x^(d-1) cancels into b log(x^2 - z^2) + g_d(z/x); d = 2
+    takes arccos(z/x) as atan2(sqrt(x^2 - z^2), z) and d = 3 x K_3 as gap.
+    """
+    x, x2_z2 = z + gap, gap * (2.0 * z + gap)
+    with np.errstate(divide="ignore"):
+        if d == 1:
+            return np.zeros_like(x)
+        if d == 2:
+            return np.log(x) + np.log((2.0 / np.pi) * np.arctan2(np.sqrt(x2_z2), z))
+        if d == 3:
+            return np.log(x) + np.log(gap)
+        if d <= _FIT_MAX_D:  # in place: fresh arrays cost more than the arithmetic
+            np.log(x2_z2, out=x2_z2)
+            x2_z2 *= 0.5 * (d - 1)
+            x2_z2 += _fitted_excess(_excess_coeffs(d), np.divide(z, x, out=x))
+            return x2_z2
+        return (d - 1) * np.log(x) + np.log(_sp.betaincc(0.5, 0.5 * (d - 1), (z / x) ** 2))

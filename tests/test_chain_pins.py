@@ -11,6 +11,14 @@ elliptical_ear_esjd came to share mc_expectation's estimator: its draws now
 come from one Generator (the proposal radii first, then the directions in
 blocks) instead of eight seeded streams, and its result is an
 MCExpectation.  Its arguments are unchanged.
+
+The three entries that read a W table (``mc_expectation gaussian d=10``,
+``mc_expectation exponential d=10`` and ``elliptical_ear_esjd iota d=10``)
+were re-recorded when the table build moved to the log-space integrand
+(engine._tail_weight_many).  W moved by rounding, most of it the constant
+log_norm - (d - 1) log s rounded once, so each of their twelve fields moved
+by 7-14 ulp, at most 2.0e-15 relative.  Every run_rwm and solve_aots entry
+held bit for bit.
 """
 
 import dataclasses

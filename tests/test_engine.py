@@ -41,15 +41,38 @@ def test_closed_form_laplace_values():
     assert esjd == pytest.approx(16.0 * 16.0 / 216.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 7, 25])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 25, 1000, 1001, 2000])
 def test_gaussian_marginal_is_standard_normal(d):
     # One coordinate of a spherical standard Gaussian is N(0,1) in every
     # dimension, so W(z) = 2 Phi(-z); this pins the projection-kernel
-    # integral end to end.
+    # integral end to end, through both integrands and on both sides of the
+    # kernel's fit/incomplete-beta boundary at d = 1000.
     t = build_example_target("gaussian", d)
     z = np.array([0.0, 0.2, 0.4, 1.0, 2.5, 3.0])
-    w, _, _ = engine._tail_weight_many(t, z)
-    assert np.abs(w - 2.0 * norm.cdf(-z)).max() <= 1e-11
+    for literal in (False, True):
+        w, _, _ = engine._tail_weight_many(t, z, literal=literal)
+        assert np.abs(w - 2.0 * norm.cdf(-z)).max() <= 1e-11, literal
+
+
+_FAMILIES = ["gaussian", "exponential", "radial-gaussian", "radial-exponential",
+             "lognormal", "mixture:p=0.2", "mixture:p=1/d^2"]
+
+
+@pytest.mark.parametrize("spec, d", [
+    (spec, d) for spec in _FAMILIES for d in (1, 2, 3, 4, 10, 100)
+    if not (spec.startswith("mixture") and d == 1)
+] + [(spec, d) for spec in ("gaussian", "exponential") for d in (1000, 1001)])
+def test_table_and_nested_integrands_agree(spec, d):
+    # The table's log-space integrand and the nested route's literal
+    # 2u f(x) K_d(z/x) are written independently; W from each agrees to
+    # rounding over the whole support, measured <= 7.1e-13 relative.
+    t = parse_target_spec(spec, d)
+    z = np.linspace(0.0, t.r_hi, 500)
+    fused, _, _ = engine._tail_weight_many(t, z)
+    literal, _, _ = engine._tail_weight_many(t, z, literal=True)
+    big = np.maximum(fused, literal) >= 1e-14
+    assert big.sum() >= 50
+    assert np.max(np.abs(fused - literal)[big] / literal[big]) <= 1e-12
 
 
 def test_marginal_cdf_basic_properties():
@@ -161,6 +184,16 @@ def test_w_is_one_up_to_zero_zero_from_the_last_knot_and_nan_at_nan(spec, d):
     assert math.isnan(table.w(np.nan))
     inside = table.w(np.array([0.5 * z_last, np.nan]))
     assert 0.0 < inside[0] < 1.0 and math.isnan(inside[1])
+
+
+@pytest.mark.parametrize("p", ["0.2", "1/d", "1/d^2", "1/d^3"])
+def test_mixture_tables_build_at_d_1000(p):
+    # In units of the median radius the log-space integrand keeps its
+    # rounding below the stacked quadrature's epsrel; with x unscaled, three
+    # of these builds exhausted their 2e7-evaluation budget.
+    table = MarginalTable(parse_target_spec(f"mixture:p={p}", 1000))
+    assert table.max_interp_rel_err < 1e-7
+    assert 0.0 < table.w(1.0) < 1.0
 
 
 def test_table_build_computes_each_w_once(monkeypatch):
