@@ -7,12 +7,15 @@ limiting optimum for a radial mixing law, ``elliptical`` tabulates the
 eccentricity condition with the adjusted scaling rule, and ``simulate``
 runs 50 Metropolis chains in lockstep.  Exit codes: 0 success, 2 usage error,
 3 numerical failure.  All numbers are printed with 10 significant digits,
-and the JSON output carries exactly the values the CSV shows.
+and the JSON output carries exactly the values the CSV shows.  ``main``
+builds its parser on the first call and reuses it for every later call in
+the process; ``build_parser`` returns a new one each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -269,6 +272,7 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new ``rwmscale`` parser on every call; ``main`` reuses one."""
     p = argparse.ArgumentParser(
         prog="rwmscale",
         description="Optimal scaling of random walk Metropolis: exact "
@@ -353,10 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)

@@ -83,12 +83,14 @@ def default_search_range(target: RadialModel,
                          proposal: RadialModel) -> tuple[float, float]:
     """A search window centred on the asymptotic point-mass prediction
     2 mu_hat k_x / (sqrt(d) k_y) when the radial scales are known, spanning
-    three decades each way."""
+    three decades each way.  A mixture's wide component (scale d) peaks
+    near d times the centre, so its top reaches at least 3 d times it."""
     center = 1.0
     if target.k is not None and proposal.k is not None:
         center = aos(POINT_MASS_MU_HAT, target.k, proposal.k, target.d)
     span = 1e3
-    return center / span, center * span
+    top = max(span, 3.0 * target.d) if target.family == "mixture" else span
+    return center / span, center * top
 
 
 def _golden_refine(fun, t_lo: float, t_hi: float, tol: float) -> CurvePoint:

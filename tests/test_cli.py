@@ -4,13 +4,16 @@ formats, CSV/JSON value parity, and the dimension-list grammar."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rwmscaling import targets
+from rwmscaling import cli, targets
 from rwmscaling.asymptotics import mixing_from_spec, solve_aots
 from rwmscaling.cli import UsageError, main, parse_dims
 from rwmscaling.elliptical import (EllipticalSpec, elliptical_aos,
@@ -39,6 +42,51 @@ def test_version_and_help_exit_zero(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out
     assert "rwmscale" in out
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
+    # main reuses one parser per process: each call in this sequence must
+    # print what its argv prints alone in a fresh interpreter.
+    out_path = tmp_path / "optimum.csv"
+    sequence = [
+        ["simulate", "gaussian", "gaussian", "--dim", "2", "--lambda", "2",
+         "--iters", "2000", "--seed", "3"],  # JSON by default
+        ["curve", "gaussian", "gaussian", "--dim", "2", "--lambda-min", "0.5",
+         "--lambda-max", "2", "--points", "5"],  # still CSV by default
+        ["curve", "gaussian", "gaussian", "--dim", "2"],  # usage error
+        ["--version"],
+        ["optimize", "gaussian", "gaussian", "--dim", "1", "--grid", "64",
+         "--out", str(out_path)],
+        ["asymptotic", "--mixing", "point:1"],  # stdout, not the last --out
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    procs = [subprocess.Popen([sys.executable, "-m", "rwmscaling", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+             for argv in sequence]
+    fresh = []
+    for proc in procs:
+        out = proc.communicate()[0].decode()
+        fresh.append((proc.returncode, out))
+    fresh_file = out_path.read_text()
+    out_path.unlink()
+    reused = [_run(capsys, argv)[:2] for argv in sequence]
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0, 2, 0, 0, 0]
+    assert reused[0][1].startswith("{") and reused[1][1].startswith("# target=")
+    assert reused[4][1] == "" and reused[5][1].startswith("# mixing=point:1")
+    assert out_path.read_text() == fresh_file
+
+
+def test_build_parser_returns_a_new_parser_and_main_builds_one(monkeypatch, capsys):
+    assert cli.build_parser() is not cli.build_parser()
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in (["--version"], ["asymptotic", "--mixing", "point:1"], ["curve"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == 1
 
 
 def test_parse_dims_grammar():
@@ -122,6 +170,17 @@ def test_optimize_boundary_argmax_exits_3(capsys):
                                  "--dim", "2", "--lambda-min", "40",
                                  "--lambda-max", "400", "--grid", "64"])
     assert code == 3 and "numerical failure" in err
+
+
+def test_mixture_default_window_holds_the_wide_peak_at_large_d(capsys):
+    # The wide component (scale d) peaks near d times the point-mass
+    # prediction: lambda 75.304 at d = 1000, past a top of 1e3 times it.
+    code, out, _ = _run(capsys, ["optimize", "mixture:p=0.2", "gaussian",
+                                 "--dim", "1000"])
+    assert code == 0
+    _, header, data = _parse_csv(out)
+    assert float(dict(zip(header, data[0]))["lambda_hat"]) == pytest.approx(
+        75.3041, rel=1e-5)
 
 
 def test_lognormal_at_large_d_optimizes_on_a_certified_table(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rwmscaling import optimizer
+from rwmscaling.asymptotics import POINT_MASS_MU_HAT, aos
 from rwmscaling.engine import get_marginal_table, table_point
 from rwmscaling.optimizer import (
     DimensionSweep,
@@ -120,6 +121,17 @@ def test_default_search_range_centres_on_prediction():
     lo, hi = default_search_range(t, t)
     center = np.sqrt(lo * hi)
     assert center == pytest.approx(2.0 * 1.1906012483427703 / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, d, top", [
+    ("mixture:p=0.2", 10, 1e3), ("mixture:p=0.2", 100, 1e3),
+    ("mixture:p=0.2", 300, 1e3), ("gaussian", 1000, 1e3),
+    ("mixture:p=0.2", 1000, 3e3),  # the wide component peaks near d x centre
+])
+def test_default_search_range_spans_three_decades_below_the_centre(spec, d, top):
+    t, g = parse_target_spec(spec, d), build_example_target("gaussian", d)
+    centre = aos(POINT_MASS_MU_HAT, t.k, g.k, d)
+    assert default_search_range(t, g) == (centre / 1e3, centre * top)
 
 
 def test_sweep_reports_rows_and_reference_scale():
