@@ -6,10 +6,10 @@ brackets every interior local maximum of the ESJD curve; each bracket is
 polished by golden-section search in log-scale coordinates, one
 engine.table_point at a time, and the global optimum is reported with ties
 broken toward the smaller scale, carrying the table's message when the
-table missed its certificate.  Dimension sweeps rerun the optimizer per
-dimension with the search window centred on the asymptotic prediction, and
-a drift diagnostic classifies how the optimal transformed scale behaves as
-dimension grows.
+table missed its certificate.  default_search_range is the one rule for
+where to search: a dimension sweep is optimize with that default window at
+each dimension, and a drift diagnostic classifies how the optimal
+transformed scale behaves as dimension grows.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (AsymptoticsError, aos, mixing_from_spec,
-                          solve_aots, transformed_scale, POINT_MASS_MU_HAT)
+from .asymptotics import (aos, mixing_from_spec, solve_aots, transformed_scale,
+                          POINT_MASS_MU_HAT)
 from .engine import (CurvePoint, EngineError, curve, get_marginal_table,
                      table_point)
 from .quadrature import QuadratureError
@@ -219,12 +219,7 @@ class DimensionSweep:
 def _limit_optimum(limit_mixing: str | None):
     if limit_mixing is None:
         return None, None
-    try:
-        opt = solve_aots(mixing_from_spec(limit_mixing))
-    except AsymptoticsError:
-        return None, None
-    if not opt.finite:
-        return None, None
+    opt = solve_aots(mixing_from_spec(limit_mixing))
     return opt.mu_hat, opt.aoa
 
 
@@ -232,11 +227,13 @@ def sweep_dimension(target_spec: str, proposal_spec: str, dims, *,
                     grid: int = 512) -> DimensionSweep:
     """Run the optimizer at each dimension of a strictly increasing list.
 
-    The per-dimension search window spans two decades either
-    side of the asymptotic prediction for the family's limiting mixing law
-    (falling back to the point-mass prediction, and to a deliberately wider
-    window for mixture targets whose two branches separate like sqrt(d)).
-    Failures are recorded as flagged rows, not raised.
+    Each row is ``optimize(target, proposal, grid=grid)`` at that d, with
+    its default window (default_search_range), so a row's optimum is what
+    optimize gives at that dimension.  ``corollary_lambda`` is the
+    asymptotic prediction for the family's limiting mixing law (the
+    point-mass one when there is none); it does not steer the search.
+    A failure at one dimension is recorded as a flagged row, not raised;
+    a limit law that fails to solve raises.
     """
     dims = _checked_dimension_list(dims, 1)
 
@@ -250,16 +247,7 @@ def sweep_dimension(target_spec: str, proposal_spec: str, dims, *,
             if target.k is not None and proposal.k is not None:
                 mu_ref = limit_mu if limit_mu is not None else POINT_MASS_MU_HAT
                 pred = aos(mu_ref, target.k, proposal.k, d)
-            span = 1e2
-            if target.family == "mixture":
-                base = aos(POINT_MASS_MU_HAT, target.k, proposal.k, d)
-                lam_lo, lam_hi = base / span, base * np.sqrt(d) * span
-            elif pred is not None:
-                lam_lo, lam_hi = pred / span, pred * span
-            else:
-                lam_lo, lam_hi = default_search_range(target, proposal)
-            opt = optimize(target, proposal, lam_lo=lam_lo, lam_hi=lam_hi,
-                           grid=grid)
+            opt = optimize(target, proposal, grid=grid)
             return SweepRow(d=d, ok=True, optimum=opt, corollary_lambda=pred,
                             k_x=target.k, k_y=proposal.k, message=opt.message)
         except (OptimizerError, EngineError, QuadratureError, ValueError) as exc:

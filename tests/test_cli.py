@@ -220,6 +220,21 @@ def test_sweep_json_rows_and_limit_comment(capsys):
     assert any("limit_aoa=0.2338101613" in c for c in payload["comments"])
 
 
+def test_sweep_runs_a_proposal_without_a_radial_scale(tmp_path, capsys):
+    # A custom: proposal has no radial scale k, so there is no scaling-rule
+    # column; its rows still come from optimize's default window.
+    r = np.linspace(0.01, 40.0, 800)
+    path = tmp_path / "gaussian.tsv"
+    path.write_text("\n".join(f"{a:.17g} {-0.5 * a * a:.17g}" for a in r))
+    code, out, err = _run(capsys, ["sweep", "mixture:p=0.2", f"custom:{path}",
+                                   "--dims", "5,10", "--grid", "128"])
+    assert code == 0 and err == ""
+    _, header, data = _parse_csv(out)
+    assert header == ["d", "lambda_hat", "ear_hat", "esjd_hat"]
+    assert [int(row[0]) for row in data] == [5, 10]
+    assert float(data[0][1]) == pytest.approx(5.3287, rel=1e-3)
+
+
 def test_sweep_bad_dims_exits_2(capsys):
     code, _, _ = _run(capsys, ["sweep", "gaussian", "gaussian", "--dims", "5,2"])
     assert code == 2

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rwmscaling import optimizer
-from rwmscaling.asymptotics import POINT_MASS_MU_HAT, aos
+from rwmscaling.asymptotics import (POINT_MASS_MU_HAT, aos, mixing_from_spec,
+                                    solve_aots, transformed_scale)
 from rwmscaling.engine import get_marginal_table, table_point
 from rwmscaling.optimizer import (
     DimensionSweep,
@@ -157,6 +158,55 @@ def test_sweep_validates_dims():
         sweep_dimension("gaussian", "gaussian", [5, 5])
     with pytest.raises(ValueError):
         sweep_dimension("gaussian", "gaussian", [5, 2])
+
+
+def _gaussian_table(tmp_path):
+    """A custom: proposal with no radial scale k (a gaussian log density)."""
+    r = np.linspace(0.01, 40.0, 800)
+    path = tmp_path / "gaussian.tsv"
+    path.write_text("\n".join(f"{a:.17g} {-0.5 * a * a:.17g}" for a in r))
+    return f"custom:{path}"
+
+
+@pytest.mark.parametrize("target_spec, proposal_spec, dims", [
+    ("gaussian", "gaussian", [1, 5, 20]),
+    ("mixture:p=1/d^2", "gaussian", [5, 10]),
+    ("mixture:p=0.2", "table", [5, 10]),
+])
+def test_sweep_rows_are_optimize_at_each_dimension(tmp_path, target_spec,
+                                                   proposal_spec, dims):
+    if proposal_spec == "table":
+        proposal_spec = _gaussian_table(tmp_path)
+    sw = sweep_dimension(target_spec, proposal_spec, dims, grid=128)
+    for row, d in zip(sw.rows, dims):
+        opt = optimize(parse_target_spec(target_spec, d),
+                       parse_target_spec(proposal_spec, d), grid=128)
+        assert row.ok and row.d == d
+        assert row.optimum == opt and row.message == opt.message
+
+
+@pytest.mark.parametrize("family, limit", [
+    ("gaussian", "point:1"), ("exponential", "point:1"),
+    ("radial-gaussian", "halfnormal"), ("radial-exponential", "exp"),
+])
+def test_sweep_approaches_the_limit_like_one_over_d(family, limit):
+    # A quadratic in 1/d through the rows at d = 100, 300 and 1000 has its
+    # intercept at the limit optimum.  Measured intercept errors are at most
+    # 1.1e-6 in EAR and 5.0e-6 in mu_hat; the bounds leave about 2x and 1.6x.
+    dims = [100, 300, 1000]
+    sw = sweep_dimension(family, "gaussian", dims)
+    for row in sw.rows:
+        assert row.ok
+        # exponential's d = 1000 table ends at a certificate of 3.06e-9
+        if (family, row.d) != ("exponential", 1000):
+            assert row.message == ""
+    inv_d = 1.0 / np.array(dims, dtype=float)
+    ears = [row.optimum.ear_hat for row in sw.rows]
+    mus = [transformed_scale(row.optimum.lambda_hat, row.d, row.k_x, row.k_y)
+           for row in sw.rows]
+    ref = solve_aots(mixing_from_spec(limit))
+    assert abs(np.polyfit(inv_d, ears, 2)[-1] - ref.aoa) < 2.5e-6
+    assert abs(np.polyfit(inv_d, mus, 2)[-1] - ref.mu_hat) < 8e-6
 
 
 def _synthetic_sweep(mus, dims):
