@@ -2,14 +2,14 @@
 
 Every ESJD value comes from the target's W table.  A log-spaced grid over
 the search range, evaluated as one stacked integral (engine.curve),
-brackets every interior local maximum of the ESJD curve; each bracket is
-polished by golden-section search in log-scale coordinates, one
-engine.table_point at a time, and the global optimum is reported with ties
-broken toward the smaller scale, carrying the table's message when the
-table missed its certificate.  default_search_range is the one rule for
-where to search: a dimension sweep is optimize with that default window at
-each dimension, and a drift diagnostic classifies how the optimal
-transformed scale behaves as dimension grows.
+brackets every interior local maximum of the ESJD curve; all brackets are
+polished at once by Chebyshev fits in log(lambda), two stacked calls a
+round, then each polished scale is read alone (engine.table_point).  The
+global optimum breaks ties toward the smaller scale and carries the table's
+message when the table missed its certificate.  default_search_range is
+the one rule for where to search: a dimension sweep is optimize with that
+default window at each dimension, and a drift diagnostic classifies how
+the optimal transformed scale behaves as dimension grows.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 
 from .asymptotics import (aos, mixing_from_spec, solve_aots, transformed_scale,
                           POINT_MASS_MU_HAT)
-from .engine import (CurvePoint, EngineError, curve, get_marginal_table,
+from .engine import (EngineError, _table_points, curve, get_marginal_table,
                      table_point)
 from .quadrature import QuadratureError
 from .special import _checked_count, _checked_dimension_list, _checked_positive
@@ -39,9 +40,9 @@ __all__ = [
     "peak_drift_diagnostic",
 ]
 
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_REL_TOL = 1e-5  # golden-section tolerance on log(lambda)
+_REL_TOL = 1e-5  # a polished peak beats its neighbours at log(lambda) +- this
 _TIE_REL = 1e-6  # maxima within this relative ESJD of the best tie with it
+_POLISH_ROUNDS = 8  # each round's failed peaks narrow fourfold and retry
 
 
 class OptimizerError(RuntimeError):
@@ -64,7 +65,9 @@ class ScalingOptimum:
     ``lambda_hat`` is always a member of ``local_maxima``; when several
     maxima agree in ESJD to the tie tolerance the smallest scale is the
     canonical answer.  ``message`` is the champion point's: non-empty when
-    the W table behind it missed its certificate.
+    the W table behind it missed its certificate.  ``lambda_err`` is lambda_hat
+    (sqrt(2 esjd_err / |ESJD_tt|) + 1e-5): the log-scale shift that drops ESJD by
+    its error bar, plus the polish tolerance; inf where the fit is not concave.
     """
 
     lambda_hat: float
@@ -73,6 +76,7 @@ class ScalingOptimum:
     local_maxima: tuple[LocalMaximum, ...]
     canonical_rule: str = "smallest-lambda-among-argmax"
     message: str = ""
+    lambda_err: float = np.inf
 
     @property
     def n_local_maxima(self) -> int:
@@ -93,23 +97,48 @@ def default_search_range(target: RadialModel,
     return center / span, center * top
 
 
-def _golden_refine(fun, t_lo: float, t_hi: float, tol: float) -> CurvePoint:
-    """Golden-section maximization of ESJD over t = log(lambda); ties move
-    the bracket left so the smaller scale wins."""
-    a, b = t_lo, t_hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc.esjd >= fd.esjd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fun(d)
-    return fc if fc.esjd >= fd.esjd else fd
+def _polish(table, proposal, lo, hi, seen_t, seen_s):
+    """Maximize ESJD over t = log(lambda) in every bracket [lo, hi] at once.
+
+    A round fits each open bracket's Chebyshev interpolant from one stacked
+    call, runs Newton on its derivative from the best node, and reads each
+    fit's t* and t* +- _REL_TOL in a second call.  A peak is done when t*
+    beats its neighbours, the nodes and the best point seen (seen_t, seen_s,
+    updated in place; the grid point at first); else its bracket shrinks
+    fourfold about that point.  Returns seen_t and each peak's ESJD_tt at
+    its last fit's t*.
+    """
+    def esjd(t):  # failed points read 0, below any interior maximum
+        pts = _table_points(table, proposal, np.exp(t.ravel()))
+        return np.array([p.esjd if p.ok else 0.0 for p in pts]).reshape(t.shape)
+
+    # to_coef @ f(nodes) = interpolant coefficients; made here, not at import time
+    nodes = np.cos(np.pi * (np.arange(9) + 0.5) / 9)
+    to_coef = chebvander(nodes, 8).T * np.r_[1.0, [2.0] * 8][:, None] / 9
+    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    curv, todo = np.zeros(mid.size), np.arange(mid.size)
+    for _ in range(_POLISH_ROUNDS):
+        t = mid[todo] + half[todo] * nodes[:, None]
+        f = esjd(t)
+        c = to_coef @ f
+        d1, d2 = chebder(c), chebder(c, 2)
+        x = nodes[np.argmax(f, axis=0)]
+        for _ in range(8):
+            p1, p2 = chebval(x, d1, tensor=False), chebval(x, d2, tensor=False)
+            concave = p2 < 0.0
+            x = np.where(concave, np.clip(x - p1 / np.where(concave, p2, -1.0), -1, 1), x)
+        curv[todo] = chebval(x, d2, tensor=False) / half[todo] ** 2
+        t3 = mid[todo] + half[todo] * x + _REL_TOL * np.array([[0.0], [-1.0], [1.0]])
+        tt, ss = np.vstack([t3, t]), np.vstack([esjd(t3), f])
+        k, cols = np.argmax(ss, axis=0), np.arange(todo.size)
+        better = ss[k, cols] >= seen_s[todo]
+        seen_t[todo] = np.where(better, tt[k, cols], seen_t[todo])
+        seen_s[todo] = np.maximum(ss[k, cols], seen_s[todo])
+        mid[todo], half[todo] = seen_t[todo], half[todo] / 4.0
+        todo = todo[~(better & (k == 0))]
+        if not todo.size:
+            break
+    return seen_t, curv
 
 
 def optimize(target: RadialModel, proposal: RadialModel, *,
@@ -117,12 +146,12 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
              grid: int = 512) -> ScalingOptimum:
     """Maximize the ESJD curve over [lam_lo, lam_hi].
 
-    Every grid point exceeding both neighbours seeds a golden-section
-    refinement to relative scale tolerance 1e-5; refinement keeps the
-    better of the grid value and the polished value, so the reported optimum
-    never falls below the grid-stage best.  An argmax on the range boundary
-    raises OptimizerError — the window is too narrow to claim an interior
-    optimum.
+    Every grid point exceeding both neighbours brackets a peak, and all
+    peaks are polished together (_polish) until each polished scale beats
+    its neighbours at relative distance 1e-5.  Each polish ends at the best
+    point it saw, its grid point included, and each reported point is
+    table_point at that scale, read alone.  An argmax on the boundary raises
+    OptimizerError — the window is too narrow to claim an interior optimum.
     """
     if lam_lo is None or lam_hi is None:
         auto_lo, auto_hi = default_search_range(target, proposal)
@@ -160,34 +189,30 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
     if not peaks:
         raise OptimizerError("no interior local maximum on the grid")
 
-    def fun(t: float) -> CurvePoint:
-        return table_point(table, proposal, float(np.exp(t)))
+    t_g, peaks = np.log(lam_g), np.array(peaks)
+    t_best, curv = _polish(table, proposal, t_g[peaks - 1], t_g[peaks + 1],
+                           t_g[peaks], s_g[peaks])
+    candidates = sorted(((table_point(table, proposal, float(np.exp(t))), c)
+                         for t, c in zip(t_best, curv)), key=lambda pc: pc[0].lam)
 
-    candidates: list[CurvePoint] = []
-    t_g = np.log(lam_g)
-    for i in peaks:
-        best = _golden_refine(fun, t_g[i - 1], t_g[i + 1], _REL_TOL)
-        if good[i].esjd > best.esjd:
-            best = good[i]
-        candidates.append(best)
-
-    # merge refinements that converged onto the same maximum
-    candidates.sort(key=lambda p: p.lam)
-    merged: list[CurvePoint] = []
-    for p in candidates:
-        if merged and abs(np.log(p.lam / merged[-1].lam)) <= 4.0 * _REL_TOL:
-            if p.esjd > merged[-1].esjd:
-                merged[-1] = p
+    # merge polished peaks that converged onto the same maximum
+    merged = []
+    for p, c in candidates:
+        if merged and abs(np.log(p.lam / merged[-1][0].lam)) <= 4.0 * _REL_TOL:
+            if p.esjd > merged[-1][0].esjd:
+                merged[-1] = (p, c)
         else:
-            merged.append(p)
+            merged.append((p, c))
 
-    best_esjd = max(p.esjd for p in merged)
-    winners = [p for p in merged if p.esjd >= best_esjd * (1.0 - _TIE_REL)]
-    champion = min(winners, key=lambda p: p.lam)
+    best_esjd = max(p.esjd for p, _ in merged)
+    champion, c = min((pc for pc in merged if pc[0].esjd >= best_esjd * (1.0 - _TIE_REL)),
+                      key=lambda pc: pc[0].lam)
+    lambda_err = (champion.lam * (np.sqrt(2.0 * champion.esjd_err / -c) + _REL_TOL)
+                  if c < 0.0 else np.inf)
     return ScalingOptimum(
         lambda_hat=champion.lam, ear_hat=champion.ear, esjd_hat=champion.esjd,
-        local_maxima=tuple(LocalMaximum(p.lam, p.ear, p.esjd) for p in merged),
-        message=champion.message)
+        local_maxima=tuple(LocalMaximum(p.lam, p.ear, p.esjd) for p, _ in merged),
+        message=champion.message, lambda_err=float(lambda_err))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 from rwmscaling import optimizer
 from rwmscaling.asymptotics import (POINT_MASS_MU_HAT, aos, mixing_from_spec,
                                     solve_aots, transformed_scale)
-from rwmscaling.engine import get_marginal_table, table_point
+from rwmscaling.engine import CurvePoint, get_marginal_table, table_point
 from rwmscaling.optimizer import (
     DimensionSweep,
     DriftReport,
@@ -23,17 +23,23 @@ from rwmscaling.targets import build_example_target, parse_target_spec
 
 
 def test_optimize_gaussian_1d_matches_closed_form():
+    # The argmax of ESJD = (2 lam^2 / pi)(atan(2 / lam) - 2 lam / (lam^2 + 4)).
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        esjd = lambda lam: lam ** 2 * (mp.atan(2 / lam) - 2 * lam / (lam ** 2 + 4))
+        exact = float(mp.findroot(lambda lam: mp.diff(esjd, lam), 2.4))
     t = build_example_target("gaussian", 1)
     opt = optimize(t, t, lam_lo=0.2, lam_hi=30.0, grid=128)
-    assert opt.lambda_hat == pytest.approx(2.4264019, rel=2e-4)
+    assert opt.lambda_hat == pytest.approx(exact, rel=1e-9)
     assert opt.ear_hat == pytest.approx(0.4388617, abs=2e-5)
     assert opt.n_local_maxima == 1
+    assert opt.lambda_hat == pytest.approx(exact, abs=opt.lambda_err)
 
 
 def test_optimize_laplace_1d_exact_answer():
     t = build_example_target("laplace", 1)
     opt = optimize(t, t, lam_lo=0.3, lam_hi=40.0, grid=128)
-    assert opt.lambda_hat == pytest.approx(4.0, rel=2e-4)
+    assert opt.lambda_hat == pytest.approx(4.0, rel=1e-9)
     assert opt.ear_hat == pytest.approx(1.0 / 3.0, abs=2e-5)
     assert opt.esjd_hat == pytest.approx(256.0 / 216.0, rel=1e-5)
 
@@ -98,6 +104,87 @@ def test_tie_break_prefers_smaller_scale(monkeypatch):
     assert opt.n_local_maxima >= 2
     assert opt.lambda_hat == min(m.lam for m in opt.local_maxima)
     assert opt.canonical_rule == "smallest-lambda-among-argmax"
+
+
+def _golden_argmax(table, proposal, t_lo, t_hi, tol=1e-11):
+    """Reference: golden-section search of ESJD over t = log(lambda), one
+    table_point at a time."""
+    inv_golden = (np.sqrt(5.0) - 1.0) / 2.0
+    fun = lambda t: table_point(table, proposal, float(np.exp(t))).esjd
+    a, b = t_lo, t_hi
+    c, d = b - inv_golden * (b - a), a + inv_golden * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_golden * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_golden * (b - a)
+            fd = fun(d)
+    return np.exp(c if fc >= fd else d)
+
+
+@pytest.mark.parametrize("spec, proposal_spec, d", [
+    ("gaussian", "gaussian", 10),
+    ("exponential", "exponential", 10),
+    ("lognormal", "gaussian", 20),
+    ("mixture:p=1/d^2", "gaussian", 10),
+])
+def test_polished_peaks_meet_a_fine_golden_search(spec, proposal_spec, d):
+    t, p = parse_target_spec(spec, d), parse_target_spec(proposal_spec, d)
+    table = get_marginal_table(t)
+    opt = optimize(t, p)
+    for m in opt.local_maxima:
+        ref = _golden_argmax(table, p, np.log(m.lam) - 0.02, np.log(m.lam) + 0.02)
+        assert m.lam == pytest.approx(ref, rel=1e-6)
+    assert opt.n_local_maxima == (2 if spec.startswith("mixture") else 1)
+
+
+def test_polish_makes_two_stacked_calls_and_one_solo_read(monkeypatch):
+    calls = {"_table_points": 0, "table_point": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(optimizer, name, counted(name, getattr(optimizer, name)))
+    t = build_example_target("gaussian", 10)
+    opt = optimize(t, t)
+    assert calls == {"_table_points": 2, "table_point": 1}
+    table = get_marginal_table(t)
+    solo = table_point(table, t, opt.lambda_hat)
+    assert (solo.ear, solo.esjd) == (opt.ear_hat, opt.esjd_hat)
+    # the error bar from ESJD's second difference in log(lambda), step 0.01
+    s = [table_point(table, t, opt.lambda_hat * np.exp(0.01 * k)).esjd for k in (-1, 0, 1)]
+    curv = (s[0] - 2.0 * s[1] + s[2]) / 0.01 ** 2
+    assert opt.lambda_err == pytest.approx(
+        opt.lambda_hat * (np.sqrt(2.0 * solo.esjd_err / -curv) + 1e-5), rel=1e-3)
+    assert 1e-5 <= opt.lambda_err / opt.lambda_hat <= 1e-4
+
+
+@pytest.mark.parametrize("t0", [0.0137, -0.0051, 0.0003])
+def test_polish_narrows_onto_a_non_polynomial_peak(monkeypatch, t0):
+    # A cusp 1 - |t - t0|^1.5 defeats the degree-8 fit, so only narrowing
+    # brackets bring t* within _REL_TOL of t0.
+    calls = []
+
+    def fake_points(table, proposal, lams):
+        calls.append(lams.size)
+        return [CurvePoint(float(lam), 0.5, 1.0 - abs(np.log(lam) - t0) ** 1.5,
+                           0.0, 0.0) for lam in lams]
+
+    monkeypatch.setattr(optimizer, "_table_points", fake_points)
+    h = np.array([0.027])
+    t_best, curv = optimizer._polish(None, None, -h, h, np.zeros(1),
+                                     np.array([1.0 - abs(t0) ** 1.5]))
+    assert abs(t_best[0] - t0) <= optimizer._REL_TOL
+    assert 2 < len(calls) <= 2 * optimizer._POLISH_ROUNDS
+    assert curv[0] < 0.0
 
 
 def test_optimize_rejects_bad_arguments():

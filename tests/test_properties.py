@@ -5,7 +5,8 @@ optimum is scale equivariant, and a discrete law's stationary points lie in
 its support times the point-mass optimum.  solve_aots reads the gap's sign
 off bounds over runs of the law's values, and each sign is that of the full
 average.  At finite d: EAR is a probability that falls with lambda, the
-optimum is scale equivariant, and the table and nested routes agree."""
+optimum is scale equivariant and agrees across grids within its error bar,
+and the table and nested routes agree."""
 
 import functools
 
@@ -199,8 +200,9 @@ def test_ear_is_a_probability_that_falls_with_lambda(family, d, data):
        st.integers(2, 30), st.floats(0.2, 5.0))
 def test_finite_d_optimum_is_scale_equivariant(family, d, c):
     # The target of c R has log density log_pi(r / c) and radial scale c k.
-    # Measured agreement is ~1e-15 in lambda_hat; a near-tie in the golden
-    # search may flip, so only the optimizer's own tolerance is asserted.
+    # Its W table is built afresh, so its ESJD curve matches only to the
+    # tables' rounding; the polished lambda_hat moves with that rounding, so
+    # only the optimizer's own tolerance is asserted.
     target, proposal = _model(family, d), _model("gaussian", d)
     scaled = radial_from_density(
         d, lambda r: target.log_pi(r / c), k=c * target.k,
@@ -208,6 +210,16 @@ def test_finite_d_optimum_is_scale_equivariant(family, d, c):
     ref, opt = optimize(target, proposal), optimize(scaled, proposal)
     assert opt.lambda_hat == pytest.approx(c * ref.lambda_hat, rel=2e-5)
     assert opt.ear_hat == pytest.approx(ref.ear_hat, abs=1e-8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(_FINITE_D_FAMILIES), st.integers(2, 30))
+def test_optimum_agrees_across_grids_within_its_error_bar(family, d):
+    # Grids of 384 and 512 points bracket the same peaks, and each polish
+    # lands on the same argmax, within the two error bars.
+    target, proposal = _model(family, d), _model("gaussian", d)
+    a, b = optimize(target, proposal, grid=384), optimize(target, proposal)
+    assert abs(a.lambda_hat - b.lambda_hat) <= a.lambda_err + b.lambda_err
 
 
 @settings(max_examples=15, deadline=None)
