@@ -25,7 +25,9 @@ Two evaluation routes are provided and are kept mutually checkable:
   integral over the proposal radius, one item per lambda, each with its
   own evaluation budget and its own failure flag; table_point is the
   one-lambda case.  Table and nested routes, so independent code, agree
-  to < 1e-7 by test.
+  to < 1e-7 by test.  Both seed the outer integral at each law's quantiles
+  at 1e-6, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-3 and 1 - 1e-6 and at its extra
+  breakpoints, the target's scaled by 2/lambda into the proposal radius.
 
 The sampled estimate is the outer integral done by Monte Carlo over draws
 of the proposal radius (of |Y_*| for an elliptical target), with W from the
@@ -53,6 +55,7 @@ __all__ = [
 _LOG_FLOOR = -640.0  # log W below this is treated as exactly zero
 _NESTED_MAX_EVALS = 1_000_000  # outer and total inner budget of ear_esjd
 _POINT_MAX_EVALS = 1_000_000  # budget of each table-route curve point
+_OUTER_SEED_LEVELS = np.array([1e-6, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-3, 1 - 1e-6])
 
 
 class EngineError(RuntimeError):
@@ -226,11 +229,11 @@ def get_marginal_table(model: RadialModel) -> MarginalTable:
 def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float):
     """EAR and ESJD at one scale by nested adaptive quadrature.
 
-    Outer integral over the proposal radius y, inner over the target radius x
-    from lambda y / 2 to the target truncation, with seeded splits at
-    x = lambda y / 2 and x = lambda y.  Returns (ear, esjd, ear_err,
-    esjd_err), the errors counting both quadratures and both truncations.
-    Raises EngineError if the evaluation budget is exhausted.
+    Outer integral over the proposal radius y, seeded by _outer_seeds; inner
+    over the target radius x from z = lambda y / 2 to the target cut, seeded
+    at x / z in {1.0009765625, 1.02, 1.2, 2, 4} and the target's breakpoints.
+    Returns (ear, esjd, ear_err, esjd_err), errors counting both quadratures
+    and both truncations; raises EngineError if the budget is exhausted.
     """
     lam = _checked_positive(lam, "lambda")
     _check_dimensions(target, proposal)
@@ -252,12 +255,10 @@ def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float):
         return (0.0, 0.0, *map(float, _cut_errors(target, proposal, lam, 0.0)))
 
     def outer(y):
-        w = inner(y)
-        base = proposal.radial_pdf(y) * w
+        base = proposal.radial_pdf(y) * inner(y)
         return np.stack([base, lam * lam * y * y * base], axis=-1)
 
-    pts = np.concatenate([proposal.breakpoints(),
-                          (2.0 / lam) * target.breakpoints()])
+    pts = _outer_seeds(target, proposal, np.array([lam]))
     try:
         res = adaptive_quad(outer, proposal.r_lo, y_hi, epsabs=1e-9,
                             points=pts, max_evals=_NESTED_MAX_EVALS)
@@ -266,6 +267,16 @@ def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float):
     value = np.asarray(res.value)
     err = np.asarray(res.error) + _cut_errors(target, proposal, lam, w_err[0])
     return float(value[0]), float(value[1]), float(err[0]), float(err[1])
+
+
+def _outer_seeds(target: RadialModel, proposal: RadialModel, lams: np.ndarray):
+    """The outer integral's seeds in y, one row per lambda: each law's quantiles
+    at _OUTER_SEED_LEVELS and extras in (r_lo, r_hi), the target's times 2/lambda."""
+    def seeds(m):
+        x = np.asarray(m.extra_breakpoints, dtype=float)
+        return np.append(m.quantile(_OUTER_SEED_LEVELS), x[(x > m.r_lo) & (x < m.r_hi)])
+    return np.column_stack([np.tile(seeds(proposal), (lams.size, 1)),
+                            np.outer(2.0 / lams, seeds(target))])
 
 
 def _cut_errors(target: RadialModel, proposal: RadialModel, lam, w_err):
@@ -311,8 +322,7 @@ def _table_points(table: MarginalTable, proposal: RadialModel,
         base = proposal.radial_pdf(y) * table.w(0.5 * li * y)
         return np.stack([base, li * li * y * y * base], axis=-1)
 
-    pts = np.column_stack([np.tile(proposal.breakpoints(), (lam.size, 1)),
-                           (2.0 / lam)[:, None] * target.breakpoints()])
+    pts = _outer_seeds(target, proposal, lam)
     try:
         values, errors, _ = stacked_quad(
             f, np.full(lam.size, proposal.r_lo), y_hi[active], epsabs=2e-10,

@@ -319,8 +319,7 @@ def _per_point_reference(table, proposal, lam):
         base = proposal.radial_pdf(y) * table.w(0.5 * lam * y)
         return np.stack([base, lam * lam * y * y * base], axis=-1)
 
-    pts = np.concatenate([proposal.breakpoints(),
-                          (2.0 / lam) * target.breakpoints()])
+    pts = engine._outer_seeds(target, proposal, np.array([lam]))
     try:
         res = adaptive_quad(f, proposal.r_lo, y_hi, epsabs=2e-10, points=pts)
     except QuadratureError as exc:
@@ -371,6 +370,34 @@ def test_stacked_curve_matches_per_point_route(spec, d):
         for e, w, v in [(p.ear_err, q.ear_err, q.ear),
                         (p.esjd_err, q.esjd_err, q.esjd)]:
             assert e == pytest.approx(w, rel=1e-13, abs=1e-16 * v)
+
+
+def _seventeen_level_seeds(target, proposal, lams):
+    """The outer seeds of the earlier rule: every model breakpoint (17
+    quantile levels and the extras), the target's scaled by 2 / lambda."""
+    return np.column_stack([np.tile(proposal.breakpoints(), (lams.size, 1)),
+                            (2.0 / lams)[:, None] * target.breakpoints()])
+
+
+@pytest.mark.parametrize("d", [2, 10, 100])
+@pytest.mark.parametrize("spec", [
+    "gaussian", "exponential", "radial-gaussian", "radial-exponential",
+    "lognormal", "mixture:p=0.2", "mixture:p=1/d", "mixture:p=1/d^2"])
+def test_seven_seed_levels_agree_with_seventeen(monkeypatch, spec, d):
+    # Seeds only place the first panels: the outer integrals agree within
+    # their error bars, and so do the optimum and its peak count.
+    t = parse_target_spec(spec, d)
+    lams = np.geomspace(*default_search_range(t, t), 256)
+    got, got_opt = curve(t, t, lams), optimize(t, t)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_outer_seeds", _seventeen_level_seeds)
+        want, want_opt = curve(t, t, lams), optimize(t, t)
+    for p, q in zip(got, want):
+        assert p.ok and q.ok
+        assert abs(p.ear - q.ear) <= p.ear_err + q.ear_err
+        assert abs(p.esjd - q.esjd) <= p.esjd_err + q.esjd_err
+    assert abs(got_opt.lambda_hat - want_opt.lambda_hat) <= got_opt.lambda_err
+    assert got_opt.n_local_maxima == want_opt.n_local_maxima
 
 
 def test_nested_zero_point_reports_the_cut_errors():

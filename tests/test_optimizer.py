@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rwmscaling import optimizer
+from rwmscaling import optimizer, quadrature
 from rwmscaling.asymptotics import (POINT_MASS_MU_HAT, aos, mixing_from_spec,
                                     solve_aots, transformed_scale)
 from rwmscaling.engine import CurvePoint, get_marginal_table, table_point
@@ -165,6 +165,24 @@ def test_polish_makes_two_stacked_calls_and_one_solo_read(monkeypatch):
     assert opt.lambda_err == pytest.approx(
         opt.lambda_hat * (np.sqrt(2.0 * solo.esjd_err / -curv) + 1e-5), rel=1e-3)
     assert 1e-5 <= opt.lambda_err / opt.lambda_hat <= 1e-4
+
+
+def test_optimize_evaluation_count(monkeypatch):
+    # The outer integrals' seeds set most of this count: about 65 000
+    # evaluations at 7 quantile levels per law, 147 000 at all 17.
+    t = build_example_target("gaussian", 10)
+    get_marginal_table(t)
+    n_evals = [0]
+    gk15 = quadrature._gk15
+
+    def counted(*args):
+        out = gk15(*args)
+        n_evals[0] += out[2]
+        return out
+
+    monkeypatch.setattr(quadrature, "_gk15", counted)
+    optimize(t, t)
+    assert 0 < n_evals[0] <= 80_000
 
 
 @pytest.mark.parametrize("t0", [0.0137, -0.0051, 0.0003])
