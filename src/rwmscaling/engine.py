@@ -25,9 +25,9 @@ Two evaluation routes are provided and are kept mutually checkable:
   integral over the proposal radius, one item per lambda, each with its
   own evaluation budget and its own failure flag; table_point is the
   one-lambda case.  Table and nested routes, so independent code, agree
-  to < 1e-7 by test.  Both seed the outer integral at each law's quantiles
-  at 1e-6, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-3 and 1 - 1e-6 and at its extra
-  breakpoints, the target's scaled by 2/lambda into the proposal radius.
+  to < 1e-7 by test.  Every quadrature over a radial law, inner and outer,
+  seeds at that law's RadialModel.breakpoints(), the package's one seed
+  rule; in the outer integral the target's are scaled by 2/lambda.
 
 The sampled estimate is the outer integral done by Monte Carlo over draws
 of the proposal radius (of |Y_*| for an elliptical target), with W from the
@@ -55,7 +55,6 @@ __all__ = [
 _LOG_FLOOR = -640.0  # log W below this is treated as exactly zero
 _NESTED_MAX_EVALS = 1_000_000  # outer and total inner budget of ear_esjd
 _POINT_MAX_EVALS = 1_000_000  # budget of each table-route curve point
-_OUTER_SEED_LEVELS = np.array([1e-6, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-3, 1 - 1e-6])
 
 
 class EngineError(RuntimeError):
@@ -79,9 +78,11 @@ def closed_form_laplace_1d(lam: float) -> tuple[float, float]:
     return float(ear_v), float(esjd_v)
 
 
-def _tail_weight_many(model: RadialModel, z: np.ndarray, *, epsabs=1e-14,
+def _tail_weight_many(model: RadialModel, z: np.ndarray, *, epsabs: float,
                       epsrel=1e-11, max_evals: int = 20_000_000, literal=False):
-    """W(z) = 2 F_{1|d}(-z) for a batch of z >= 0, by stacked quadrature.
+    """W(z) = 2 F_{1|d}(-z) for a batch of z >= 0, by stacked quadrature to the
+    caller's ``epsabs`` (the table's 0.1 rel_tol w_floor, the nested route's
+    1e-13), seeded at x / z in {1.0009765625, 1.02, 1.2, 2, 4} and breakpoints().
 
     W(z) = int_z^inf fbar(x) K_d(z/x) dx, evaluated in the substituted
     variable x = z + u^2: at d = 2 the kernel has a square-root singularity
@@ -143,14 +144,16 @@ class MarginalTable:
     points read from the table carry a message (their error bars already
     include the certificate).
 
-    The build computes each W value by quadrature once.  W is evaluated at
-    about 800 initial knots (uniform and geometric grids over the quantiles,
-    plus the model's breakpoints), and log W is splined through them.  Each
-    round then checks the spline at the midpoint of every knot interval
-    against W there; only midpoints not seen in an earlier round (those of
-    intervals split in the round before) need a new quadrature.  Midpoints
-    that miss ``rel_tol`` become knots, carrying the W already computed for
-    them, and the spline is refitted, for at most ``max_rounds`` rounds.
+    The build computes each W value by quadrature once, to an absolute error
+    of 0.1 rel_tol w_floor, a tenth of the least the certificate allows.
+    W is evaluated at about 800 initial knots (uniform and geometric grids
+    over the quantiles, plus the model's breakpoints), and log W is splined
+    through them.  Each round then checks the spline at the midpoint of
+    every knot interval against W there; only midpoints not seen in an
+    earlier round (those of intervals split in the round before) need a new
+    quadrature.  Midpoints that miss ``rel_tol`` become knots, carrying the
+    W already computed for them, and the spline is refitted, for at most
+    ``max_rounds`` rounds.
     """
 
     rel_tol = 3e-9
@@ -169,7 +172,8 @@ class MarginalTable:
             model.breakpoints(),
         ]))
         knots = knots[knots <= model.r_hi]
-        w_vals, _, _ = _tail_weight_many(model, knots)
+        epsabs = 0.1 * self.rel_tol * self.w_floor
+        w_vals, _, _ = _tail_weight_many(model, knots, epsabs=epsabs)
         # Every midpoint W computed so far, sorted by z.
         seen_z = seen_w = np.empty(0)
         self.max_interp_rel_err = np.inf
@@ -179,7 +183,7 @@ class MarginalTable:
             mids = mids[mids < self._z_last]
             new = mids[~np.isin(mids, seen_z)]
             if new.size:
-                w_new, _, _ = _tail_weight_many(model, new)
+                w_new, _, _ = _tail_weight_many(model, new, epsabs=epsabs)
                 seen_z = np.concatenate([seen_z, new])
                 seen_w = np.concatenate([seen_w, w_new])
                 order = np.argsort(seen_z)
@@ -229,9 +233,8 @@ def get_marginal_table(model: RadialModel) -> MarginalTable:
 def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float):
     """EAR and ESJD at one scale by nested adaptive quadrature.
 
-    Outer integral over the proposal radius y, seeded by _outer_seeds; inner
-    over the target radius x from z = lambda y / 2 to the target cut, seeded
-    at x / z in {1.0009765625, 1.02, 1.2, 2, 4} and the target's breakpoints.
+    Outer integral over the proposal radius y, seeded by _outer_seeds, of
+    the inner one, W(lambda y / 2) by _tail_weight_many's literal integrand.
     Returns (ear, esjd, ear_err, esjd_err), errors counting both quadratures
     and both truncations; raises EngineError if the budget is exhausted.
     """
@@ -270,13 +273,10 @@ def ear_esjd(target: RadialModel, proposal: RadialModel, lam: float):
 
 
 def _outer_seeds(target: RadialModel, proposal: RadialModel, lams: np.ndarray):
-    """The outer integral's seeds in y, one row per lambda: each law's quantiles
-    at _OUTER_SEED_LEVELS and extras in (r_lo, r_hi), the target's times 2/lambda."""
-    def seeds(m):
-        x = np.asarray(m.extra_breakpoints, dtype=float)
-        return np.append(m.quantile(_OUTER_SEED_LEVELS), x[(x > m.r_lo) & (x < m.r_hi)])
-    return np.column_stack([np.tile(seeds(proposal), (lams.size, 1)),
-                            np.outer(2.0 / lams, seeds(target))])
+    """The outer integral's seeds in y, one row per lambda: each law's
+    breakpoints(), the target's times 2/lambda."""
+    return np.column_stack([np.tile(proposal.breakpoints(), (lams.size, 1)),
+                            np.outer(2.0 / lams, target.breakpoints())])
 
 
 def _cut_errors(target: RadialModel, proposal: RadialModel, lam, w_err):
@@ -310,9 +310,10 @@ def _table_points(table: MarginalTable, proposal: RadialModel,
     _check_dimensions(target, proposal)
     y_hi = np.minimum(proposal.r_hi, 2.0 * target.r_hi / lams)
     active = y_hi > proposal.r_lo
-    points = [CurvePoint(float(lam), 0.0, 0.0, 0.0, 0.0) for lam in lams]
-    for p in (points[i] for i in np.nonzero(~active)[0]):  # zero but for the cuts
-        p.ear_err, p.esjd_err = map(float, _cut_errors(target, proposal, p.lam, 0.0))
+    points = [None] * lams.size
+    for i in np.nonzero(~active)[0]:  # zero but for the cuts
+        points[i] = CurvePoint(float(lams[i]), 0.0, 0.0, *map(
+            float, _cut_errors(target, proposal, float(lams[i]), 0.0)))
     if not active.any():
         return points
     lam = lams[active]
@@ -337,13 +338,10 @@ def _table_points(table: MarginalTable, proposal: RadialModel,
     message = "" if table.certified else (
         f"W table certificate {cert:.3g} above its target {table.rel_tol:.3g}")
     for j, i in enumerate(np.nonzero(active)[0]):
-        if j in failures:
-            points[i] = CurvePoint(points[i].lam, np.nan, np.nan, np.nan,
-                                   np.nan, ok=False, message=failures[j])
-        else:
-            points[i] = CurvePoint(points[i].lam, float(values[j, 0]),
-                                   float(values[j, 1]), float(ear_err[j]),
-                                   float(esjd_err[j]), message=message)
+        points[i] = (CurvePoint(float(lam[j]), np.nan, np.nan, np.nan, np.nan,
+                                ok=False, message=failures[j]) if j in failures else
+                     CurvePoint(float(lam[j]), float(values[j, 0]), float(values[j, 1]),
+                                float(ear_err[j]), float(esjd_err[j]), message=message))
     return points
 
 

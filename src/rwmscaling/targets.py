@@ -27,10 +27,7 @@ __all__ = [
     "sample_radius", "CustomRadialTable",
 ]
 
-_QUANTILE_LEVELS = np.array([
-    1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5,
-    0.75, 0.9, 0.95, 0.99, 1 - 1e-3, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9,
-])
+_QUANTILE_LEVELS = np.array([1e-6, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-3, 1 - 1e-6])
 _TRUNC_TAIL = 1e-12  # model support is cut where the radial CDF passes 1 - this
 _FITTED = ("log_norm", "r_lo", "r_hi", "_quantile_fn", "_breakpoints")
 
@@ -88,7 +85,9 @@ class RadialModel:
         return out if out.ndim else float(out)
 
     def breakpoints(self) -> np.ndarray:
-        """Radii at standard quantile levels; seeds for adaptive quadrature."""
+        """The package's one quadrature seed rule over this law, for W, both
+        outer integrals, moment and mixing_density: the radii at the levels
+        _QUANTILE_LEVELS and the extra breakpoints, sorted."""
         return self._breakpoints
 
     def moment(self, p: float) -> float:

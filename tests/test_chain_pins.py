@@ -19,6 +19,14 @@ were re-recorded when the table build moved to the log-space integrand
 log_norm - (d - 1) log s rounded once, so each of their twelve fields moved
 by 7-14 ulp, at most 2.0e-15 relative.  Every run_rwm and solve_aots entry
 held bit for bit.
+
+The same three were re-recorded again when RadialModel.breakpoints() became
+the 7-level seed rule of every quadrature over a radial law, W's inner
+integral and the table's initial knots included, and the table build took
+its absolute tolerance 0.1 rel_tol w_floor from its certificate.  Their
+twelve fields moved by 2.7e-14 to 4.6e-13 relative (mc_expectation gaussian
+at most 3.0e-13, exponential 2.9e-13, elliptical_ear_esjd 4.6e-13).  Every
+run_rwm and solve_aots entry again held bit for bit.
 """
 
 import dataclasses

@@ -23,7 +23,8 @@ from rwmscaling.engine import (
 )
 from rwmscaling.optimizer import default_search_range, optimize
 from rwmscaling.quadrature import QuadratureError, adaptive_quad
-from rwmscaling.targets import _TRUNC_TAIL, build_example_target, parse_target_spec
+from rwmscaling.targets import (_TRUNC_TAIL, RadialModel, build_example_target,
+                                parse_target_spec)
 
 
 def test_closed_form_gaussian_values():
@@ -50,7 +51,7 @@ def test_gaussian_marginal_is_standard_normal(d):
     t = build_example_target("gaussian", d)
     z = np.array([0.0, 0.2, 0.4, 1.0, 2.5, 3.0])
     for literal in (False, True):
-        w, _, _ = engine._tail_weight_many(t, z, literal=literal)
+        w, _, _ = engine._tail_weight_many(t, z, epsabs=1e-14, literal=literal)
         assert np.abs(w - 2.0 * norm.cdf(-z)).max() <= 1e-11, literal
 
 
@@ -68,8 +69,8 @@ def test_table_and_nested_integrands_agree(spec, d):
     # rounding over the whole support, measured <= 7.1e-13 relative.
     t = parse_target_spec(spec, d)
     z = np.linspace(0.0, t.r_hi, 500)
-    fused, _, _ = engine._tail_weight_many(t, z)
-    literal, _, _ = engine._tail_weight_many(t, z, literal=True)
+    fused, _, _ = engine._tail_weight_many(t, z, epsabs=1e-14)
+    literal, _, _ = engine._tail_weight_many(t, z, epsabs=1e-14, literal=True)
     big = np.maximum(fused, literal) >= 1e-14
     assert big.sum() >= 50
     assert np.max(np.abs(fused - literal)[big] / literal[big]) <= 1e-12
@@ -80,7 +81,7 @@ def test_marginal_cdf_basic_properties():
     # the 1e-12 tail the model truncates, and F non-decreasing makes W
     # non-increasing.
     t = build_example_target("exponential", 3)
-    w, _, _ = engine._tail_weight_many(t, np.linspace(0.0, 4.0, 9))
+    w, _, _ = engine._tail_weight_many(t, np.linspace(0.0, 4.0, 9), epsabs=1e-14)
     assert abs(w[0] - 1.0) <= 2e-12
     assert np.all(np.diff(w) <= 0.0)
 
@@ -161,7 +162,9 @@ def test_uncertified_table_is_flagged_on_its_points(monkeypatch):
     assert abs(pt.ear - ear_c) <= pt.ear_err
 
 
-@pytest.mark.parametrize("spec, d", [("gaussian", 1), ("mixture:p=1/d^2", 10)])
+@pytest.mark.parametrize("spec, d", [
+    ("gaussian", 1), ("mixture:p=1/d^2", 10), ("mixture:p=1/d^3", 300),
+    ("mixture:p=1/d^2", 1000)])
 def test_default_tables_are_certified(spec, d):
     table = get_marginal_table(parse_target_spec(spec, d))
     assert table.certified and table.max_interp_rel_err <= 3e-9
@@ -372,11 +375,24 @@ def test_stacked_curve_matches_per_point_route(spec, d):
             assert e == pytest.approx(w, rel=1e-13, abs=1e-16 * v)
 
 
+_SEVENTEEN_LEVELS = np.array([
+    1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5,
+    0.75, 0.9, 0.95, 0.99, 1 - 1e-3, 1 - 1e-4, 1 - 1e-6, 1 - 1e-9])
+
+
+def _seventeen_level_breakpoints(m):
+    """The earlier seed rule: the radii at 17 quantile levels and the extra
+    breakpoints inside the support, sorted."""
+    x = np.asarray(m.extra_breakpoints, dtype=float)
+    return np.unique(np.append(m.quantile(_SEVENTEEN_LEVELS),
+                               x[(x > m.r_lo) & (x < m.r_hi)]))
+
+
 def _seventeen_level_seeds(target, proposal, lams):
-    """The outer seeds of the earlier rule: every model breakpoint (17
-    quantile levels and the extras), the target's scaled by 2 / lambda."""
-    return np.column_stack([np.tile(proposal.breakpoints(), (lams.size, 1)),
-                            (2.0 / lams)[:, None] * target.breakpoints()])
+    """The outer seeds of the earlier rule, the target's scaled by 2 / lambda."""
+    return np.column_stack([
+        np.tile(_seventeen_level_breakpoints(proposal), (lams.size, 1)),
+        (2.0 / lams)[:, None] * _seventeen_level_breakpoints(target)])
 
 
 @pytest.mark.parametrize("d", [2, 10, 100])
@@ -398,6 +414,27 @@ def test_seven_seed_levels_agree_with_seventeen(monkeypatch, spec, d):
         assert abs(p.esjd - q.esjd) <= p.esjd_err + q.esjd_err
     assert abs(got_opt.lambda_hat - want_opt.lambda_hat) <= got_opt.lambda_err
     assert got_opt.n_local_maxima == want_opt.n_local_maxima
+
+
+@pytest.mark.parametrize("spec, d", [
+    ("gaussian", 1), ("gaussian", 10), ("gaussian", 100), ("exponential", 30),
+    ("radial-gaussian", 100), ("lognormal", 20), ("mixture:p=1/d^2", 10)])
+def test_w_tables_seeded_at_seven_and_seventeen_levels_agree(monkeypatch, spec, d):
+    # A table built under the earlier 17-level rule (its inner integral's
+    # seeds and its initial knots) agrees with the 7-level table at every
+    # knot of either, within the sum of the two certificates, in their
+    # scale-aware sense |dW| / max(W, w_floor).
+    t = parse_target_spec(spec, d)
+    got = MarginalTable(t)
+    with monkeypatch.context() as m:
+        m.setattr(RadialModel, "breakpoints", _seventeen_level_breakpoints)
+        want = MarginalTable(t)
+    assert got.certified and want.certified
+    z = np.union1d(got._spline.x, want._spline.x)
+    w_got, w_want = got.w(z), want.w(z)
+    scale = np.maximum(np.maximum(w_got, w_want), MarginalTable.w_floor)
+    assert np.max(np.abs(w_got - w_want) / scale) <= \
+        got.max_interp_rel_err + want.max_interp_rel_err
 
 
 def test_nested_zero_point_reports_the_cut_errors():
