@@ -26,8 +26,9 @@ Two evaluation routes are provided and are kept mutually checkable:
   own evaluation budget and its own failure flag; table_point is the
   one-lambda case.  Table and nested routes, so independent code, agree
   to < 1e-7 by test.  Every quadrature over a radial law, inner and outer,
-  seeds at that law's RadialModel.breakpoints(), the package's one seed
-  rule; in the outer integral the target's are scaled by 2/lambda.
+  seeds at that law's RadialModel.breakpoints() and nowhere else, the
+  package's one seed rule; in the outer integral the target's are scaled
+  by 2/lambda.
 
 The sampled estimate is the outer integral done by Monte Carlo over draws
 of the proposal radius (of |Y_*| for an elliptical target), with W from the
@@ -79,15 +80,16 @@ def closed_form_laplace_1d(lam: float) -> tuple[float, float]:
 
 
 def _tail_weight_many(model: RadialModel, z: np.ndarray, *, epsabs: float,
-                      epsrel=1e-11, max_evals: int = 20_000_000, literal=False):
-    """W(z) = 2 F_{1|d}(-z) for a batch of z >= 0, by stacked quadrature to the
-    caller's ``epsabs`` (the table's 0.1 rel_tol w_floor, the nested route's
-    1e-13), seeded at x / z in {1.0009765625, 1.02, 1.2, 2, 4} and breakpoints().
+                      epsrel: float, max_evals: int = 20_000_000, literal=False):
+    """W(z) = 2 F_{1|d}(-z) for a batch of z >= 0, by stacked quadrature to
+    max(epsabs, epsrel W), both from the caller (the table's 0.1 rel_tol
+    max(W, w_floor), the nested route's max(1e-13, 3e-11 W)), seeded at the
+    model's breakpoints() alone.
 
     W(z) = int_z^inf fbar(x) K_d(z/x) dx, evaluated in the substituted
     variable x = z + u^2: at d = 2 the kernel has a square-root singularity
     at x = z that defeats plain bisection, and the substitution makes the
-    integrand smooth there for every d.
+    integrand smooth there for every d, so x = z needs no seeds of its own.
 
     The table's integrand is 2u exp(log(x^(d-1) K_d(z/x)) + log pi(x) -
     log_norm), with x^2 - z^2 = u^2 (2z + u^2) exact (special._log_x_kernel),
@@ -118,12 +120,7 @@ def _tail_weight_many(model: RadialModel, z: np.ndarray, *, epsabs: float,
     x_lo = np.maximum(z, model.r_lo)
     lo = np.sqrt(np.maximum(x_lo - z, 0.0))
     hi = np.sqrt(np.maximum(model.r_hi - z, 0.0))
-    qs = model.breakpoints()
-    x_pts = np.concatenate([
-        np.column_stack([1.0009765625 * z, 1.02 * z, 1.2 * z, 2.0 * z, 4.0 * z]),
-        np.broadcast_to(qs, (z.size, qs.size)),
-    ], axis=1)
-    pts = np.sqrt(np.clip(x_pts - z[:, None], 0.0, None))
+    pts = np.sqrt(np.clip(model.breakpoints() - z[:, None], 0.0, None))
     vals, errs, n = stacked_quad(literal_form if literal else fused_form, lo, hi,
                                  epsabs=epsabs, epsrel=epsrel, points=pts,
                                  max_evals=max_evals)
@@ -144,8 +141,8 @@ class MarginalTable:
     points read from the table carry a message (their error bars already
     include the certificate).
 
-    The build computes each W value by quadrature once, to an absolute error
-    of 0.1 rel_tol w_floor, a tenth of the least the certificate allows.
+    The build computes each W value by quadrature once, to an error of
+    0.1 rel_tol max(W, w_floor), a tenth of what the certificate allows there.
     W is evaluated at about 800 initial knots (uniform and geometric grids
     over the quantiles, plus the model's breakpoints), and log W is splined
     through them.  Each round then checks the spline at the midpoint of
@@ -172,8 +169,8 @@ class MarginalTable:
             model.breakpoints(),
         ]))
         knots = knots[knots <= model.r_hi]
-        epsabs = 0.1 * self.rel_tol * self.w_floor
-        w_vals, _, _ = _tail_weight_many(model, knots, epsabs=epsabs)
+        tol = {"epsabs": 0.1 * self.rel_tol * self.w_floor, "epsrel": 0.1 * self.rel_tol}
+        w_vals, _, _ = _tail_weight_many(model, knots, **tol)
         # Every midpoint W computed so far, sorted by z.
         seen_z = seen_w = np.empty(0)
         self.max_interp_rel_err = np.inf
@@ -183,7 +180,7 @@ class MarginalTable:
             mids = mids[mids < self._z_last]
             new = mids[~np.isin(mids, seen_z)]
             if new.size:
-                w_new, _, _ = _tail_weight_many(model, new, epsabs=epsabs)
+                w_new, _, _ = _tail_weight_many(model, new, **tol)
                 seen_z = np.concatenate([seen_z, new])
                 seen_w = np.concatenate([seen_w, w_new])
                 order = np.argsort(seen_z)

@@ -27,6 +27,13 @@ its absolute tolerance 0.1 rel_tol w_floor from its certificate.  Their
 twelve fields moved by 2.7e-14 to 4.6e-13 relative (mc_expectation gaussian
 at most 3.0e-13, exponential 2.9e-13, elliptical_ear_esjd 4.6e-13).  Every
 run_rwm and solve_aots entry again held bit for bit.
+
+The same three were re-recorded once more when W's inner integral came to
+seed at breakpoints() alone, without its seeds at fixed multiples of z, and
+the table build to ask for 0.1 rel_tol max(W, w_floor) instead of an
+absolute 0.1 rel_tol w_floor and a relative 1e-11.  Six of their fields
+moved by 1-2 ulp, at most 2.3e-16 relative; every run_rwm and solve_aots
+entry held bit for bit.
 """
 
 import dataclasses

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from rwmscaling import engine
+from rwmscaling import engine, quadrature
 from rwmscaling.engine import (
     CurvePoint,
     EngineError,
@@ -22,7 +22,8 @@ from rwmscaling.engine import (
     table_point,
 )
 from rwmscaling.optimizer import default_search_range, optimize
-from rwmscaling.quadrature import QuadratureError, adaptive_quad
+from rwmscaling.quadrature import QuadratureError, adaptive_quad, stacked_quad
+from rwmscaling.special import _log_x_kernel
 from rwmscaling.targets import (_TRUNC_TAIL, RadialModel, build_example_target,
                                 parse_target_spec)
 
@@ -51,7 +52,8 @@ def test_gaussian_marginal_is_standard_normal(d):
     t = build_example_target("gaussian", d)
     z = np.array([0.0, 0.2, 0.4, 1.0, 2.5, 3.0])
     for literal in (False, True):
-        w, _, _ = engine._tail_weight_many(t, z, epsabs=1e-14, literal=literal)
+        w, _, _ = engine._tail_weight_many(t, z, epsabs=1e-14, epsrel=1e-11,
+                                           literal=literal)
         assert np.abs(w - 2.0 * norm.cdf(-z)).max() <= 1e-11, literal
 
 
@@ -69,8 +71,9 @@ def test_table_and_nested_integrands_agree(spec, d):
     # rounding over the whole support, measured <= 7.1e-13 relative.
     t = parse_target_spec(spec, d)
     z = np.linspace(0.0, t.r_hi, 500)
-    fused, _, _ = engine._tail_weight_many(t, z, epsabs=1e-14)
-    literal, _, _ = engine._tail_weight_many(t, z, epsabs=1e-14, literal=True)
+    fused, _, _ = engine._tail_weight_many(t, z, epsabs=1e-14, epsrel=1e-11)
+    literal, _, _ = engine._tail_weight_many(t, z, epsabs=1e-14, epsrel=1e-11,
+                                             literal=True)
     big = np.maximum(fused, literal) >= 1e-14
     assert big.sum() >= 50
     assert np.max(np.abs(fused - literal)[big] / literal[big]) <= 1e-12
@@ -81,7 +84,8 @@ def test_marginal_cdf_basic_properties():
     # the 1e-12 tail the model truncates, and F non-decreasing makes W
     # non-increasing.
     t = build_example_target("exponential", 3)
-    w, _, _ = engine._tail_weight_many(t, np.linspace(0.0, 4.0, 9), epsabs=1e-14)
+    w, _, _ = engine._tail_weight_many(t, np.linspace(0.0, 4.0, 9), epsabs=1e-14,
+                                       epsrel=1e-11)
     assert abs(w[0] - 1.0) <= 2e-12
     assert np.all(np.diff(w) <= 0.0)
 
@@ -416,25 +420,78 @@ def test_seven_seed_levels_agree_with_seventeen(monkeypatch, spec, d):
     assert got_opt.n_local_maxima == want_opt.n_local_maxima
 
 
+def _z_seeded_tail_weight_many(model, z, *, epsabs, epsrel, max_evals=20_000_000):
+    """The table's W under the earlier inner rule: seeded also at x / z in
+    {1.0009765625, 1.02, 1.2, 2, 4}, and solved to epsrel 1e-11 whatever
+    the caller asks."""
+    d, s = model.d, float(model.quantile(0.5))
+    log_c = model.log_norm - (d - 1) * np.log(s)
+
+    def f(u, idx):
+        zi, gap = z[idx], u * u
+        return 2.0 * u * np.exp(_log_x_kernel(d, zi / s, gap / s)
+                                + model.log_pi(zi + gap) - log_c)
+
+    lo = np.sqrt(np.maximum(np.maximum(z, model.r_lo) - z, 0.0))
+    hi = np.sqrt(np.maximum(model.r_hi - z, 0.0))
+    qs = model.breakpoints()
+    x_pts = np.column_stack([np.outer(z, [1.0009765625, 1.02, 1.2, 2.0, 4.0]),
+                             np.broadcast_to(qs, (z.size, qs.size))])
+    pts = np.sqrt(np.clip(x_pts - z[:, None], 0.0, None))
+    vals, errs, n = stacked_quad(f, lo, hi, epsabs=epsabs, epsrel=1e-11, points=pts,
+                                 max_evals=max_evals)
+    return np.clip(vals, 0.0, None), errs, n
+
+
 @pytest.mark.parametrize("spec, d", [
     ("gaussian", 1), ("gaussian", 10), ("gaussian", 100), ("exponential", 30),
     ("radial-gaussian", 100), ("lognormal", 20), ("mixture:p=1/d^2", 10)])
 def test_w_tables_seeded_at_seven_and_seventeen_levels_agree(monkeypatch, spec, d):
-    # A table built under the earlier 17-level rule (its inner integral's
-    # seeds and its initial knots) agrees with the 7-level table at every
-    # knot of either, within the sum of the two certificates, in their
-    # scale-aware sense |dW| / max(W, w_floor).
+    # A table built under an earlier rule agrees with today's at every knot
+    # of either, within the sum of the two certificates, in their
+    # scale-aware sense |dW| / max(W, w_floor).  The earlier rules: 17
+    # quantile levels (the inner integral's seeds and the initial knots),
+    # and an inner integral also seeded relative to z and solved to epsrel
+    # 1e-11.
     t = parse_target_spec(spec, d)
     got = MarginalTable(t)
     with monkeypatch.context() as m:
         m.setattr(RadialModel, "breakpoints", _seventeen_level_breakpoints)
-        want = MarginalTable(t)
-    assert got.certified and want.certified
-    z = np.union1d(got._spline.x, want._spline.x)
-    w_got, w_want = got.w(z), want.w(z)
-    scale = np.maximum(np.maximum(w_got, w_want), MarginalTable.w_floor)
-    assert np.max(np.abs(w_got - w_want) / scale) <= \
-        got.max_interp_rel_err + want.max_interp_rel_err
+        seventeen = MarginalTable(t)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_tail_weight_many", _z_seeded_tail_weight_many)
+        z_seeded = MarginalTable(t)
+    for want in (seventeen, z_seeded):
+        assert got.certified and want.certified
+        z = np.union1d(got._spline.x, want._spline.x)
+        w_got, w_want = got.w(z), want.w(z)
+        scale = np.maximum(np.maximum(w_got, w_want), MarginalTable.w_floor)
+        assert np.max(np.abs(w_got - w_want) / scale) <= \
+            got.max_interp_rel_err + want.max_interp_rel_err
+
+
+def test_w_evaluation_counts(monkeypatch):
+    # W's inner integral, seeded at breakpoints() alone and solved to what
+    # its caller asks, sets both counts: measured 150 765 for the table
+    # (214 290 with the earlier z-relative seeds and epsrel 1e-11) and
+    # 106 125 for the nested route at five scales (152 760).
+    t = build_example_target("gaussian", 10)
+    t.moment(2)  # fit the model and its cut bounds outside the counts
+    n_evals = [0]
+    gk15 = quadrature._gk15
+
+    def counted(*args):
+        out = gk15(*args)
+        n_evals[0] += out[2]
+        return out
+
+    monkeypatch.setattr(quadrature, "_gk15", counted)
+    MarginalTable(t)
+    assert 0 < n_evals[0] <= 170_000
+    n_evals[0] = 0
+    for lam in (0.3, 0.55, 0.75, 1.0, 1.8):
+        ear_esjd(t, t, lam)
+    assert 0 < n_evals[0] <= 120_000
 
 
 def test_nested_zero_point_reports_the_cut_errors():
