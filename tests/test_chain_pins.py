@@ -34,6 +34,17 @@ the table build to ask for 0.1 rel_tol max(W, w_floor) instead of an
 absolute 0.1 rel_tol w_floor and a relative 1e-11.  Six of their fields
 moved by 1-2 ulp, at most 2.3e-16 relative; every run_rwm and solve_aots
 entry held bit for bit.
+
+The same three were re-recorded when the table build came to start from
+two grids (321 uniform knots to the 0.999 quantile and 201 geometric ones
+above it) and the breakpoints, without the geometric grid below the 0.999
+quantile, with up to 20 refinement rounds instead of 12.  The knots below
+the bulk moved, so each table read moved inside its certificate: all twelve
+fields moved, by 1.5e-12 to 4.8e-11 relative (mc_expectation gaussian
+ear 2.1e-12, ear_se 6.2e-12, esjd 1.5e-12, esjd_se 5.4e-12; exponential
+ear 9.7e-12, ear_se 4.6e-11, esjd 1.5e-12, esjd_se 4.8e-11;
+elliptical_ear_esjd ear 4.2e-12, ear_se 1.1e-11, esjd 2.8e-12, esjd_se
+6.6e-12).  Every run_rwm and solve_aots entry held bit for bit.
 """
 
 import dataclasses

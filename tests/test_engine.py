@@ -168,7 +168,8 @@ def test_uncertified_table_is_flagged_on_its_points(monkeypatch):
 
 @pytest.mark.parametrize("spec, d", [
     ("gaussian", 1), ("mixture:p=1/d^2", 10), ("mixture:p=1/d^3", 300),
-    ("mixture:p=1/d^2", 1000)])
+    ("mixture:p=1/d^2", 1000), ("exponential", 1000), ("mixture:p=0.2", 100),
+    ("mixture:p=1/d", 100)])
 def test_default_tables_are_certified(spec, d):
     table = get_marginal_table(parse_target_spec(spec, d))
     assert table.certified and table.max_interp_rel_err <= 3e-9
@@ -199,8 +200,26 @@ def test_mixture_tables_build_at_d_1000(p):
     # rounding below the stacked quadrature's epsrel; with x unscaled, three
     # of these builds exhausted their 2e7-evaluation budget.
     table = MarginalTable(parse_target_spec(f"mixture:p={p}", 1000))
-    assert table.max_interp_rel_err < 1e-7
+    assert table.certified
     assert 0.0 < table.w(1.0) < 1.0
+
+
+@pytest.mark.parametrize("spec, d", [
+    ("mixture:p=1/d^2", 1000), ("mixture:p=1/d^3", 300), ("radial-gaussian", 100)])
+def test_certificate_holds_off_the_knots(spec, d):
+    # The certificate is measured at panel midpoints against W computed to a
+    # tenth of rel_tol; here W is read at 600 other points, half uniform
+    # below the last knot and half log-uniform over the six decades under
+    # it, against W computed far tighter.
+    model = parse_target_spec(spec, d)
+    table = get_marginal_table(model)
+    rng = np.random.default_rng(31)
+    z_last = table._z_last
+    z = np.concatenate([rng.uniform(0.0, z_last, 300),
+                        z_last * 10.0 ** rng.uniform(-6.0, 0.0, 300)])
+    want, _, _ = engine._tail_weight_many(model, z, epsabs=1e-22, epsrel=1e-12)
+    err = np.abs(table.w(z) - want) / np.maximum(want, table.w_floor)
+    assert err.max() <= table.rel_tol
 
 
 def test_table_build_computes_each_w_once(monkeypatch):
