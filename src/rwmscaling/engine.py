@@ -17,18 +17,18 @@ Two evaluation routes are provided and are kept mutually checkable:
 * ear_esjd, the reference: literal nested adaptive quadrature of the
   double integral, f K_d through kernel_K (absolute error <= 1e-8; raises
   on budget exhaustion);
-* the table route, behind curve, table_point and the optimizer: a
-  per-target table of W (built once by stacked adaptive quadrature of an
-  integrand written apart, in log space, and kept on the target model,
-  interpolated as a cubic spline of log W with a measured midpoint-error
-  certificate), after which a whole lambda grid is one stacked 1-d
-  integral over the proposal radius, one item per lambda, each with its
-  own evaluation budget and its own failure flag; table_point is the
-  one-lambda case.  Table and nested routes, so independent code, agree
-  to < 1e-7 by test.  Every quadrature over a radial law, inner and outer,
-  seeds at that law's RadialModel.breakpoints() and nowhere else, the
-  package's one seed rule; in the outer integral the target's are scaled
-  by 2/lambda.
+* the table route, behind curve, table_point and the optimizer: a per-target
+  table of W (built once by stacked adaptive quadrature of an integrand
+  written apart, in log space, and kept on the target model, interpolated as
+  a cubic spline of log W with a measured midpoint-error certificate), after
+  which curve's lambda grid is one stacked 1-d integral over the proposal
+  radius, one item per lambda, each with its own evaluation budget and its
+  own failure flag; table_point is the one-lambda case (the optimizer's grid
+  is a log-space correlation of W, _log_grid_points).  Table and nested
+  routes, so independent code, agree to < 1e-7 by test.  Every quadrature
+  over a radial law, inner and outer, seeds at that law's
+  RadialModel.breakpoints() and nowhere else, the package's one seed rule; in
+  the outer integral the target's are scaled by 2/lambda.
 
 The sampled estimate is the outer integral done by Monte Carlo over draws
 of the proposal radius (of |Y_*| for an elliptical target), with W from the
@@ -340,6 +340,36 @@ def _table_points(table: MarginalTable, proposal: RadialModel,
     return points
 
 
+def _log_grid_pass(table: MarginalTable, proposal: RadialModel, lams: np.ndarray, m: int):
+    """EAR and ESJD on a geometric lambda grid of log step h: EAR = int rbar(e^s) e^s
+    W(e^(t + s) / 2) ds, s = log y, t = log lambda, is a correlation, so one W vector
+    serves every lambda; trapezoid rule at step h / m over [r_lo, r_hi], by np.correlate."""
+    h = np.log(lams[-1] / lams[0]) / (lams.size - 1)
+    n_q = int(np.ceil(np.log(proposal.r_hi / proposal.r_lo) / h)) + 1
+    y = proposal.r_lo * np.exp(np.arange(n_q * m) * (h / m))
+    g = proposal.radial_pdf(y) * y * (h / m)
+    g[[0, -1]] *= 0.5
+    u = np.arange((lams.size - 1 + n_q) * m) * (h / m)
+    w = table.w(0.5 * lams[0] * proposal.r_lo * np.exp(u)).reshape(-1, m)
+    ear, esjd = (sum(np.correlate(w[:, r], f[r::m], "valid") for r in range(m))
+                 for f in (g, g * y * y))
+    return ear, lams * lams * esjd
+
+
+def _log_grid_points(table: MarginalTable, proposal: RadialModel, lams: np.ndarray):
+    """(ear, esjd, m), m doubling from 2 until the ESJD at m / 2 and m agree to 1e-10
+    of its maximum; None, for curve to take over, if not by m = 64 or if _ear_rise."""
+    _check_dimensions(table.model, proposal)
+    if np.log(proposal.r_hi / proposal.r_lo) * (lams.size - 1) > 2048 * np.log(lams[-1] / lams[0]):
+        return None  # a proposal over 2048 grid steps wide: 2^17 s nodes at m = 64
+    esjd = _log_grid_pass(table, proposal, lams, 2)[1]
+    for m in (4, 8, 16, 32, 64):
+        prev, (ear, esjd) = esjd, _log_grid_pass(table, proposal, lams, m)
+        if np.abs(esjd - prev).max() <= 1e-10 * esjd.max():
+            return None if _ear_rise(ear) is not None else (ear, esjd, m)
+    return None
+
+
 def table_point(table: MarginalTable, proposal: RadialModel, lam: float) -> CurvePoint:
     """One curve point through the tabulated-W route: the one-lambda case
     of curve's stacked integral."""
@@ -422,15 +452,14 @@ def curve(target: RadialModel, proposal: RadialModel, lambdas, *,
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    good = [(p.lam, p.ear) for p in points if p.ok]
-    good.sort()
-    ears = np.array([e for _, e in good])
-    if ears.size >= 2:
-        rise = np.diff(ears)
-        slack = 1e-7 + 1e-7 * ears[:-1]
-        if np.any(rise > slack):
-            i = int(np.argmax(rise - slack))
-            raise EngineError(
-                f"acceptance rate increased with lambda near lambda={good[i][0]:.6g}"
-                " (numerical consistency violation)")
+    good = sorted((p.lam, p.ear) for p in points if p.ok)
+    if (i := _ear_rise(np.array([e for _, e in good]))) is not None:
+        raise EngineError(f"acceptance rate increased with lambda near lambda={good[i][0]:.6g}"
+                          " (numerical consistency violation)")
     return points
+
+
+def _ear_rise(ears: np.ndarray) -> int | None:
+    """Where EAR, in increasing lambda, rises most past 1e-7 + 1e-7 EAR, or None."""
+    excess = np.diff(ears) - (1e-7 + 1e-7 * ears[:-1])
+    return int(np.argmax(excess)) if np.any(excess > 0.0) else None

@@ -1,10 +1,10 @@
 """Locate proposal scales that maximize expected squared jump distance.
 
 Every ESJD value comes from the target's W table.  A log-spaced grid over
-the search range, evaluated as one stacked integral (engine.curve),
-brackets every interior local maximum of the ESJD curve; all brackets are
-polished at once by Chebyshev fits in log(lambda), two stacked calls a
-round, then each polished scale is read alone (engine.table_point).  The
+the search range, one log-space correlation of W (engine._log_grid_points,
+else engine.curve), brackets every interior local maximum; Chebyshev fits
+in log(lambda) polish all brackets at once, two stacked calls a round, and
+only each polished scale, read alone (engine.table_point), is reported.  The
 global optimum breaks ties toward the smaller scale and carries the table's
 message when the table missed its certificate.  default_search_range is
 the one rule for where to search: a dimension sweep is optimize with that
@@ -21,8 +21,8 @@ from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 
 from .asymptotics import (aos, mixing_from_spec, solve_aots, transformed_scale,
                           POINT_MASS_MU_HAT)
-from .engine import (EngineError, _table_points, curve, get_marginal_table,
-                     table_point)
+from .engine import (EngineError, _log_grid_points, _table_points, curve,
+                     get_marginal_table, table_point)
 from .quadrature import QuadratureError
 from .special import _checked_count, _checked_dimension_list, _checked_positive
 from .targets import RadialModel, _parse_pair, parse_target_spec
@@ -146,12 +146,12 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
              grid: int = 512) -> ScalingOptimum:
     """Maximize the ESJD curve over [lam_lo, lam_hi].
 
-    Every grid point exceeding both neighbours brackets a peak, and all
-    peaks are polished together (_polish) until each polished scale beats
-    its neighbours at relative distance 1e-5.  Each polish ends at the best
-    point it saw, its grid point included, and each reported point is
-    table_point at that scale, read alone.  An argmax on the boundary raises
-    OptimizerError — the window is too narrow to claim an interior optimum.
+    Every grid point (engine._log_grid_points, else curve, with its errors)
+    exceeding both neighbours brackets a peak; _polish refines all peaks until
+    each beats its neighbours at relative distance 1e-5, ending at the best
+    point it saw, grid point included, and each reported point is table_point
+    there, read alone.  An argmax on the boundary raises OptimizerError — the
+    window is too narrow to claim an interior optimum.
     """
     if lam_lo is None or lam_hi is None:
         auto_lo, auto_hi = default_search_range(target, proposal)
@@ -163,15 +163,16 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
     grid = _checked_count(grid, "grid", 64)
     table = get_marginal_table(target)
 
-    lambdas = np.geomspace(lam_lo, lam_hi, grid)
-    pts = curve(target, proposal, lambdas)
-    good = [p for p in pts if p.ok and np.isfinite(p.esjd)]
-    if len(good) < max(16, grid // 4):
-        raise OptimizerError(
-            f"only {len(good)} of {grid} grid evaluations succeeded; "
-            "cannot trust the landscape")
-    lam_g = np.array([p.lam for p in good])
-    s_g = np.array([p.esjd for p in good])
+    lam_g = np.geomspace(lam_lo, lam_hi, grid)
+    if (fast := _log_grid_points(table, proposal, lam_g)) is not None:
+        s_g = fast[1]
+    else:
+        good = [p for p in curve(target, proposal, lam_g) if p.ok and np.isfinite(p.esjd)]
+        if len(good) < max(16, grid // 4):
+            raise OptimizerError(
+                f"only {len(good)} of {grid} grid evaluations succeeded; "
+                "cannot trust the landscape")
+        lam_g, s_g = np.array([(p.lam, p.esjd) for p in good]).T
 
     if s_g.max() <= 0.0:
         raise OptimizerError("ESJD vanished on the whole search range")

@@ -578,6 +578,81 @@ def test_table_route_rejects_mismatched_dimensions():
         optimize(t2, t3)
 
 
+def _grid_peaks(s):
+    """optimize's peak rule: interior points at least both neighbours and
+    above one of them."""
+    mid, left, right = s[1:-1], s[:-2], s[2:]
+    return list(np.nonzero((mid >= left) & (mid >= right)
+                           & ((mid > left) | (mid > right)))[0] + 1)
+
+
+def test_log_grid_needs_its_doubling_and_meets_curve():
+    # At d = 1000 the proposal spans ~0.35 in log radius, 13 grid steps, so
+    # one trapezoid node a step (m = 1) is ~1e3 error bars off curve; the
+    # doubled grid meets curve to a tenth of a bar, with the same peaks.
+    t = build_example_target("gaussian", 1000)
+    table = get_marginal_table(t)
+    lams = np.geomspace(*default_search_range(t, t), 512)
+    pts = curve(t, t, lams)
+    esjd, bar = (np.array([getattr(p, k) for p in pts]) for k in ("esjd", "esjd_err"))
+    coarse = engine._log_grid_pass(table, t, lams, 1)[1]
+    assert np.max(np.abs(coarse - esjd) / bar) > 300.0
+    ear, fine, m = engine._log_grid_points(table, t, lams)
+    assert m == 4
+    assert np.max(np.abs(fine - esjd) / bar) <= 0.1
+    assert np.max(np.abs(ear - [p.ear for p in pts]) / [p.ear_err for p in pts]) <= 0.1
+    assert _grid_peaks(fine) == _grid_peaks(esjd) == [255]
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_log_grid_pass_is_one_sliding_window_product(m):
+    # The residue-split correlation is the plain trapezoid sum: row i of a
+    # sliding window over W on the joint t + s grid, strided by m, times the
+    # weights in s = log y.
+    t = build_example_target("exponential", 5)
+    table = get_marginal_table(t)
+    lams = np.geomspace(0.02, 50.0, 96)
+    h = np.log(lams[-1] / lams[0]) / (lams.size - 1)
+    n_s = (int(np.ceil(np.log(t.r_hi / t.r_lo) / h)) + 1) * m
+    y = t.r_lo * np.exp(np.arange(n_s) * h / m)
+    weights = np.full(n_s, h / m)
+    weights[[0, -1]] /= 2.0
+    g = t.radial_pdf(y) * y * weights
+    w = table.w(0.5 * lams[0] * t.r_lo * np.exp(np.arange((lams.size - 1) * m + n_s) * h / m))
+    rows = np.lib.stride_tricks.sliding_window_view(w, n_s)[::m]
+    ear, esjd = engine._log_grid_pass(table, t, lams, m)
+    for got, want in ((ear, rows @ g), (esjd, lams ** 2 * (rows @ (g * y * y)))):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
+
+def test_log_grid_doubles_until_converged_and_else_gives_way(monkeypatch):
+    t = build_example_target("gaussian", 10)
+    table = get_marginal_table(t)
+    lams = np.geomspace(0.01, 100.0, 64)
+    # a grid so fine that the proposal spans over 2048 of its steps
+    assert engine._log_grid_points(table, t, np.geomspace(0.5, 1.0, 512)) is None
+    assert engine._log_grid_points(table, t, np.geomspace(0.5, 1.0, 64))[2] == 4
+    exact = engine._log_grid_pass
+
+    def planted(err, ear_bump=0.0):
+        def grid_pass(table, proposal, lams, m):
+            ear, esjd = exact(table, proposal, lams, m)
+            ear[10] += ear_bump
+            return ear, esjd * (1.0 + err(m))
+        return grid_pass
+
+    # too coarse at m = 2: m = 4 and 8 agree, and m = 8's values are taken
+    monkeypatch.setattr(engine, "_log_grid_pass", planted(lambda m: 1e-6 * (m == 2)))
+    ear, esjd, m = engine._log_grid_points(table, t, lams)
+    assert m == 8 and np.array_equal(esjd, exact(table, t, lams, 8)[1])
+    # an error that halves with m but stays above 1e-10 up to m = 64
+    monkeypatch.setattr(engine, "_log_grid_pass", planted(lambda m: 1e-6 / m))
+    assert engine._log_grid_points(table, t, lams) is None
+    # converged, but EAR rises with lambda
+    monkeypatch.setattr(engine, "_log_grid_pass", planted(lambda m: 0.0, 0.1))
+    assert engine._log_grid_points(table, t, lams) is None
+
+
 @pytest.mark.parametrize("lambdas, match", [
     ([0.5, np.nan], "finite"), ([0.5, np.inf], "finite"),
     ([0.5, 0.0], "positive"), (0.5, "1-d"), ([[0.5, 1.0]], "1-d")])

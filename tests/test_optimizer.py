@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from rwmscaling import optimizer, quadrature
+from rwmscaling import engine, optimizer, quadrature
 from rwmscaling.asymptotics import (POINT_MASS_MU_HAT, aos, mixing_from_spec,
                                     solve_aots, transformed_scale)
-from rwmscaling.engine import CurvePoint, MarginalTable, get_marginal_table, table_point
+from rwmscaling.engine import (CurvePoint, EngineError, MarginalTable, get_marginal_table,
+                               table_point)
 from rwmscaling.optimizer import (
     DimensionSweep,
     DriftReport,
@@ -19,7 +20,7 @@ from rwmscaling.optimizer import (
     peak_drift_diagnostic,
     sweep_dimension,
 )
-from rwmscaling.targets import build_example_target, parse_target_spec
+from rwmscaling.targets import _parse_pair, build_example_target, parse_target_spec
 
 
 def test_optimize_gaussian_1d_matches_closed_form():
@@ -168,8 +169,10 @@ def test_polish_makes_two_stacked_calls_and_one_solo_read(monkeypatch):
 
 
 def test_optimize_evaluation_count(monkeypatch):
-    # The outer integrals' seeds set most of this count: about 65 000
-    # evaluations at 7 quantile levels per law, 147 000 at all 17.
+    # Only the polish and the solo table_point integrate adaptively, about
+    # 2 300 evaluations; the bracketing grid reads W once on a log-space grid
+    # (engine._log_grid_points).  512 adaptive outer integrals, one per grid
+    # point, would take about 65 000.
     t = build_example_target("gaussian", 10)
     get_marginal_table(t)
     n_evals = [0]
@@ -182,7 +185,37 @@ def test_optimize_evaluation_count(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_gk15", counted)
     optimize(t, t)
-    assert 0 < n_evals[0] <= 80_000
+    assert 0 < n_evals[0] <= 5_000
+
+
+@pytest.mark.parametrize("spec, proposal_spec, d", [
+    ("gaussian", "gaussian", 1), ("gaussian", "gaussian", 1000),
+    ("exponential", "exponential", 30), ("radial-gaussian", "radial-gaussian", 100),
+    ("lognormal", "gaussian", 300), ("mixture:p=1/d^2", "gaussian", 10),
+    ("laplace", "laplace", 1)])
+def test_log_grid_and_curve_bracket_the_same_optimum(monkeypatch, spec,
+                                                     proposal_spec, d):
+    # The grid only brackets peaks and every reported number comes from the
+    # polish and table_point, so both routes give the same optimum to the bit.
+    t, p = _parse_pair(spec, proposal_spec, d)
+    fast = optimize(t, p)
+    monkeypatch.setattr(optimizer, "_log_grid_points", lambda *args: None)
+    assert optimize(t, p) == fast
+
+
+@pytest.mark.parametrize("point, error, match", [
+    (lambda lam: CurvePoint(lam, np.nan, np.nan, np.nan, np.nan, ok=False),
+     OptimizerError, "only 0 of 64 grid evaluations succeeded"),
+    (lambda lam: CurvePoint(lam, lam, 1.0, 0.0, 0.0),  # EAR rising with lambda
+     EngineError, "acceptance rate increased with lambda")])
+def test_curve_fallback_keeps_its_failures(monkeypatch, point, error, match):
+    # Where the log grid gives way, curve brackets, with its own errors.
+    t = build_example_target("gaussian", 2)
+    monkeypatch.setattr(optimizer, "_log_grid_points", lambda *args: None)
+    monkeypatch.setattr(engine, "_table_points",
+                        lambda table, proposal, lams: [point(float(lam)) for lam in lams])
+    with pytest.raises(error, match=match):
+        optimize(t, t, grid=64)
 
 
 @pytest.mark.parametrize("t0", [0.0137, -0.0051, 0.0003])
