@@ -2,8 +2,9 @@
 Carlo evaluation of the acceptance/jump-distance expectations.
 
 Only ``run_rwm`` is independent of the quadrature path: it simulates 50
-independent d-dimensional chains in lockstep (error bars from the spread
-of their means, split-R-hat to flag chains that never mixed).
+independent chains in lockstep, in radius alone on a spherical target and
+in d dimensions on an elliptical one (error bars from the spread of their
+means, split-R-hat to flag chains that never mixed).
 ``mc_expectation`` samples the proposal radius but averages the same
 tabulated one-coordinate marginal W as the analytic route, so against
 quadrature it checks only the outer integral over the proposal radius;
@@ -104,6 +105,29 @@ def _lockstep(x, lp, steps, log_u, log_pi):
     return acc, rs
 
 
+def _radial_lockstep(r, lp, s, b, log_u, log_pi):
+    """_lockstep on the radii ``r`` (K,) of spherical chains: a step of length
+    ``s`` (T, K) at cosine V = 2b - 1 to the radius, ``b`` (T, K) from
+    _cosine_split, lands at r'^2 = (r + sV)^2 + s^2 4b(1 - b)."""
+    sv, q = s * (2.0 * b - 1.0), np.square(s) * (4.0 * b * (1.0 - b))
+    acc, rs = np.empty(log_u.shape, dtype=bool), np.empty(log_u.shape)
+    for t in range(len(s)):
+        rt = np.add(r, sv[t], out=rs[t])
+        np.sqrt(np.add(np.square(rt, out=rt), q[t], out=rt), out=rt)
+        lps = log_pi(rt)
+        a = np.less_equal(log_u[t], lps - lp, out=acc[t])
+        np.copyto(r, rt, where=a)
+        np.copyto(lp, lps, where=a)
+    return acc, rs
+
+
+def _cosine_split(rng, d, shape):
+    """B = (1 + V) / 2 for the cosine V between a uniform direction in R^d
+    and a fixed axis: Beta((d - 1) / 2, (d - 1) / 2), a fair 0/1 draw at d = 1."""
+    a = (d - 1) / 2
+    return rng.integers(2, size=shape) if d == 1 else rng.beta(a, a, shape)
+
+
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n of the flattened ``values``, ties sharing their average, as
     scipy.stats.rankdata gives them (scipy.stats would add ~0.4 s to the
@@ -145,17 +169,19 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     """Simulate 50 random walk Metropolis chains and summarize them.
 
     The target may be spherically symmetric (any RadialModel, including the
-    two-component mixtures) or elliptical (an EllipticalSpec, whose
-    eigenvalues scale the axes of the spherical core).  The proposal is
-    spherically symmetric in the original coordinates with radial law
-    ``proposal`` and overall scale ``lam``; for an elliptical target it must
-    be the spec's own ``proposal_core`` object (else ValueError), the law
-    elliptical_ear_esjd reads too.  ``n_iters`` and ``burn_in``
-    are totals: the chains' lengths, and their burn-ins, differ by at most
-    one step.  Each chain starts from its own exact stationary draw (radial
-    inverse-CDF times a uniform direction), and the reported ESJD uses the
-    Mahalanobis metric of the target, so it is invariant under the axis
-    scaling.  The output is a fixed function of ``seed``.
+    two-component mixtures), whose chains step in radius alone
+    (_radial_lockstep), or elliptical (an EllipticalSpec, whose eigenvalues
+    scale the axes of the spherical core), whose chains move in d
+    dimensions.  The proposal is spherically symmetric in the original
+    coordinates with radial law ``proposal`` and overall scale ``lam``; for
+    an elliptical target it must be the spec's own ``proposal_core`` object
+    (else ValueError), the law elliptical_ear_esjd reads too.  ``n_iters``
+    and ``burn_in`` are totals: the chains' lengths, and their burn-ins,
+    differ by at most one step.  Each chain starts from its own exact
+    stationary draw (radial inverse-CDF times a uniform direction), and the
+    reported ESJD uses the Mahalanobis metric of the target, so it is
+    invariant under the axis scaling.  The output is a fixed function of
+    ``seed``.
     """
     lam = _checked_positive(lam, "lambda")
     n_iters = _checked_count(n_iters, "n_iters", 100)
@@ -183,13 +209,13 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     u0 = rng.standard_normal((k, d))
     u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
     r0 = sample_radius(core, k, rng)
-    # The chains live in the coordinates where the target is spherical,
-    # x_* = nu * x: a proposal step that is spherical in the original
-    # coordinates becomes nu * step there, and its squared length is the
-    # Mahalanobis jump |nu * step|^2.
+    # An elliptical chain lives in the coordinates where the target is
+    # spherical, x_* = nu * x: a proposal step that is spherical in the
+    # original coordinates becomes nu * step there, and its squared length
+    # is the Mahalanobis jump |nu * step|^2.
     x = r0[:, None] * u0
     lp = np.array(core.log_pi(r0), dtype=float)
-    cur_r = r0
+    cur_r, r = r0, r0.copy()
 
     # Chain step i = t * k + c is chain c's step t.  Only the first n_iters
     # count (the last row may run over), and the first `burn` are burn-in.
@@ -199,17 +225,21 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     radii_sq = np.empty((n_steps, k))
     for t0 in range(0, n_steps, _BLOCK // k):
         m = min(_BLOCK // k, n_steps - t0)
-        z = rng.standard_normal((m, k, d))
-        z /= np.linalg.norm(z, axis=2, keepdims=True)
-        ry = lam * sample_radius(proposal, m * k, rng).reshape(m, k)
-        steps = np.multiply(z, ry[..., None], out=z)
         if nus is None:
+            ry = lam * sample_radius(proposal, m * k, rng).reshape(m, k)
+            b = _cosine_split(rng, d, (m, k))
+            log_u = np.log(rng.random((m, k)))
             mah_sq = ry * ry
+            acc, rs = _radial_lockstep(r, lp, ry, b, log_u, core.log_pi)
         else:
+            z = rng.standard_normal((m, k, d))
+            z /= np.linalg.norm(z, axis=2, keepdims=True)
+            ry = lam * sample_radius(proposal, m * k, rng).reshape(m, k)
+            steps = np.multiply(z, ry[..., None], out=z)
             steps *= nus
             mah_sq = np.square(steps).sum(axis=2)
-        log_u = np.log(rng.random((m, k)))
-        acc, rs = _lockstep(x, lp, steps, log_u, core.log_pi)
+            log_u = np.log(rng.random((m, k)))
+            acc, rs = _lockstep(x, lp, steps, log_u, core.log_pi)
         # The radius after step t is that of the last accepted proposal.
         last = np.maximum.accumulate(
             np.where(acc, np.arange(1, m + 1)[:, None], 0), axis=0)

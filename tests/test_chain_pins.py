@@ -45,6 +45,18 @@ ear 2.1e-12, ear_se 6.2e-12, esjd 1.5e-12, esjd_se 5.4e-12; exponential
 ear 9.7e-12, ear_se 4.6e-11, esjd 1.5e-12, esjd_se 4.8e-11;
 elliptical_ear_esjd ear 4.2e-12, ear_se 1.1e-11, esjd 2.8e-12, esjd_se
 6.6e-12).  Every run_rwm and solve_aots entry held bit for bit.
+
+The seven spherical run_rwm entries (gaussian d=10 seeds 1 and 2,
+exponential d=10 seeds 1 and 2, mixture:p=1/d^2 d=10 seeds 0 and 2, and
+gaussian d=2 with n_iters=1003) were re-recorded when a spherical target's
+chains came to step in radius alone: after the shared start (the direction
+normals, then the start radii) each block draws the proposal radii, one
+Beta((d - 1) / 2, (d - 1) / 2) cosine split per step and the uniforms,
+not d normals per step.  The chains are the same process with other draws,
+so each EAR and ESJD moved by chance, by at most 2.3 of the two runs'
+combined standard errors (exponential seed 1; 1.3 at most elsewhere);
+their arguments are unchanged.  The elliptical run_rwm entry, both
+mc_expectation entries, elliptical_ear_esjd and solve_aots held bit for bit.
 """
 
 import dataclasses

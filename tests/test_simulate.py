@@ -9,9 +9,11 @@ import pytest
 from rwmscaling.elliptical import EllipticalSpec
 from rwmscaling.engine import (closed_form_gaussian_1d, get_marginal_table,
                                table_point)
-from rwmscaling.simulate import (_average_ranks, _lockstep, _split_rhat,
-                                 mc_expectation, run_rwm)
+from rwmscaling.simulate import (_average_ranks, _cosine_split, _lockstep,
+                                 _radial_lockstep, _split_rhat, mc_expectation,
+                                 run_rwm)
 from rwmscaling.targets import build_example_target, parse_target_spec
+from test_elliptical import gaussian_elliptical_exact
 
 
 def test_chain_is_reproducible():
@@ -103,17 +105,56 @@ def test_elliptical_chain_proposes_from_its_spec():
 
 def test_elliptical_uniform_stretch_equals_rescaled_spherical_chain():
     # nu = (c, ..., c) only rescales the coordinates: with a shared seed the
-    # two chains see identical uniform draws and identical acceptance ratios,
-    # and the Mahalanobis metric absorbs c, so the summaries agree exactly.
+    # chain at nu = c and lambda sees the draws of the chain at nu = 1 and
+    # c lambda, and identical acceptance ratios (c = 2 scales exactly), and
+    # the Mahalanobis metric absorbs c, so the summaries agree exactly.  Both
+    # are d-dimensional chains; a spherical target's chain keeps only its
+    # radius and draws differently.
     c, d = 2.0, 3
     core = build_example_target("gaussian", d)
-    spec = EllipticalSpec(d=d, eigenvalues=(c,) * d, spherical_core=core,
-                          proposal_core=core)
-    ell = run_rwm(spec, core, 0.6, n_iters=20_000, seed=77)
-    sph = run_rwm(core, core, c * 0.6, n_iters=20_000, seed=77)
-    assert ell.accept_rate == sph.accept_rate
-    assert ell.esjd == pytest.approx(sph.esjd, rel=1e-12)
+
+    def spec(nu):
+        return EllipticalSpec(d=d, eigenvalues=(nu,) * d, spherical_core=core,
+                              proposal_core=core)
+
+    ell = run_rwm(spec(c), core, 0.6, n_iters=20_000, seed=77)
+    unit = run_rwm(spec(1.0), core, c * 0.6, n_iters=20_000, seed=77)
+    assert ell.accept_rate == unit.accept_rate
+    assert ell.esjd == pytest.approx(unit.esjd, rel=1e-12)
     assert ell.target.startswith("elliptical(")
+
+
+@pytest.mark.parametrize("t_spec,p_spec,d,lam,seed", [
+    ("gaussian", "gaussian", 10, 0.75, 101),
+    ("exponential", "gaussian", 10, 0.45, 102),
+    ("mixture:p=0.3", "gaussian", 2, 1.2, 103),
+])
+def test_radial_chain_agrees_with_the_d_dimensional_chain(t_spec, p_spec, d,
+                                                          lam, seed):
+    # With nu = 1 the elliptical path is the spherical chain in d
+    # dimensions, so the radial chain and it estimate the same EAR and ESJD.
+    t, p = parse_target_spec(t_spec, d), parse_target_spec(p_spec, d)
+    full = run_rwm(EllipticalSpec(d=d, eigenvalues=(1.0,) * d, spherical_core=t,
+                                  proposal_core=p), p, lam, n_iters=200_000,
+                   seed=seed)
+    radial = run_rwm(t, p, lam, n_iters=200_000, seed=seed)
+    for est, se in (("accept_rate", "accept_se"), ("esjd", "esjd_se")):
+        a, b = getattr(radial, est), getattr(full, est)
+        assert abs(a - b) <= 3 * math.hypot(getattr(radial, se), getattr(full, se))
+
+
+def test_radial_chain_matches_the_exact_gaussian_value_at_d_1000():
+    # An independent large-d check: the radial chain costs the same per step
+    # at any d, and the Gaussian EAR and ESJD are exact one-dimensional
+    # integrals, with no W table.  Only agreement is asserted: at 200k steps
+    # the 50 chains' squared radii have not mixed (R-hat ~1.7-2).
+    d = 1000
+    lam = 2.38 / math.sqrt(d)
+    t = build_example_target("gaussian", d)
+    stats = run_rwm(t, t, lam, n_iters=200_000, seed=0)
+    ear, esjd = gaussian_elliptical_exact([1.0] * d, lam)
+    assert stats.accept_rate == pytest.approx(ear, abs=3 * stats.accept_se)
+    assert stats.esjd == pytest.approx(esjd, abs=3 * stats.esjd_se)
 
 
 def test_elliptical_chain_matches_transformed_average():
@@ -224,6 +265,73 @@ def test_lockstep_kernel_matches_scalar_chains(spec, nus):
     np.testing.assert_allclose(lp, log_pi(np.linalg.norm(x, axis=1)),
                                rtol=1e-13)
     np.testing.assert_allclose(rs, want_rs, rtol=1e-14)
+
+
+def _scalar_radial_metropolis(r0, lp0, s, b, log_u, log_pi):
+    """Reference radial chain: one chain at a time, one proposal at a time."""
+    accepts = np.zeros(log_u.shape, dtype=bool)
+    radii = np.empty(log_u.shape)
+    final = np.empty_like(r0)
+    for c in range(len(r0)):
+        r, lp = float(r0[c]), float(lp0[c])
+        for t in range(len(s)):
+            st, bt = float(s[t, c]), float(b[t, c])
+            along = r + st * (2.0 * bt - 1.0)
+            radii[t, c] = math.sqrt(along * along
+                                    + (st * st) * (4.0 * bt * (1.0 - bt)))
+            lps = float(log_pi(np.array([radii[t, c]]))[0])
+            if log_u[t, c] <= lps - lp:
+                accepts[t, c] = True
+                r, lp = radii[t, c], lps
+        final[c] = r
+    return accepts, radii, final
+
+
+@pytest.mark.parametrize("spec,d", [
+    ("gaussian", 1),
+    ("gaussian", 3),
+    ("mixture:p=0.3", 3),
+])
+def test_radial_kernel_matches_scalar_chains(spec, d):
+    k, n = 7, 400
+    rng = np.random.default_rng(9)
+    log_pi = parse_target_spec(spec, d).log_pi
+    # Half-integer radii square exactly, so the first proposal, a step of
+    # length 2r straight through the origin (b = 0, V = -1) with log u = 0,
+    # lands back on r: an exact tie that log u <= log ratio must accept.
+    r0 = rng.integers(1, 9, size=k) * 0.5
+    s = 1.2 * np.abs(rng.standard_normal((n, k)))
+    b = _cosine_split(rng, d, (n, k))
+    s[0], b[0] = 2.0 * r0, 0.0
+    log_u = np.log(rng.random((n, k)))
+    log_u[0] = 0.0
+    lp0 = log_pi(r0)
+
+    want_acc, want_rs, want_r = _scalar_radial_metropolis(r0, lp0, s, b,
+                                                           log_u, log_pi)
+    r, lp = r0.copy(), lp0.copy()
+    acc, rs = _radial_lockstep(r, lp, s, b, log_u, log_pi)
+    assert acc[0].all()
+    assert 0.2 < want_acc.mean() < 0.9
+    np.testing.assert_array_equal(acc, want_acc)
+    np.testing.assert_array_equal(rs, want_rs)
+    np.testing.assert_array_equal(r, want_r)
+    np.testing.assert_array_equal(lp, log_pi(r))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 1000])
+def test_cosine_split_follows_the_uniform_direction_law(d):
+    # V = 2B - 1 is the cosine between a uniform direction and an axis:
+    # E V^2 = 1/d and E V^4 = 3 / (d (d + 2)).
+    n = 200_000
+    v = 2.0 * _cosine_split(np.random.default_rng(d), d, n) - 1.0
+    for power, want in ((2, 1.0 / d), (4, 3.0 / (d * (d + 2)))):
+        vp = v ** power
+        assert abs(vp.mean() - want) <= 4 * vp.std(ddof=1) / math.sqrt(n)
+    if d == 1:
+        assert set(np.unique(v)) == {-1.0, 1.0}
+    else:
+        assert np.all(np.abs(v) < 1.0)
 
 
 def test_chain_standard_errors_match_the_seed_to_seed_spread():
