@@ -30,7 +30,7 @@ def unimodal_families() -> None:
     print("-" * 72)
     for family in ("gaussian", "exponential", "radial-gaussian",
                    "radial-exponential"):
-        sweep = sweep_dimension(family, "gaussian", DIMS, grid=384)
+        sweep = sweep_dimension(family, "gaussian", DIMS)
         print(f"{family}  (limit {sweep.limit_aoa:.4f})")
         print(f"  {'d':>4s} {'lambda_hat':>11s} {'rule':>11s} {'EAR_hat':>9s}")
         for row in sweep.rows:
@@ -47,7 +47,7 @@ def mixture_regimes() -> None:
         ("mixture:p=1/d", "shrinking weight: optimal EAR collapses to zero"),
         ("mixture:p=1/d^3", "fast-shrinking weight: narrow component wins"),
     ):
-        sweep = sweep_dimension(spec, "gaussian", [5, 10, 30, 100], grid=384)
+        sweep = sweep_dimension(spec, "gaussian", [5, 10, 30, 100])
         drift = peak_drift_diagnostic(sweep)
         ears = ", ".join(f"{row.optimum.ear_hat:.4f}" for row in sweep.rows)
         print(f"{spec:18s} EAR_hat = [{ears}]")

@@ -53,7 +53,7 @@ def bimodal_mixture_curve() -> None:
     d = 10
     target = parse_target_spec("mixture:p=1/d^2", d)
     proposal = build_example_target("gaussian", d)
-    opt = optimize(target, proposal, lam_lo=0.05, lam_hi=40.0, grid=1024)
+    opt = optimize(target, proposal, lam_lo=0.05, lam_hi=40.0)
     print("local ESJD maxima (narrow component tunes one, wide the other):")
     for m in opt.local_maxima:
         print(f"  lambda = {m.lam:8.4f}  EAR = {m.ear:.6f}  ESJD = {m.esjd:.4f}")

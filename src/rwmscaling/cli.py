@@ -160,7 +160,7 @@ def cmd_curve(args) -> int:
 
 def cmd_optimize(args) -> int:
     target, proposal = _parse_pair(args.target, args.proposal, args.dim)
-    kwargs = {"grid": args.grid}
+    lam_lo = lam_hi = None
     if args.lambda_min is not None or args.lambda_max is not None:
         if args.lambda_min is None or args.lambda_max is None:
             raise UsageError("give both --lambda-min and --lambda-max or neither")
@@ -168,8 +168,7 @@ def cmd_optimize(args) -> int:
         lam_hi = _checked_positive(args.lambda_max, "--lambda-max", UsageError)
         if not lam_hi > lam_lo:
             raise UsageError("--lambda-max must exceed --lambda-min")
-        kwargs.update(lam_lo=lam_lo, lam_hi=lam_hi)
-    opt = optimize(target, proposal, **kwargs)
+    opt = optimize(target, proposal, lam_lo=lam_lo, lam_hi=lam_hi)
     if opt.message:
         sys.stderr.write(f"warning: {opt.message}\n")
     _emit(args, ["lambda_hat", "ear_hat", "esjd_hat", "n_local_maxima"],
@@ -180,7 +179,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_sweep(args) -> int:
     dims = parse_dims(args.dims)
-    sweep = sweep_dimension(args.target, args.proposal, dims, grid=args.grid)
+    sweep = sweep_dimension(args.target, args.proposal, dims)
     has_cor = any(r.ok and r.corollary_lambda is not None for r in sweep.rows)
     columns = ["d", "lambda_hat", "ear_hat", "esjd_hat"]
     if has_cor:
@@ -258,8 +257,7 @@ def cmd_simulate(args) -> int:
         nus = parse_eigenvalue_rule(args.eigenvalues, args.dim)
         target = EllipticalSpec(d=args.dim, eigenvalues=tuple(nus),
                                 spherical_core=target, proposal_core=proposal)
-    stats = run_rwm(target, proposal, lam, n_iters=args.iters,
-                    burn_in=args.burn_in, seed=args.seed)
+    stats = run_rwm(target, proposal, lam, n_iters=args.iters, seed=args.seed)
     if stats.flag:
         sys.stderr.write(f"warning: {stats.flag}\n")
     record = stats.record()
@@ -303,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--lambda-min", type=float)
     sp.add_argument("--lambda-max", type=float)
-    sp.add_argument("--grid", type=int, default=512)
     common(sp)
     sp.set_defaults(func=cmd_optimize)
 
@@ -312,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("proposal")
     sp.add_argument("--dims", required=True,
                     help="comma list or a:b:linN / a:b:logN")
-    sp.add_argument("--grid", type=int, default=512)
     common(sp)
     sp.set_defaults(func=cmd_sweep)
 
@@ -346,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--iters", type=int, default=100_000,
                     help="total steps over 50 chains")
-    sp.add_argument("--burn-in", type=int, default=None,
-                    help="total burn-in steps over 50 chains (default 10%%)")
     sp.add_argument("--eigenvalues", default=None,
                     help="optional eigenvalue rule making the target elliptical")
     sp.add_argument("--seed", type=int, default=0, help="seed of the chains")

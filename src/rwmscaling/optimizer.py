@@ -1,15 +1,16 @@
 """Locate proposal scales that maximize expected squared jump distance.
 
-Every ESJD value comes from the target's W table.  A log-spaced grid over
-the search range, one log-space correlation of W (engine._log_grid_points,
-else engine.curve), brackets every interior local maximum; Chebyshev fits
-in log(lambda) polish all brackets at once, two stacked calls a round, and
-only each polished scale, read alone (engine.table_point), is reported.  The
-global optimum breaks ties toward the smaller scale and carries the table's
-message when the table missed its certificate.  default_search_range is
-the one rule for where to search: a dimension sweep is optimize with that
-default window at each dimension, and a drift diagnostic classifies how
-the optimal transformed scale behaves as dimension grows.
+Every ESJD value comes from the target's W table.  A fixed log-spaced grid
+of 512 points over the search range, one log-space correlation of W
+(engine._log_grid_points, else engine.curve), brackets every interior local
+maximum; Chebyshev fits in log(lambda) polish all brackets at once, two
+stacked calls a round, and only each polished scale, read alone
+(engine.table_point), is reported.  The global optimum breaks ties toward
+the smaller scale and carries the table's message when the table missed its
+certificate.  default_search_range is the one rule for where to search: a
+dimension sweep is optimize with that default window at each dimension, and
+a drift diagnostic classifies how the optimal transformed scale behaves as
+dimension grows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .asymptotics import (aos, mixing_from_spec, solve_aots, transformed_scale,
 from .engine import (EngineError, _log_grid_points, _table_points, curve,
                      get_marginal_table, table_point)
 from .quadrature import QuadratureError
-from .special import _checked_count, _checked_dimension_list, _checked_positive
+from .special import _checked_dimension_list, _checked_positive
 from .targets import RadialModel, _parse_pair, parse_target_spec
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "peak_drift_diagnostic",
 ]
 
+_GRID = 512  # scales in the bracketing grid
 _REL_TOL = 1e-5  # a polished peak beats its neighbours at log(lambda) +- this
 _TIE_REL = 1e-6  # maxima within this relative ESJD of the best tie with it
 _POLISH_ROUNDS = 8  # each round's failed peaks narrow fourfold and retry
@@ -141,9 +143,8 @@ def _polish(table, proposal, lo, hi, seen_t, seen_s):
     return seen_t, curv
 
 
-def optimize(target: RadialModel, proposal: RadialModel, *,
-             lam_lo: float | None = None, lam_hi: float | None = None,
-             grid: int = 512) -> ScalingOptimum:
+def optimize(target: RadialModel, proposal: RadialModel, *, lam_lo: float | None = None,
+             lam_hi: float | None = None) -> ScalingOptimum:
     """Maximize the ESJD curve over [lam_lo, lam_hi].
 
     Every grid point (engine._log_grid_points, else curve, with its errors)
@@ -160,17 +161,16 @@ def optimize(target: RadialModel, proposal: RadialModel, *,
     lam_lo, lam_hi = _checked_positive([lam_lo, lam_hi], "lam_lo and lam_hi")
     if not lam_lo < lam_hi:
         raise ValueError("need 0 < lam_lo < lam_hi")
-    grid = _checked_count(grid, "grid", 64)
     table = get_marginal_table(target)
 
-    lam_g = np.geomspace(lam_lo, lam_hi, grid)
+    lam_g = np.geomspace(lam_lo, lam_hi, _GRID)
     if (fast := _log_grid_points(table, proposal, lam_g)) is not None:
         s_g = fast[1]
     else:
         good = [p for p in curve(target, proposal, lam_g) if p.ok and np.isfinite(p.esjd)]
-        if len(good) < max(16, grid // 4):
+        if len(good) < _GRID // 4:
             raise OptimizerError(
-                f"only {len(good)} of {grid} grid evaluations succeeded; "
+                f"only {len(good)} of {_GRID} grid evaluations succeeded; "
                 "cannot trust the landscape")
         lam_g, s_g = np.array([(p.lam, p.esjd) for p in good]).T
 
@@ -249,11 +249,10 @@ def _limit_optimum(limit_mixing: str | None):
     return opt.mu_hat, opt.aoa
 
 
-def sweep_dimension(target_spec: str, proposal_spec: str, dims, *,
-                    grid: int = 512) -> DimensionSweep:
+def sweep_dimension(target_spec: str, proposal_spec: str, dims) -> DimensionSweep:
     """Run the optimizer at each dimension of a strictly increasing list.
 
-    Each row is ``optimize(target, proposal, grid=grid)`` at that d, with
+    Each row is ``optimize(target, proposal)`` at that d, with
     its default window (default_search_range), so a row's optimum is what
     optimize gives at that dimension.  ``corollary_lambda`` is the
     asymptotic prediction for the family's limiting mixing law (the
@@ -273,7 +272,7 @@ def sweep_dimension(target_spec: str, proposal_spec: str, dims, *,
             if target.k is not None and proposal.k is not None:
                 mu_ref = limit_mu if limit_mu is not None else POINT_MASS_MU_HAT
                 pred = aos(mu_ref, target.k, proposal.k, d)
-            opt = optimize(target, proposal, grid=grid)
+            opt = optimize(target, proposal)
             return SweepRow(d=d, ok=True, optimum=opt, corollary_lambda=pred,
                             k_x=target.k, k_y=proposal.k, message=opt.message)
         except (OptimizerError, EngineError, QuadratureError, ValueError) as exc:

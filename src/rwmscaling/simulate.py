@@ -20,7 +20,8 @@ from typing import Union
 import numpy as np
 from scipy.special import ndtri
 
-from .engine import MCExpectation, _check_dimensions, _sampled_expectation
+from .engine import (MCExpectation, _NORMAL_BLOCK, _check_dimensions,
+                     _sampled_expectation)
 from .elliptical import EllipticalSpec
 from .special import _checked_count, _checked_positive
 from .targets import RadialModel, sample_radius
@@ -36,13 +37,13 @@ _RHAT_MAX = 1.01
 class ChainStats:
     """Summary of one random walk Metropolis run over 50 chains.
 
-    ``n_iters`` and ``burn_in`` are totals over the chains.  ``esjd`` is the
-    mean Mahalanobis-squared displacement per iteration (rejections
-    contribute zero), measured after burn-in.  Standard errors are the
-    spread of the 50 independent chain means.  ``mean_sq_radius`` is the
-    average of the stationary-metric squared radius, kept for stationarity
-    sanity checks, and ``rhat`` is the rank-normalized split-R-hat of that
-    series across the chains (nan when a chain keeps fewer than 4 steps).
+    ``n_iters`` is the total over the chains, every step counted.  ``esjd``
+    is the mean Mahalanobis-squared displacement per iteration (rejections
+    contribute zero).  Standard errors are the spread of the 50 independent
+    chain means.  ``mean_sq_radius`` is the average of the
+    stationary-metric squared radius, kept for stationarity sanity checks,
+    and ``rhat`` is the rank-normalized split-R-hat of that series across
+    the chains (nan when a chain runs fewer than 4 steps).
     ``flag`` is empty for a healthy run and carries a short message when
     the acceptance rate is degenerate (near 0 or near 1) or when the
     chains disagree (R-hat above 1.01).
@@ -53,7 +54,6 @@ class ChainStats:
     d: int
     lam: float
     n_iters: int
-    burn_in: int
     seed: int
     accept_rate: float
     accept_se: float
@@ -68,8 +68,6 @@ class ChainStats:
             raise ValueError("acceptance rate must lie in [0, 1]")
         if self.accept_se < 0.0 or self.esjd_se < 0.0:
             raise ValueError("standard errors must be nonnegative")
-        if self.n_iters <= self.burn_in:
-            raise ValueError("n_iters must exceed burn_in")
 
     def record(self) -> dict:
         """The chain record: its fields, in output order."""
@@ -164,8 +162,7 @@ def _split_rhat(series: np.ndarray) -> float:
 
 
 def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
-            lam: float, *, n_iters: int = 100_000, burn_in: int | None = None,
-            seed: int = 0) -> ChainStats:
+            lam: float, *, n_iters: int = 100_000, seed: int = 0) -> ChainStats:
     """Simulate 50 random walk Metropolis chains and summarize them.
 
     The target may be spherically symmetric (any RadialModel, including the
@@ -176,18 +173,15 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     coordinates with radial law ``proposal`` and overall scale ``lam``; for
     an elliptical target it must be the spec's own ``proposal_core`` object
     (else ValueError), the law elliptical_ear_esjd reads too.  ``n_iters``
-    and ``burn_in`` are totals: the chains' lengths, and their burn-ins,
-    differ by at most one step.  Each chain starts from its own exact
-    stationary draw (radial inverse-CDF times a uniform direction), and the
+    is a total: the chains' lengths differ by at most one step.  Each chain
+    starts from its own exact stationary draw (radial inverse-CDF times a
+    uniform direction), so there is no burn-in and every step counts; the
     reported ESJD uses the Mahalanobis metric of the target, so it is
     invariant under the axis scaling.  The output is a fixed function of
     ``seed``.
     """
     lam = _checked_positive(lam, "lambda")
     n_iters = _checked_count(n_iters, "n_iters", 100)
-    burn = n_iters // 10 if burn_in is None else _checked_count(burn_in, "burn_in", 0)
-    if burn > n_iters - _N_CHAINS:
-        raise ValueError(f"burn_in must lie in [0, n_iters - {_N_CHAINS}]")
     seed = _checked_count(seed, "seed", 0)
 
     if isinstance(target, EllipticalSpec):
@@ -218,13 +212,17 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     cur_r, r = r0, r0.copy()
 
     # Chain step i = t * k + c is chain c's step t.  Only the first n_iters
-    # count (the last row may run over), and the first `burn` are burn-in.
+    # count (the last row may run over).  An elliptical block holds at most
+    # _NORMAL_BLOCK direction normals, so its memory does not grow with d.
     n_steps = -(-n_iters // k)
     accepts = np.empty((n_steps, k), dtype=bool)
     jumps = np.empty((n_steps, k))
     radii_sq = np.empty((n_steps, k))
-    for t0 in range(0, n_steps, _BLOCK // k):
-        m = min(_BLOCK // k, n_steps - t0)
+    block = _BLOCK // k
+    if nus is not None:
+        block = max(1, min(block, _NORMAL_BLOCK // (k * d)))
+    for t0 in range(0, n_steps, block):
+        m = min(block, n_steps - t0)
         if nus is None:
             ry = lam * sample_radius(proposal, m * k, rng).reshape(m, k)
             b = _cosine_split(rng, d, (m, k))
@@ -249,8 +247,7 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
         accepts[t0:t0 + m] = acc
         jumps[t0:t0 + m] = np.where(acc, mah_sq, 0.0)
 
-    index = np.arange(n_steps * k).reshape(n_steps, k)
-    kept = (index >= burn) & (index < n_iters)
+    kept = np.arange(n_steps * k).reshape(n_steps, k) < n_iters
     n_kept = kept.sum(axis=0)
 
     def mean_and_se(values):
@@ -260,10 +257,7 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
 
     rate, rate_se = mean_and_se(accepts)
     esjd, esjd_se = mean_and_se(jumps)
-    first = burn // k + (np.arange(k) < burn % k)
-    series = np.take_along_axis(
-        radii_sq, first + np.arange(n_kept.min())[:, None], axis=0)
-    rhat = _split_rhat(series)
+    rhat = _split_rhat(radii_sq[:n_kept.min()])
 
     flags = []
     if rate < 1e-3:
@@ -274,7 +268,7 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
         flags.append(f"chains disagree (R-hat = {rhat:.5g}): not mixed")
     return ChainStats(
         target=label, proposal=proposal.label, d=d, lam=lam,
-        n_iters=n_iters, burn_in=burn, seed=seed,
+        n_iters=n_iters, seed=seed,
         accept_rate=rate, accept_se=rate_se, esjd=esjd, esjd_se=esjd_se,
         mean_sq_radius=mean_and_se(radii_sq)[0], rhat=rhat,
         flag="; ".join(flags))

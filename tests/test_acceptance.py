@@ -56,7 +56,7 @@ def family_sweeps():
     out = {}
     t0 = time.monotonic()
     for spec, _ in _FAMILIES:
-        out[spec] = sweep_dimension(spec, "gaussian", _SWEEP_DIMS, grid=384)
+        out[spec] = sweep_dimension(spec, "gaussian", _SWEEP_DIMS)
     out["elapsed"] = time.monotonic() - t0
     return out
 
@@ -64,12 +64,12 @@ def family_sweeps():
 def test_criterion_01_closed_form_optima():
     t0 = time.monotonic()
     g = build_example_target("gaussian", 1)
-    opt_g = optimize(g, g, lam_lo=0.2, lam_hi=30.0, grid=256)
+    opt_g = optimize(g, g, lam_lo=0.2, lam_hi=30.0)
     t_gauss = time.monotonic() - t0
 
     t0 = time.monotonic()
     l = build_example_target("laplace", 1)
-    opt_l = optimize(l, l, lam_lo=0.3, lam_hi=40.0, grid=256)
+    opt_l = optimize(l, l, lam_lo=0.3, lam_hi=40.0)
     t_laplace = time.monotonic() - t0
 
     checks = [
@@ -113,7 +113,7 @@ def test_criterion_02_laplace_identity_quadrature():
 def test_criterion_03_mixture_bimodality():
     t = parse_target_spec("mixture:p=1/d^2", 10)
     p = build_example_target("gaussian", 10)
-    opt = optimize(t, p, lam_lo=0.05, lam_hi=40.0, grid=512)
+    opt = optimize(t, p, lam_lo=0.05, lam_hi=40.0)
     maxima = sorted(opt.local_maxima, key=lambda m: m.lam)
     checks = [(f"exactly two local maxima, got {opt.n_local_maxima}",
                opt.n_local_maxima == 2)]
@@ -187,7 +187,7 @@ def test_criterion_06_mixture_sweeps():
     dims = [5, 10, 30, 100]
     ears = {}
     for p_spec in ("p=0.2", "p=1/d", "p=1/d^3"):
-        sweep = sweep_dimension(f"mixture:{p_spec}", "gaussian", dims, grid=384)
+        sweep = sweep_dimension(f"mixture:{p_spec}", "gaussian", dims)
         assert all(r.ok for r in sweep.rows), f"mixture {p_spec} sweep failed"
         ears[p_spec] = {r.d: r.optimum.ear_hat for r in sweep.rows}
     checks = [
@@ -235,7 +235,7 @@ def test_criterion_08_heavy_tail_small_d_values():
     for d, ref in expect.items():
         t = parse_target_spec("lognormal", d)
         p = build_example_target("gaussian", d)
-        opt = optimize(t, p, lam_lo=0.5, lam_hi=500.0, grid=512)
+        opt = optimize(t, p, lam_lo=0.5, lam_hi=500.0)
         measured[d] = opt.ear_hat
     _line(8, False,
           "measured optimal EAR " +

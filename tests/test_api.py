@@ -145,8 +145,6 @@ DIMENSION_LIST_SITES = {
 # site.
 COUNT_SITES = {
     "run_rwm n_iters": (100, lambda v: rwmscaling.run_rwm(_T2, _T2, 1.0, n_iters=v)),
-    "run_rwm burn_in": (0, lambda v: rwmscaling.run_rwm(
-        _T2, _T2, 1.0, n_iters=1_000, burn_in=v)),
     "mc_expectation n_samples": (10_000, lambda v: rwmscaling.mc_expectation(
         _T2, _T2, 1.0, n_samples=v)),
     "elliptical_ear_esjd n_draws": (1_000, lambda v: rwmscaling.elliptical_ear_esjd(
@@ -155,8 +153,6 @@ COUNT_SITES = {
         "iota", [10, 40], n_samples=v)),
     "sample_radius n": (0, lambda v: rwmscaling.sample_radius(
         _T2, v, np.random.default_rng(0))),
-    "optimize grid": (64, lambda v: rwmscaling.optimize(
-        _T2, _T2, lam_lo=0.1, lam_hi=10.0, grid=v)),
     "run_rwm seed": (0, lambda v: rwmscaling.run_rwm(_T2, _T2, 1.0, n_iters=1_000,
                                                      seed=v)),
     "mc_expectation seed": (0, lambda v: rwmscaling.mc_expectation(
@@ -173,7 +169,7 @@ BAD_INPUTS = ([(site, v) for site in POSITIVE_SITES for v in _BAD]
               + [(site, v) for site in MU_SITES for v in (math.nan, -math.inf, -1.0)]
               + [("limit_esjd", math.inf), ("limit_esjd_general", math.inf)]
               + [(site, v) for site in DIMENSION_LIST_SITES for v in _BAD + [2.5]]
-              # dict.fromkeys drops burn_in's minimum less one, -1 again.
+              # dict.fromkeys drops a minimum of 0's value less one, -1 again.
               + [(site, v) for site, (least, _) in COUNT_SITES.items()
                  for v in dict.fromkeys([math.nan, math.inf, -math.inf, -1.0, 2.5,
                                          float(least - 1)])])
@@ -188,11 +184,6 @@ def test_bad_input_raises_value_error(site, value):
     # value must be rejected before it reaches any arithmetic.
     with pytest.raises(ValueError):
         _SITES[site](value)
-
-
-def test_optimize_takes_a_whole_float_grid_as_its_integer():
-    opt = rwmscaling.optimize(_T2, _T2, lam_lo=0.5, lam_hi=8.0, grid=100.0)
-    assert opt == rwmscaling.optimize(_T2, _T2, lam_lo=0.5, lam_hi=8.0, grid=100)
 
 
 def _unused_imports(path: Path) -> list[str]:

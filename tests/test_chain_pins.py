@@ -57,6 +57,18 @@ so each EAR and ESJD moved by chance, by at most 2.3 of the two runs'
 combined standard errors (exponential seed 1; 1.3 at most elsewhere);
 their arguments are unchanged.  The elliptical run_rwm entry, both
 mc_expectation entries, elliptical_ear_esjd and solve_aots held bit for bit.
+
+All eight run_rwm entries were re-recorded when run_rwm lost its burn-in:
+the chains start from exact stationary draws, so every one of the n_iters
+steps now counts, where the first tenth (77 steps of the gaussian d=2
+entry, now named without its burn_in) was dropped before.  The chains'
+draws and paths are unchanged for the seven spherical entries.  The
+elliptical entry moved for a second reason: its blocks came to hold at
+most engine._NORMAL_BLOCK direction normals, 524 steps a block at d=10
+instead of 1310, so its draws come in another order.  Each EAR and ESJD
+moved by at most 1.1 of the two runs' combined standard errors (the
+elliptical EAR; 0.5 at most elsewhere); both mc_expectation entries,
+elliptical_ear_esjd and solve_aots held bit for bit.
 """
 
 import dataclasses
@@ -97,7 +109,7 @@ def pinned_result(kind: str, args: dict) -> dict:
                 spherical_core=target, proposal_core=proposal)
         if kind == "run_rwm":
             result = run_rwm(target, proposal, lam, n_iters=args["n_iters"],
-                             burn_in=args.get("burn_in"), seed=args["seed"])
+                             seed=args["seed"])
         elif kind == "mc_expectation":
             result = mc_expectation(target, proposal, lam, seed=args["seed"])
         else:

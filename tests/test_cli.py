@@ -55,8 +55,7 @@ def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
          "--lambda-max", "2", "--points", "5"],  # still CSV by default
         ["curve", "gaussian", "gaussian", "--dim", "2"],  # usage error
         ["--version"],
-        ["optimize", "gaussian", "gaussian", "--dim", "1", "--grid", "64",
-         "--out", str(out_path)],
+        ["optimize", "gaussian", "gaussian", "--dim", "1", "--out", str(out_path)],
         ["asymptotic", "--mixing", "point:1"],  # stdout, not the last --out
     ]
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -149,7 +148,7 @@ def test_missing_required_flag_exits_2(capsys):
 
 def test_optimize_recovers_known_optimum(capsys):
     code, out, _ = _run(capsys, ["optimize", "gaussian", "gaussian",
-                                 "--dim", "1", "--grid", "128"])
+                                 "--dim", "1"])
     assert code == 0
     _, header, data = _parse_csv(out)
     assert header == ["lambda_hat", "ear_hat", "esjd_hat", "n_local_maxima"]
@@ -168,7 +167,7 @@ def test_optimize_half_range_exits_2(capsys):
 def test_optimize_boundary_argmax_exits_3(capsys):
     code, _, err = _run(capsys, ["optimize", "gaussian", "gaussian",
                                  "--dim", "2", "--lambda-min", "40",
-                                 "--lambda-max", "400", "--grid", "64"])
+                                 "--lambda-max", "400"])
     assert code == 3 and "numerical failure" in err
 
 
@@ -210,8 +209,7 @@ def test_uncertified_table_warns_on_stderr(capsys, monkeypatch, argv):
 
 def test_sweep_json_rows_and_limit_comment(capsys):
     code, out, _ = _run(capsys, ["sweep", "gaussian", "gaussian",
-                                 "--dims", "1,2,5", "--grid", "128",
-                                 "--format", "json"])
+                                 "--dims", "1,2,5", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
     assert [r["d"] for r in payload["rows"]] == [1, 2, 5]
@@ -229,7 +227,7 @@ def test_sweep_runs_a_proposal_without_a_radial_scale(tmp_path, capsys):
     path = tmp_path / "gaussian.tsv"
     path.write_text("\n".join(f"{a:.17g} {-0.5 * a * a:.17g}" for a in r))
     code, out, err = _run(capsys, ["sweep", "mixture:p=0.2", f"custom:{path}",
-                                   "--dims", "5,10", "--grid", "128"])
+                                   "--dims", "5,10"])
     assert code == 0 and err == ""
     _, header, data = _parse_csv(out)
     assert header == ["d", "lambda_hat", "ear_hat", "esjd_hat"]
@@ -370,6 +368,18 @@ def test_non_finite_or_non_positive_input_exits_2(capsys, argv):
     assert [w.message for w in caught] == []
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "gaussian", "gaussian", "--dim", "1", "--grid", "64"],
+    ["simulate", "gaussian", "gaussian", "--dim", "2", "--lambda", "1",
+     "--burn-in", "10"],
+], ids=" ".join)
+def test_unknown_options_exit_2(capsys, argv):
+    # The bracketing grid is fixed and every chain step counts: neither
+    # has an option.
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
 def test_elliptical_satisfied_and_violated(capsys):

@@ -30,7 +30,7 @@ def test_optimize_gaussian_1d_matches_closed_form():
         esjd = lambda lam: lam ** 2 * (mp.atan(2 / lam) - 2 * lam / (lam ** 2 + 4))
         exact = float(mp.findroot(lambda lam: mp.diff(esjd, lam), 2.4))
     t = build_example_target("gaussian", 1)
-    opt = optimize(t, t, lam_lo=0.2, lam_hi=30.0, grid=128)
+    opt = optimize(t, t, lam_lo=0.2, lam_hi=30.0)
     assert opt.lambda_hat == pytest.approx(exact, rel=1e-9)
     assert opt.ear_hat == pytest.approx(0.4388617, abs=2e-5)
     assert opt.n_local_maxima == 1
@@ -39,7 +39,7 @@ def test_optimize_gaussian_1d_matches_closed_form():
 
 def test_optimize_laplace_1d_exact_answer():
     t = build_example_target("laplace", 1)
-    opt = optimize(t, t, lam_lo=0.3, lam_hi=40.0, grid=128)
+    opt = optimize(t, t, lam_lo=0.3, lam_hi=40.0)
     assert opt.lambda_hat == pytest.approx(4.0, rel=1e-9)
     assert opt.ear_hat == pytest.approx(1.0 / 3.0, abs=2e-5)
     assert opt.esjd_hat == pytest.approx(256.0 / 216.0, rel=1e-5)
@@ -54,7 +54,7 @@ def test_optimize_laplace_1d_exact_answer():
 def test_unimodal_families_have_one_local_maximum(spec, d):
     t = parse_target_spec(spec, d)
     p = build_example_target("gaussian", d)
-    opt = optimize(t, p, grid=192)
+    opt = optimize(t, p)
     assert opt.n_local_maxima == 1
     assert opt.local_maxima[0].lam == opt.lambda_hat
 
@@ -62,22 +62,26 @@ def test_unimodal_families_have_one_local_maximum(spec, d):
 def test_boundary_argmax_raises():
     t = build_example_target("gaussian", 2)
     with pytest.raises(OptimizerError):
-        optimize(t, t, lam_lo=0.001, lam_hi=0.05, grid=64)
+        optimize(t, t, lam_lo=0.001, lam_hi=0.05)
     with pytest.raises(OptimizerError):
-        optimize(t, t, lam_lo=50.0, lam_hi=500.0, grid=64)
+        optimize(t, t, lam_lo=50.0, lam_hi=500.0)
 
 
 def test_grid_doubling_is_stable():
+    # The fixed grid over half the default window's log-width, about its
+    # centre, is twice as dense; both brackets polish onto one argmax.
     t = build_example_target("gaussian", 3)
-    a = optimize(t, t, lam_lo=0.1, lam_hi=20.0, grid=128)
-    b = optimize(t, t, lam_lo=0.1, lam_hi=20.0, grid=256)
-    assert abs(a.lambda_hat / b.lambda_hat - 1.0) < 1e-3
+    lo, hi = default_search_range(t, t)
+    half = (hi / lo) ** 0.25
+    a, b = optimize(t, t), optimize(t, t, lam_lo=np.sqrt(lo * hi) / half,
+                                    lam_hi=np.sqrt(lo * hi) * half)
+    assert abs(a.lambda_hat - b.lambda_hat) <= a.lambda_err + b.lambda_err
     assert abs(a.esjd_hat / b.esjd_hat - 1.0) < 1e-6
 
 
 def test_reported_optimum_is_an_interior_local_maximum():
     t = build_example_target("exponential", 3)
-    opt = optimize(t, t, grid=192)
+    opt = optimize(t, t)
     table = get_marginal_table(t)
     for factor in (0.995, 1.005):
         nearby = table_point(table, t, opt.lambda_hat * factor)
@@ -87,7 +91,7 @@ def test_reported_optimum_is_an_interior_local_maximum():
 def test_mixture_d10_has_two_separated_maxima():
     t = parse_target_spec("mixture:p=1/d^2", 10)
     p = build_example_target("gaussian", 10)
-    opt = optimize(t, p, lam_lo=0.05, lam_hi=40.0, grid=512)
+    opt = optimize(t, p, lam_lo=0.05, lam_hi=40.0)
     assert opt.n_local_maxima == 2
     lams = sorted(m.lam for m in opt.local_maxima)
     assert lams[0] == pytest.approx(0.78, rel=0.05)
@@ -101,7 +105,7 @@ def test_tie_break_prefers_smaller_scale(monkeypatch):
     monkeypatch.setattr(optimizer, "_TIE_REL", 1.0)
     t = parse_target_spec("mixture:p=1/d^2", 10)
     p = build_example_target("gaussian", 10)
-    opt = optimize(t, p, lam_lo=0.05, lam_hi=40.0, grid=256)
+    opt = optimize(t, p, lam_lo=0.05, lam_hi=40.0)
     assert opt.n_local_maxima >= 2
     assert opt.lambda_hat == min(m.lam for m in opt.local_maxima)
     assert opt.canonical_rule == "smallest-lambda-among-argmax"
@@ -205,7 +209,7 @@ def test_log_grid_and_curve_bracket_the_same_optimum(monkeypatch, spec,
 
 @pytest.mark.parametrize("point, error, match", [
     (lambda lam: CurvePoint(lam, np.nan, np.nan, np.nan, np.nan, ok=False),
-     OptimizerError, "only 0 of 64 grid evaluations succeeded"),
+     OptimizerError, "only 0 of 512 grid evaluations succeeded"),
     (lambda lam: CurvePoint(lam, lam, 1.0, 0.0, 0.0),  # EAR rising with lambda
      EngineError, "acceptance rate increased with lambda")])
 def test_curve_fallback_keeps_its_failures(monkeypatch, point, error, match):
@@ -215,7 +219,7 @@ def test_curve_fallback_keeps_its_failures(monkeypatch, point, error, match):
     monkeypatch.setattr(engine, "_table_points",
                         lambda table, proposal, lams: [point(float(lam)) for lam in lams])
     with pytest.raises(error, match=match):
-        optimize(t, t, grid=64)
+        optimize(t, t)
 
 
 @pytest.mark.parametrize("t0", [0.0137, -0.0051, 0.0003])
@@ -242,8 +246,6 @@ def test_optimize_rejects_bad_arguments():
     t = build_example_target("gaussian", 2)
     with pytest.raises(ValueError):
         optimize(t, t, lam_lo=1.0, lam_hi=0.5)
-    with pytest.raises(ValueError):
-        optimize(t, t, grid=32)
 
 
 def test_optimum_carries_the_table_warning(monkeypatch):
@@ -276,7 +278,7 @@ def test_default_search_range_spans_three_decades_below_the_centre(spec, d, top)
 
 
 def test_sweep_reports_rows_and_reference_scale():
-    sw = sweep_dimension("gaussian", "gaussian", [1, 2, 5], grid=128)
+    sw = sweep_dimension("gaussian", "gaussian", [1, 2, 5])
     assert sw.dims == (1, 2, 5)
     assert all(row.ok for row in sw.rows)
     assert sw.limit_mu_hat == pytest.approx(1.1906012483427703, abs=1e-9)
@@ -317,10 +319,10 @@ def test_sweep_rows_are_optimize_at_each_dimension(tmp_path, target_spec,
                                                    proposal_spec, dims):
     if proposal_spec == "table":
         proposal_spec = _gaussian_table(tmp_path)
-    sw = sweep_dimension(target_spec, proposal_spec, dims, grid=128)
+    sw = sweep_dimension(target_spec, proposal_spec, dims)
     for row, d in zip(sw.rows, dims):
         opt = optimize(parse_target_spec(target_spec, d),
-                       parse_target_spec(proposal_spec, d), grid=128)
+                       parse_target_spec(proposal_spec, d))
         assert row.ok and row.d == d
         assert row.optimum == opt and row.message == opt.message
 

@@ -2,11 +2,12 @@
 direct Monte Carlo expectation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rwmscaling.elliptical import EllipticalSpec
+from rwmscaling.elliptical import EllipticalSpec, parse_eigenvalue_rule
 from rwmscaling.engine import (closed_form_gaussian_1d, get_marginal_table,
                                table_point)
 from rwmscaling.simulate import (_average_ranks, _cosine_split, _lockstep,
@@ -86,8 +87,6 @@ def test_chain_validation_errors():
         run_rwm(t, t, 0.0)
     with pytest.raises(ValueError):
         run_rwm(t, t, 1.0, n_iters=50)
-    with pytest.raises(ValueError):
-        run_rwm(t, t, 1.0, n_iters=1_000, burn_in=1_000)
     with pytest.raises(ValueError):
         run_rwm(t, p3, 1.0)
 
@@ -171,6 +170,22 @@ def test_elliptical_chain_matches_transformed_average():
     esjd_tol = 4 * (stats.esjd_se + ref.esjd_se)
     assert stats.accept_rate == pytest.approx(ref.ear, abs=ear_tol)
     assert stats.esjd == pytest.approx(ref.esjd, abs=esjd_tol)
+
+
+def test_elliptical_chain_holds_bounded_memory_in_d():
+    # A block of elliptical steps holds at most 2^18 direction normals
+    # (engine._NORMAL_BLOCK), so the peak stays near the chain's (n_steps, 50)
+    # records (~3 MB at 100k steps) at any d.
+    core = build_example_target("gaussian", 300)
+    spec = EllipticalSpec(d=300, eigenvalues=tuple(parse_eigenvalue_rule("iota", 300)),
+                          spherical_core=core, proposal_core=core)
+    tracemalloc.start()
+    try:
+        run_rwm(spec, core, 0.01, n_iters=100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_mc_expectation_matches_quadrature():
@@ -346,13 +361,11 @@ def test_chain_standard_errors_match_the_seed_to_seed_spread():
 
 def test_budget_is_split_over_the_chains():
     t = build_example_target("gaussian", 2)
-    stats = run_rwm(t, t, 1.5, n_iters=1_003, burn_in=77, seed=4)
-    assert (stats.n_iters, stats.burn_in) == (1_003, 77)
-    # 926 kept steps: every acceptance rate is a multiple of 1/926.
-    assert math.isclose(stats.accept_rate * 926, round(stats.accept_rate * 926),
+    stats = run_rwm(t, t, 1.5, n_iters=1_003, seed=4)
+    assert stats.n_iters == 1_003
+    # Every step counts: every acceptance rate is a multiple of 1/1003.
+    assert math.isclose(stats.accept_rate * 1_003, round(stats.accept_rate * 1_003),
                         abs_tol=1e-9)
-    with pytest.raises(ValueError):
-        run_rwm(t, t, 1.5, n_iters=1_000, burn_in=951)
 
 
 def test_mixed_gaussian_chains_are_not_flagged():
