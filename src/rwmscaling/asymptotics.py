@@ -117,10 +117,6 @@ class MixingDistribution:
         lo, hi = self.support
         return lo == hi
 
-    @property
-    def is_point_mass_at_one(self) -> bool:
-        return self.is_point_mass and abs(self.support[0] - 1.0) <= 1e-12
-
     def mass_below(self, eps: float) -> float:
         """P(R <= eps), used to reject mixing laws with mass at zero."""
         return float(self.weights[self.values <= eps].sum())

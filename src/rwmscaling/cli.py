@@ -219,7 +219,7 @@ def cmd_asymptotic(args) -> int:
 def cmd_elliptical(args) -> int:
     dims = parse_dims(args.dims)
     report = eccentricity_condition(args.rule, dims)
-    core, proposal = first = _parse_pair(args.core, args.proposal, dims[0])
+    core, _ = _parse_pair(args.core, args.proposal, dims[0])
     if args.mu_hat is not None:
         mu_hat = _checked_positive(args.mu_hat, "--mu-hat", UsageError)
     else:
@@ -234,8 +234,7 @@ def cmd_elliptical(args) -> int:
         mu_hat = opt.mu_hat
     rows = []
     for d, ratio in zip(report.dims, report.ratios):
-        core, proposal = (first if d == dims[0]
-                          else _parse_pair(args.core, args.proposal, d))
+        core, proposal = _parse_pair(args.core, args.proposal, d)
         spec = EllipticalSpec(d=d, eigenvalues=tuple(parse_eigenvalue_rule(args.rule, d)),
                               spherical_core=core, proposal_core=proposal)
         rows.append((d, ratio, elliptical_aos(spec, mu_hat)))

@@ -175,7 +175,6 @@ class MarginalTable:
         for _ in range(self.max_rounds):
             knots, w_vals = self._fit(knots, w_vals)
             mids = 0.5 * (knots[:-1] + knots[1:])
-            mids = mids[mids < self._z_last]
             new = mids[~np.isin(mids, seen_z)]
             if new.size:
                 w_new, _, _ = _tail_weight_many(model, new, **tol)

@@ -4,7 +4,8 @@ Carlo evaluation of the acceptance/jump-distance expectations.
 Only ``run_rwm`` is independent of the quadrature path: it simulates 50
 independent chains in lockstep, in radius alone on a spherical target and
 in d dimensions on an elliptical one (error bars from the spread of their
-means, split-R-hat to flag chains that never mixed).
+means, split-R-hat to flag chains that never mixed).  Its kernels own each
+chain's radius and write every step's accepts and radii into its arrays.
 ``mc_expectation`` samples the proposal radius but averages the same
 tabulated one-coordinate marginal W as the analytic route, so against
 quadrature it checks only the outer integral over the proposal radius;
@@ -14,7 +15,7 @@ it is engine's sampled estimator, shared with elliptical_ear_esjd.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -70,53 +71,43 @@ class ChainStats:
             raise ValueError("standard errors must be nonnegative")
 
     def record(self) -> dict:
-        """The chain record: its fields, in output order."""
-        return {
-            "target": self.target,
-            "proposal": self.proposal,
-            "d": self.d,
-            "lambda": self.lam,
-            "n_iters": self.n_iters,
-            "seed": self.seed,
-            "accept_rate": self.accept_rate,
-            "accept_se": self.accept_se,
-            "esjd": self.esjd,
-            "esjd_se": self.esjd_se,
-        }
+        """The chain record: its first ten fields, ``lam`` as ``lambda``."""
+        return {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+                for f in fields(self)[:10]}
 
 
-def _lockstep(x, lp, steps, log_u, log_pi):
-    """Advance K chains, states ``x`` (K, d) and log densities ``lp`` (K,),
-    in place through the proposals ``steps`` (T, K, d).  A proposal is
-    accepted when ``log_u`` (T, K) <= log_pi(r') - log_pi(r), r = |x|.
-    Returns the (T, K) accept mask and the proposed radii."""
-    acc = np.empty(log_u.shape, dtype=bool)
-    rs = np.empty(log_u.shape)
-    xs, ratio = np.empty_like(x), np.empty_like(lp)
+def _lockstep(x, r, lp, steps, log_u, log_pi, accepts, radii):
+    """Advance K chains, states ``x`` (K, d) with radii ``r`` and log
+    densities ``lp`` (K,), in place through the proposals ``steps`` (T, K, d).
+    A proposal is accepted when ``log_u`` (T, K) <= log_pi(r') - log_pi(r),
+    r' = |x + step|.  Step t writes its accept mask to ``accepts[t]`` and
+    the chains' radii after it to ``radii[t]``."""
+    xs, rs, ratio = np.empty_like(x), np.empty_like(r), np.empty_like(lp)
     for t in range(len(steps)):
         np.add(x, steps[t], xs)
-        r = np.sqrt(np.einsum("ij,ij->i", xs, xs), out=rs[t])
-        lps = log_pi(r)
-        a = np.less_equal(log_u[t], np.subtract(lps, lp, ratio), out=acc[t])
+        np.sqrt(np.einsum("ij,ij->i", xs, xs, out=rs), out=rs)
+        lps = log_pi(rs)
+        a = np.less_equal(log_u[t], np.subtract(lps, lp, ratio), out=accepts[t])
         np.copyto(x, xs, where=a[:, None])
+        np.copyto(r, rs, where=a)
         np.copyto(lp, lps, where=a)
-    return acc, rs
+        radii[t] = r
 
 
-def _radial_lockstep(r, lp, s, b, log_u, log_pi):
+def _radial_lockstep(r, lp, s, b, log_u, log_pi, accepts, radii):
     """_lockstep on the radii ``r`` (K,) of spherical chains: a step of length
     ``s`` (T, K) at cosine V = 2b - 1 to the radius, ``b`` (T, K) from
     _cosine_split, lands at r'^2 = (r + sV)^2 + s^2 4b(1 - b)."""
     sv, q = s * (2.0 * b - 1.0), np.square(s) * (4.0 * b * (1.0 - b))
-    acc, rs = np.empty(log_u.shape, dtype=bool), np.empty(log_u.shape)
+    rs = np.empty_like(r)
     for t in range(len(s)):
-        rt = np.add(r, sv[t], out=rs[t])
-        np.sqrt(np.add(np.square(rt, out=rt), q[t], out=rt), out=rt)
-        lps = log_pi(rt)
-        a = np.less_equal(log_u[t], lps - lp, out=acc[t])
-        np.copyto(r, rt, where=a)
+        np.add(r, sv[t], out=rs)
+        np.sqrt(np.add(np.square(rs, out=rs), q[t], out=rs), out=rs)
+        lps = log_pi(rs)
+        a = np.less_equal(log_u[t], lps - lp, out=accepts[t])
+        np.copyto(r, rs, where=a)
         np.copyto(lp, lps, where=a)
-    return acc, rs
+        radii[t] = r
 
 
 def _cosine_split(rng, d, shape):
@@ -177,8 +168,9 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     starts from its own exact stationary draw (radial inverse-CDF times a
     uniform direction), so there is no burn-in and every step counts; the
     reported ESJD uses the Mahalanobis metric of the target, so it is
-    invariant under the axis scaling.  The output is a fixed function of
-    ``seed``.
+    invariant under the axis scaling.  Every step's accepts, radii after it
+    and jumps fill one (steps, chains) array each, summarized once.  The
+    output is a fixed function of ``seed``.
     """
     lam = _checked_positive(lam, "lambda")
     n_iters = _checked_count(n_iters, "n_iters", 100)
@@ -202,57 +194,54 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     rng = np.random.default_rng(seed)
     u0 = rng.standard_normal((k, d))
     u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
-    r0 = sample_radius(core, k, rng)
+    r = sample_radius(core, k, rng)
     # An elliptical chain lives in the coordinates where the target is
     # spherical, x_* = nu * x: a proposal step that is spherical in the
     # original coordinates becomes nu * step there, and its squared length
     # is the Mahalanobis jump |nu * step|^2.
-    x = r0[:, None] * u0
-    lp = np.array(core.log_pi(r0), dtype=float)
-    cur_r, r = r0, r0.copy()
+    x = r[:, None] * u0
+    lp = np.array(core.log_pi(r), dtype=float)
 
-    # Chain step i = t * k + c is chain c's step t.  Only the first n_iters
-    # count (the last row may run over).  An elliptical block holds at most
-    # _NORMAL_BLOCK direction normals, so its memory does not grow with d.
+    # Chain step i = t * k + c is chain c's step t.  Only i < n_iters
+    # counts, so chains c >= over run one step over.  An elliptical block
+    # holds at most _NORMAL_BLOCK direction normals, whatever d is.
     n_steps = -(-n_iters // k)
+    over = n_iters - (n_steps - 1) * k
     accepts = np.empty((n_steps, k), dtype=bool)
     jumps = np.empty((n_steps, k))
-    radii_sq = np.empty((n_steps, k))
+    radii = np.empty((n_steps, k))
     block = _BLOCK // k
     if nus is not None:
         block = max(1, min(block, _NORMAL_BLOCK // (k * d)))
     for t0 in range(0, n_steps, block):
         m = min(block, n_steps - t0)
+        rows = slice(t0, t0 + m)
         if nus is None:
             ry = lam * sample_radius(proposal, m * k, rng).reshape(m, k)
             b = _cosine_split(rng, d, (m, k))
             log_u = np.log(rng.random((m, k)))
-            mah_sq = ry * ry
-            acc, rs = _radial_lockstep(r, lp, ry, b, log_u, core.log_pi)
+            np.square(ry, out=jumps[rows])
+            _radial_lockstep(r, lp, ry, b, log_u, core.log_pi,
+                             accepts[rows], radii[rows])
         else:
             z = rng.standard_normal((m, k, d))
             z /= np.linalg.norm(z, axis=2, keepdims=True)
             ry = lam * sample_radius(proposal, m * k, rng).reshape(m, k)
             steps = np.multiply(z, ry[..., None], out=z)
             steps *= nus
-            mah_sq = np.square(steps).sum(axis=2)
+            np.square(steps).sum(axis=2, out=jumps[rows])
             log_u = np.log(rng.random((m, k)))
-            acc, rs = _lockstep(x, lp, steps, log_u, core.log_pi)
-        # The radius after step t is that of the last accepted proposal.
-        last = np.maximum.accumulate(
-            np.where(acc, np.arange(1, m + 1)[:, None], 0), axis=0)
-        held = np.take_along_axis(np.vstack([cur_r, rs]), last, axis=0)
-        cur_r = held[-1]
-        radii_sq[t0:t0 + m] = held * held
-        accepts[t0:t0 + m] = acc
-        jumps[t0:t0 + m] = np.where(acc, mah_sq, 0.0)
-
-    kept = np.arange(n_steps * k).reshape(n_steps, k) < n_iters
-    n_kept = kept.sum(axis=0)
+            _lockstep(x, r, lp, steps, log_u, core.log_pi,
+                      accepts[rows], radii[rows])
+    accepts[-1, over:] = False
+    np.copyto(jumps, 0.0, where=~accepts)
+    radii_sq = np.square(radii, out=radii)
+    radii_sq[-1, over:] = 0.0
+    n_kept = n_steps - (np.arange(k) >= over)
 
     def mean_and_se(values):
-        sums = np.where(kept, values, 0.0).sum(axis=0)
-        return (float(sums.sum() / n_kept.sum()),
+        sums = values.sum(axis=0)
+        return (float(sums.sum() / n_iters),
                 float((sums / n_kept).std(ddof=1) / math.sqrt(k)))
 
     rate, rate_se = mean_and_se(accepts)

@@ -69,6 +69,11 @@ instead of 1310, so its draws come in another order.  Each EAR and ESJD
 moved by at most 1.1 of the two runs' combined standard errors (the
 elliptical EAR; 0.5 at most elsewhere); both mc_expectation entries,
 elliptical_ear_esjd and solve_aots held bit for bit.
+
+Every entry held bit for bit when run_rwm's kernels came to keep each
+chain's radius and write its accepts and radii after each step straight
+into run_rwm's arrays, replacing the per-block reconstruction of the held
+radius from the proposed one and the full-size mask of counted steps.
 """
 
 import dataclasses

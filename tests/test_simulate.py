@@ -228,20 +228,24 @@ def test_mixture_target_chain_agrees_with_quadrature():
     assert stats.mean_sq_radius == pytest.approx(t.moment(2), rel=0.05)
 
 
-def _scalar_metropolis(x0, lp0, steps, log_u, log_pi):
-    """Reference chain: one chain at a time, one proposal at a time."""
+def _scalar_metropolis(x0, r0, lp0, steps, log_u, log_pi):
+    """Reference chain: one chain at a time, one proposal at a time; returns
+    the accept mask, the radius after each step and the final states."""
     accepts = np.zeros(log_u.shape, dtype=bool)
     radii = np.empty(log_u.shape)
     final = np.empty_like(x0)
     for c in range(len(x0)):
-        x, lp = x0[c].copy(), float(lp0[c])
+        x, r, lp = x0[c].copy(), float(r0[c]), float(lp0[c])
         for t in range(len(steps)):
             xs = x + steps[t, c]
-            radii[t, c] = math.sqrt(float(xs @ xs))
-            lps = float(log_pi(np.array([radii[t, c]]))[0])
+            # |xs| as the kernel sums it (einsum's order of the squares), so
+            # the radii compare exactly.
+            rs = float(np.sqrt(np.einsum("ij,ij->i", xs[None], xs[None]))[0])
+            lps = float(log_pi(np.array([rs]))[0])
             if log_u[t, c] <= lps - lp:
                 accepts[t, c] = True
-                x, lp = xs, lps
+                x, r, lp = xs, rs, lps
+            radii[t, c] = r
         final[c] = x
     return accepts, radii, final
 
@@ -268,38 +272,41 @@ def test_lockstep_kernel_matches_scalar_chains(spec, nus):
         x0, steps = x0 * np.asarray(nus), steps * np.asarray(nus)
     log_u = np.log(rng.random((n, k)))
     log_u[0] = 0.0
-    lp0 = log_pi(np.sqrt(np.einsum("ij,ij->i", x0, x0)))
+    r0 = np.sqrt(np.einsum("ij,ij->i", x0, x0))
+    lp0 = log_pi(r0)
 
-    want_acc, want_rs, want_x = _scalar_metropolis(x0, lp0, steps, log_u, log_pi)
-    x, lp = x0.copy(), lp0.copy()
-    acc, rs = _lockstep(x, lp, steps, log_u, log_pi)
+    want_acc, want_radii, want_x = _scalar_metropolis(x0, r0, lp0, steps,
+                                                      log_u, log_pi)
+    x, r, lp = x0.copy(), r0.copy(), lp0.copy()
+    acc, radii = np.empty(log_u.shape, dtype=bool), np.empty(log_u.shape)
+    _lockstep(x, r, lp, steps, log_u, log_pi, acc, radii)
     assert acc[0].all()
     assert 0.2 < want_acc.mean() < 0.9
     np.testing.assert_array_equal(acc, want_acc)
+    np.testing.assert_array_equal(radii, want_radii)
     np.testing.assert_array_equal(x, want_x)
+    np.testing.assert_array_equal(r, radii[-1])
     np.testing.assert_allclose(lp, log_pi(np.linalg.norm(x, axis=1)),
                                rtol=1e-13)
-    np.testing.assert_allclose(rs, want_rs, rtol=1e-14)
 
 
 def _scalar_radial_metropolis(r0, lp0, s, b, log_u, log_pi):
-    """Reference radial chain: one chain at a time, one proposal at a time."""
+    """Reference radial chain: one chain at a time, one proposal at a time;
+    returns the accept mask and the radius after each step."""
     accepts = np.zeros(log_u.shape, dtype=bool)
     radii = np.empty(log_u.shape)
-    final = np.empty_like(r0)
     for c in range(len(r0)):
         r, lp = float(r0[c]), float(lp0[c])
         for t in range(len(s)):
             st, bt = float(s[t, c]), float(b[t, c])
             along = r + st * (2.0 * bt - 1.0)
-            radii[t, c] = math.sqrt(along * along
-                                    + (st * st) * (4.0 * bt * (1.0 - bt)))
-            lps = float(log_pi(np.array([radii[t, c]]))[0])
+            rs = math.sqrt(along * along + (st * st) * (4.0 * bt * (1.0 - bt)))
+            lps = float(log_pi(np.array([rs]))[0])
             if log_u[t, c] <= lps - lp:
                 accepts[t, c] = True
-                r, lp = radii[t, c], lps
-        final[c] = r
-    return accepts, radii, final
+                r, lp = rs, lps
+            radii[t, c] = r
+    return accepts, radii
 
 
 @pytest.mark.parametrize("spec,d", [
@@ -322,15 +329,16 @@ def test_radial_kernel_matches_scalar_chains(spec, d):
     log_u[0] = 0.0
     lp0 = log_pi(r0)
 
-    want_acc, want_rs, want_r = _scalar_radial_metropolis(r0, lp0, s, b,
-                                                           log_u, log_pi)
+    want_acc, want_radii = _scalar_radial_metropolis(r0, lp0, s, b, log_u,
+                                                     log_pi)
     r, lp = r0.copy(), lp0.copy()
-    acc, rs = _radial_lockstep(r, lp, s, b, log_u, log_pi)
+    acc, radii = np.empty(log_u.shape, dtype=bool), np.empty(log_u.shape)
+    _radial_lockstep(r, lp, s, b, log_u, log_pi, acc, radii)
     assert acc[0].all()
     assert 0.2 < want_acc.mean() < 0.9
     np.testing.assert_array_equal(acc, want_acc)
-    np.testing.assert_array_equal(rs, want_rs)
-    np.testing.assert_array_equal(r, want_r)
+    np.testing.assert_array_equal(radii, want_radii)
+    np.testing.assert_array_equal(r, radii[-1])
     np.testing.assert_array_equal(lp, log_pi(r))
 
 
