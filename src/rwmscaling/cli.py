@@ -5,12 +5,12 @@ against the proposal scale, ``optimize`` finds the ESJD-optimal scale,
 ``sweep`` repeats that over a dimension list, ``asymptotic`` solves the
 limiting optimum for a radial mixing law, ``elliptical`` tabulates the
 eccentricity condition with the adjusted scaling rule, and ``simulate``
-runs 50 Metropolis chains in lockstep, in radius alone on a spherical
-target.  Exit codes: 0 success, 2 usage error, 3 numerical failure.  All
-numbers are printed with 10 significant digits, and the JSON output
-carries exactly the values the CSV shows.  ``main`` builds its parser on
-the first call and reuses it for every later call in the process;
-``build_parser`` returns a new one each time.
+runs up to 1000 Metropolis lanes in lockstep, in radius alone on a
+spherical target.  Exit codes: 0 success, 2 usage error, 3 numerical
+failure.  All numbers are printed with 10 significant digits, and the
+JSON output carries exactly the values the CSV shows.  ``main`` builds
+its parser on the first call and reuses it for every later call in the
+process; ``build_parser`` returns a new one each time.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--iters", type=int, default=100_000,
-                    help="total steps over 50 chains")
+                    help="total steps over all lanes")
     sp.add_argument("--eigenvalues", default=None,
                     help="optional eigenvalue rule making the target elliptical")
     sp.add_argument("--seed", type=int, default=0, help="seed of the chains")

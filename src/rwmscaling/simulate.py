@@ -1,16 +1,16 @@
 """Ground-truth oracles: random walk Metropolis chains and direct Monte
 Carlo evaluation of the acceptance/jump-distance expectations.
 
-Only ``run_rwm`` is independent of the quadrature path: it simulates 50
-independent chains in lockstep, in radius alone on a spherical target and
-in d dimensions on an elliptical one (error bars from the spread of their
-means, split-R-hat to flag chains that never mixed).  Its kernels own each
-chain's radius and write every step's accepts and radii into its arrays.
+Only ``run_rwm`` is independent of the quadrature path: it runs up to 1000
+short lanes in lockstep, each from an exact stationary draw, in radius
+alone on a spherical target and in d dimensions on an elliptical one, and
+groups them into 50 superchains (error bars from the spread of their means,
+nested R-hat to flag lanes that never mixed).  Its kernels own each lane's
+radius and write every step's accepts and radii into its arrays.
 ``mc_expectation`` samples the proposal radius but averages the same
 tabulated one-coordinate marginal W as the analytic route, so against
 quadrature it checks only the outer integral over the proposal radius;
-it is engine's sampled estimator, shared with elliptical_ear_esjd.
-"""
+it is engine's sampled estimator, shared with elliptical_ear_esjd."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .engine import (MCExpectation, _NORMAL_BLOCK, _check_dimensions,
                      _sampled_expectation)
@@ -30,24 +29,24 @@ from .targets import RadialModel, sample_radius
 __all__ = ["ChainStats", "run_rwm", "mc_expectation"]
 
 _BLOCK = 65_536
-_N_CHAINS = 50
+_N_SUPER = 50
 _RHAT_MAX = 1.01
+_Z_MAX = 5.0
 
 
 @dataclass(frozen=True)
 class ChainStats:
-    """Summary of one random walk Metropolis run over 50 chains.
+    """Summary of one random walk Metropolis run over 50 superchains.
 
-    ``n_iters`` is the total over the chains, every step counted.  ``esjd``
+    ``n_iters`` is the total over the lanes, every step counted.  ``esjd``
     is the mean Mahalanobis-squared displacement per iteration (rejections
     contribute zero).  Standard errors are the spread of the 50 independent
-    chain means.  ``mean_sq_radius`` is the average of the
-    stationary-metric squared radius, kept for stationarity sanity checks,
-    and ``rhat`` is the rank-normalized split-R-hat of that series across
-    the chains (nan when a chain runs fewer than 4 steps).
+    superchain means.  ``mean_sq_radius`` is the average of the
+    stationary-metric squared radius, and ``rhat`` is the nested R-hat of
+    that series over the superchains (Margossian et al., arXiv:2110.13017).
     ``flag`` is empty for a healthy run and carries a short message when
-    the acceptance rate is degenerate (near 0 or near 1) or when the
-    chains disagree (R-hat above 1.01).
+    the acceptance rate is degenerate (near 0 or near 1), when nested R-hat
+    exceeds 1.01, or when the radii fail run_rwm's stationarity check.
     """
 
     target: str
@@ -117,60 +116,57 @@ def _cosine_split(rng, d, shape):
     return rng.integers(2, size=shape) if d == 1 else rng.beta(a, a, shape)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n of the flattened ``values``, ties sharing their average, as
-    scipy.stats.rankdata gives them (scipy.stats would add ~0.4 s to the
-    import): a run of equal sorted values at [a, b) gets (a + b + 1) / 2."""
-    order = np.argsort(values, axis=None)
-    ordered = values.ravel()[order]
-    bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
-    ranks = np.empty(ordered.size)
-    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2, np.diff(bounds))
-    return ranks
+def _n_lanes(n_iters: int, d: int, elliptical: bool) -> int:
+    """K = 50 M lanes, M = n_iters // 10^4 in [1, 20] (each lane keeps ~200
+    steps or more), and for an elliptical chain M <= _NORMAL_BLOCK // (50 d)."""
+    m = min(20, max(1, n_iters // (_N_SUPER * 200)))
+    if elliptical:
+        m = min(m, max(1, _NORMAL_BLOCK // (_N_SUPER * d)))
+    return _N_SUPER * m
 
 
-def _split_rhat(series: np.ndarray) -> float:
-    """Rank-normalized split-R-hat of the columns of ``series`` (Vehtari,
-    Gelman, Simpson, Carpenter & Buerkner 2021).
-
-    Each chain is cut into halves (dropping a middle draw when the length
-    is odd), all draws are replaced by the normal scores of their pooled
-    ranks (ties share their average rank), and the classic between/within
-    variance ratio is taken over the halves.  Returns nan when a half holds
-    fewer than 2 draws or every draw is tied, and is huge when every
-    chain is frozen at its own value.
-    """
-    n = len(series) // 2
-    if n < 2:
-        return math.nan
-    halves = np.concatenate([series[:n], series[-n:]], axis=1)
-    ranks = _average_ranks(halves).reshape(halves.shape)
-    z = ndtri((ranks - 0.375) / (halves.size + 0.25))
-    within = z.var(axis=0, ddof=1).mean()
-    between = z.mean(axis=0).var(ddof=1)
+def _nested_rhat(draws: np.ndarray) -> float:
+    """Nested R-hat of ``draws`` (N, M, S), N steps of M lanes in each of S
+    superchains: sqrt(1 + B / W), B the variance of the superchain means, W
+    the mean over superchains of the variance of their lane means (0 when
+    M = 1) plus their mean within-lane variance (0 when N = 1).  nan when
+    every draw is equal, huge when every lane is frozen and M = 1."""
+    n, m, _ = draws.shape
+    lane_means = draws.mean(axis=0)
+    super_means = lane_means.mean(axis=0)
+    within = np.zeros_like(super_means)
+    if m > 1:
+        within += lane_means.var(axis=0, ddof=1)
+    if n > 1:
+        within += draws.var(axis=0, ddof=1).mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.sqrt(((n - 1) / n * within + between) / within))
+        return float(np.sqrt(1.0 + super_means.var(ddof=1) / within.mean()))
 
 
 def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
             lam: float, *, n_iters: int = 100_000, seed: int = 0) -> ChainStats:
-    """Simulate 50 random walk Metropolis chains and summarize them.
+    """Simulate random walk Metropolis lanes in 50 superchains; summarize.
 
-    The target may be spherically symmetric (any RadialModel, including the
-    two-component mixtures), whose chains step in radius alone
-    (_radial_lockstep), or elliptical (an EllipticalSpec, whose eigenvalues
-    scale the axes of the spherical core), whose chains move in d
-    dimensions.  The proposal is spherically symmetric in the original
-    coordinates with radial law ``proposal`` and overall scale ``lam``; for
-    an elliptical target it must be the spec's own ``proposal_core`` object
-    (else ValueError), the law elliptical_ear_esjd reads too.  ``n_iters``
-    is a total: the chains' lengths differ by at most one step.  Each chain
-    starts from its own exact stationary draw (radial inverse-CDF times a
-    uniform direction), so there is no burn-in and every step counts; the
-    reported ESJD uses the Mahalanobis metric of the target, so it is
-    invariant under the axis scaling.  Every step's accepts, radii after it
-    and jumps fill one (steps, chains) array each, summarized once.  The
-    output is a fixed function of ``seed``.
+    The target may be spherically symmetric (any RadialModel, mixtures
+    included), whose lanes step in radius alone (_radial_lockstep), or
+    elliptical (an EllipticalSpec, whose eigenvalues scale the axes of the
+    spherical core), whose lanes move in d dimensions.  The proposal is
+    spherically symmetric in the original coordinates with radial law
+    ``proposal`` and overall scale ``lam``; for an elliptical target it must
+    be the spec's own ``proposal_core`` object (else ValueError), the law
+    elliptical_ear_esjd reads too.  ``n_iters`` is a total over K lanes
+    (_n_lanes; 1000 at 200k steps), whose lengths differ by at most one
+    step; lane c is in superchain c % 50.  Each lane starts from its own
+    exact stationary draw, so there is no burn-in and every step counts; the
+    ESJD uses the target's Mahalanobis metric, so it is invariant under the
+    axis scaling.  The run is flagged "not mixed" when nested R-hat exceeds
+    1 + delta, Margossian et al.'s delta = 0.01: at stationarity R-hat^2 - 1
+    is about one over a superchain's effective draws, so 1.01 asks for ~50
+    each, and lanes held in separate modes keep it above 1.01 at any length.
+    It is also flagged when the squared radii drift: if the kernel keeps the
+    target, each lane's final and starting squared radius are both exact
+    stationary draws, so the K independent differences average zero within 5
+    standard errors.  The output is a fixed function of ``seed``.
     """
     lam = _checked_positive(lam, "lambda")
     n_iters = _checked_count(n_iters, "n_iters", 100)
@@ -184,26 +180,23 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
         nus = np.asarray(target.eigenvalues, dtype=float)
         label = f"elliptical({core.label})"
     else:
-        core = target
-        nus = None
-        label = core.label
+        core, nus, label = target, None, target.label
     _check_dimensions(core, proposal)
     d = core.d
 
-    k = _N_CHAINS
+    k = _n_lanes(n_iters, d, nus is not None)
     rng = np.random.default_rng(seed)
-    u0 = rng.standard_normal((k, d))
-    u0 /= np.linalg.norm(u0, axis=1, keepdims=True)
     r = sample_radius(core, k, rng)
-    # An elliptical chain lives in the coordinates where the target is
-    # spherical, x_* = nu * x: a proposal step that is spherical in the
-    # original coordinates becomes nu * step there, and its squared length
-    # is the Mahalanobis jump |nu * step|^2.
-    x = r[:, None] * u0
-    lp = np.array(core.log_pi(r), dtype=float)
+    lp, start_sq = np.array(core.log_pi(r), dtype=float), np.square(r)
+    if nus is not None:
+        # An elliptical lane lives where the target is spherical, x_* = nu x:
+        # a spherical proposal step becomes nu * step there, and its squared
+        # length is the Mahalanobis jump |nu * step|^2.
+        x = rng.standard_normal((k, d))
+        x *= (r / np.linalg.norm(x, axis=1))[:, None]
 
-    # Chain step i = t * k + c is chain c's step t.  Only i < n_iters
-    # counts, so chains c >= over run one step over.  An elliptical block
+    # Lane step i = t * k + c is lane c's step t.  Only i < n_iters
+    # counts, so lanes c >= over run one step over.  An elliptical block
     # holds at most _NORMAL_BLOCK direction normals, whatever d is.
     n_steps = -(-n_iters // k)
     over = n_iters - (n_steps - 1) * k
@@ -238,15 +231,19 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     radii_sq = np.square(radii, out=radii)
     radii_sq[-1, over:] = 0.0
     n_kept = n_steps - (np.arange(k) >= over)
+    super_kept = n_kept.reshape(-1, _N_SUPER).sum(axis=0)
 
     def mean_and_se(values):
-        sums = values.sum(axis=0)
+        sums = values.sum(axis=0).reshape(-1, _N_SUPER).sum(axis=0)
         return (float(sums.sum() / n_iters),
-                float((sums / n_kept).std(ddof=1) / math.sqrt(k)))
+                float((sums / super_kept).std(ddof=1) / math.sqrt(_N_SUPER)))
 
     rate, rate_se = mean_and_se(accepts)
     esjd, esjd_se = mean_and_se(jumps)
-    rhat = _split_rhat(radii_sq[:n_kept.min()])
+    rhat = _nested_rhat(radii_sq[:n_kept.min()].reshape(-1, k // _N_SUPER, _N_SUPER))
+    drift = np.square(r) - start_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_drift = drift.mean() / drift.std(ddof=1) * math.sqrt(k)
 
     flags = []
     if rate < 1e-3:
@@ -254,7 +251,10 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     elif rate > 1.0 - 1e-3:
         flags.append("acceptance rate near 1: lambda is in the small-step regime")
     if rhat > _RHAT_MAX:
-        flags.append(f"chains disagree (R-hat = {rhat:.5g}): not mixed")
+        flags.append(f"superchains disagree (nested R-hat = {rhat:.5g}): not mixed")
+    if abs(z_drift) > _Z_MAX:
+        flags.append(f"squared radii drift from their starts by {z_drift:.3g} SE: "
+                     "the kernel does not keep the target")
     return ChainStats(
         target=label, proposal=proposal.label, d=d, lam=lam,
         n_iters=n_iters, seed=seed,

@@ -269,9 +269,8 @@ def test_criterion_09_acceptance_bound_battery():
         checks.append((f"{dist.label}: AOA {opt.aoa:.6f} <= 0.2339",
                        opt.aoa <= 0.2339))
         checks.append(
-            (f"{dist.label}: equality({equal}) only if point mass at one",
-             equal == (dist.is_point_mass
-                       and abs(dist.support[0] - 1.0) <= 1e-12)))
+            (f"{dist.label}: equality({equal}) only if a point mass",
+             equal == dist.is_point_mass))
     _line(9, all(p for _, p in checks),
           f"{len(battery)} mixing laws, AOA range "
           f"[{min(aoas.values()):.4f}, {max(aoas.values()):.4f}], "

@@ -74,6 +74,17 @@ Every entry held bit for bit when run_rwm's kernels came to keep each
 chain's radius and write its accepts and radii after each step straight
 into run_rwm's arrays, replacing the per-block reconstruction of the held
 radius from the proposed one and the full-size mask of counted steps.
+
+All eight run_rwm entries were re-recorded when run_rwm came to run K = 50 M
+short lanes (1000 at 200k steps, 50 at 1003) in 50 superchains, with
+standard errors from the spread of the superchain means and nested R-hat in
+place of split-R-hat, and a radial run stopped drawing the start direction
+normals it never read.  The draws and their order changed, so each EAR and
+ESJD moved by chance: by at most 1.37 of the two runs' combined standard
+errors, except exponential seed 1 (EAR -2.37, ESJD -2.30), whose old value
+sat 2.8 SE above the table's, and mixture:p=1/d^2 seed 2 (EAR +2.52, ESJD
++2.29), whose old 50 chains all started in the narrow component.  Both
+mc_expectation entries, elliptical_ear_esjd and solve_aots held bit for bit.
 """
 
 import dataclasses

@@ -7,12 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rwmscaling import simulate
 from rwmscaling.elliptical import EllipticalSpec, parse_eigenvalue_rule
 from rwmscaling.engine import (closed_form_gaussian_1d, get_marginal_table,
                                table_point)
-from rwmscaling.simulate import (_average_ranks, _cosine_split, _lockstep,
-                                 _radial_lockstep, _split_rhat, mc_expectation,
-                                 run_rwm)
+from rwmscaling.simulate import (_cosine_split, _lockstep, _nested_rhat,
+                                 _radial_lockstep, mc_expectation, run_rwm)
 from rwmscaling.targets import build_example_target, parse_target_spec
 from test_elliptical import gaussian_elliptical_exact
 
@@ -146,7 +146,8 @@ def test_radial_chain_matches_the_exact_gaussian_value_at_d_1000():
     # An independent large-d check: the radial chain costs the same per step
     # at any d, and the Gaussian EAR and ESJD are exact one-dimensional
     # integrals, with no W table.  Only agreement is asserted: at 200k steps
-    # the 50 chains' squared radii have not mixed (R-hat ~1.7-2).
+    # each of the 1000 lanes takes 200 steps, far fewer than the squared
+    # radius needs to decorrelate at d = 1000, so nested R-hat flags the run.
     d = 1000
     lam = 2.38 / math.sqrt(d)
     t = build_example_target("gaussian", d)
@@ -174,8 +175,8 @@ def test_elliptical_chain_matches_transformed_average():
 
 def test_elliptical_chain_holds_bounded_memory_in_d():
     # A block of elliptical steps holds at most 2^18 direction normals
-    # (engine._NORMAL_BLOCK), so the peak stays near the chain's (n_steps, 50)
-    # records (~3 MB at 100k steps) at any d.
+    # (engine._NORMAL_BLOCK), so the peak stays near the chain's (steps, lanes)
+    # records (~2 MB at 100k steps) at any d.
     core = build_example_target("gaussian", 300)
     spec = EllipticalSpec(d=300, eigenvalues=tuple(parse_eigenvalue_rule("iota", 300)),
                           spherical_core=core, proposal_core=core)
@@ -384,52 +385,85 @@ def test_mixed_gaussian_chains_are_not_flagged():
 
 
 def test_metastable_mixture_chains_are_flagged():
-    # mixture:p=1/d^2 at d = 10: a chain that starts in the wide component
-    # (weight 0.01; one of the 50 stationary starts at seed 0) never
-    # leaves it, so the chains disagree.  At seed 2 every start is narrow
-    # and the chains agree, though all of them miss the wide component.
+    # mixture:p=1/d^2 at d = 10: no lane crosses between the narrow component
+    # and the wide one (weight 0.01), so the 50 superchains disagree by how
+    # many of their 20 lanes started wide, and nested R-hat flags every run,
+    # seed 2 as well as seed 0.  The kernel still keeps the target, so the
+    # lanes' squared radii do not drift from their exact starts.
     t = parse_target_spec("mixture:p=1/d^2", 10)
     p = build_example_target("gaussian", 10)
-    stuck = run_rwm(t, p, 0.8, n_iters=400_000, seed=0)
-    assert stuck.rhat > 1.05
-    assert "not mixed" in stuck.flag
-    narrow = run_rwm(t, p, 0.8, n_iters=400_000, seed=2)
-    assert narrow.flag == ""
-    assert stuck.accept_se > 5 * narrow.accept_se
+    for seed in (0, 2):
+        stats = run_rwm(t, p, 0.8, n_iters=400_000, seed=seed)
+        assert stats.rhat > 1.015
+        assert "not mixed" in stats.flag
+        assert "does not keep" not in stats.flag
 
 
-@pytest.mark.parametrize("shape", [(1,), (7,), (400, 6), (20, 4)])
-def test_average_ranks_match_scipy_on_ties(shape):
-    from scipy.stats import rankdata
+@pytest.mark.parametrize("seed", range(8))
+def test_mixture_chain_error_bars_cover_the_rare_component(seed):
+    # Each lane keeps the component its exact start fell in; with 1000
+    # lanes about 10 start in the wide one, and the spread of the 50
+    # superchain means sees how many did.  With 50 long chains none
+    # started wide at ~60 % of seeds, and runs missed by up to 6.1 SE.
+    t = parse_target_spec("mixture:p=1/d^2", 10)
+    p = build_example_target("gaussian", 10)
+    stats = run_rwm(t, p, 0.5, n_iters=200_000, seed=seed)
+    ref = table_point(get_marginal_table(t), p, 0.5)
+    assert abs(stats.accept_rate - ref.ear) <= 3 * stats.accept_se
+    assert abs(stats.esjd - ref.esjd) <= 3 * stats.esjd_se
 
-    rng = np.random.default_rng(shape[0])
-    # Draws rounded to integers tie heavily; a frozen chain is one long tie.
-    values = np.round(rng.standard_normal(shape))
-    if len(shape) == 2:
-        values[:, 1] = 0.0
-    if shape == (20, 4):
-        values[:] = 2.5  # every draw tied
-    ranks = _average_ranks(values)
-    assert ranks.tobytes() == rankdata(values, axis=None).tobytes()
+
+def test_stationarity_check_catches_a_kernel_that_misses_the_target(monkeypatch):
+    # The accept rule log u <= 2 (log pi(r') - log pi(r)) keeps pi^2, not pi:
+    # for the Gaussian the lanes' squared radii drift from their exact
+    # starts, mean d, toward d / 2.  The mutant runs the true kernel on
+    # 2 log pi.
+    t = build_example_target("gaussian", 10)
+    honest = [run_rwm(t, t, 0.75, n_iters=20_000, seed=s) for s in range(10)]
+    true_kernel = simulate._radial_lockstep
+
+    def mutant(r, lp, s, b, log_u, log_pi, accepts, radii):
+        lp *= 2.0
+        true_kernel(r, lp, s, b, log_u, lambda x: 2.0 * log_pi(x), accepts,
+                    radii)
+        lp /= 2.0
+
+    monkeypatch.setattr(simulate, "_radial_lockstep", mutant)
+    planted = [run_rwm(t, t, 0.75, n_iters=20_000, seed=s) for s in range(10)]
+    for a, b in zip(honest, planted):
+        assert "does not keep the target" not in a.flag
+        assert "does not keep the target" in b.flag
 
 
-def test_split_rhat_matches_the_rank_normalized_formula():
-    from scipy.special import ndtri
-    from scipy.stats import rankdata
+def _nested_rhat_by_loops(draws):
+    n, m, n_super = draws.shape
+    super_means, within = [], []
+    for k in range(n_super):
+        lane_means = [sum(draws[:, j, k]) / n for j in range(m)]
+        mean = sum(lane_means) / m
+        super_means.append(mean)
+        between = (sum((v - mean) ** 2 for v in lane_means) / (m - 1)
+                   if m > 1 else 0.0)
+        inside = (sum(sum((draws[:, j, k] - lane_means[j]) ** 2) / (n - 1)
+                      for j in range(m)) / m if n > 1 else 0.0)
+        within.append(between + inside)
+    grand = sum(super_means) / n_super
+    b = sum((v - grand) ** 2 for v in super_means) / (n_super - 1)
+    return math.sqrt(1.0 + b / (sum(within) / n_super))
 
+
+def test_nested_rhat_matches_the_formula():
     rng = np.random.default_rng(12)
-    # Rounded draws give many ties; the odd length drops a middle draw.
-    series = np.round(rng.standard_normal((301, 6)), 1)
-    series[:, 0] += 1.0
-    halves = np.concatenate([series[:150], series[151:]], axis=1)
-    z = ndtri((rankdata(halves, axis=None).reshape(halves.shape) - 0.375)
-              / (halves.size + 0.25))
-    w = z.var(axis=0, ddof=1).mean()
-    b = 150 * z.mean(axis=0).var(ddof=1)
-    want = math.sqrt((149 / 150 * w + b / 150) / w)
-    assert _split_rhat(series) == pytest.approx(want, rel=1e-12)
-    assert want > 1.01
-    assert _split_rhat(series[:, 1:]) < 1.01
-    assert math.isnan(_split_rhat(series[:3]))
-    assert math.isnan(_split_rhat(np.ones((20, 4))))
-    assert _split_rhat(np.repeat(np.arange(4.0)[None], 20, axis=0)) > 1e6
+    draws = rng.standard_normal((30, 4, 50))
+    draws[:, :, 0] += 1.0  # one superchain off the others
+    for case in (draws, draws[:, :1], draws[:1], draws[:, :, 1:]):
+        assert _nested_rhat(case) == pytest.approx(_nested_rhat_by_loops(case),
+                                                   rel=1e-12)
+    assert _nested_rhat(draws) > 1.01
+    # Frozen lanes: with one lane per superchain nothing is left within a
+    # superchain to set the scale; with four, their spread does.
+    frozen = np.repeat(rng.standard_normal((1, 4, 50)), 20, axis=0)
+    assert _nested_rhat(frozen) == pytest.approx(
+        _nested_rhat_by_loops(frozen), rel=1e-12)
+    assert _nested_rhat(frozen[:, :1]) > 1e6
+    assert math.isnan(_nested_rhat(np.ones((20, 4, 50))))
