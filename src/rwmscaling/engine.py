@@ -20,15 +20,16 @@ Two evaluation routes are provided and are kept mutually checkable:
 * the table route, behind curve, table_point and the optimizer: a per-target
   table of W (built once by stacked adaptive quadrature of an integrand
   written apart, in log space, and kept on the target model, interpolated as
-  a cubic spline of log W with a measured midpoint-error certificate), after
-  which curve's lambda grid is one stacked 1-d integral over the proposal
-  radius, one item per lambda, each with its own evaluation budget and its
-  own failure flag; table_point is the one-lambda case (the optimizer's grid
-  is a log-space correlation of W, _log_grid_points).  Table and nested
-  routes, so independent code, agree to < 1e-7 by test.  Every quadrature
-  over a radial law, inner and outer, seeds at that law's
-  RadialModel.breakpoints() and nowhere else, the package's one seed rule; in
-  the outer integral the target's are scaled by 2/lambda.
+  a cubic spline of log W with a measured midpoint-error certificate).  A
+  geometric lambda grid, curve's or the optimizer's, is then one log-space
+  correlation of W (_log_grid_points), with a bar at each point; any other
+  grid is one stacked 1-d integral over the proposal radius, one item per
+  lambda, each with its own evaluation budget and failure flag, and
+  table_point is its one-lambda case.  Table and nested routes, so
+  independent code, agree to < 1e-7 by test.  Every quadrature over a
+  radial law, inner and outer, seeds at that law's RadialModel.breakpoints()
+  and nowhere else, the package's one seed rule; in the outer integral the
+  target's are scaled by 2/lambda.
 
 The sampled estimate is the outer integral done by Monte Carlo over draws
 of the proposal radius (of |Y_*| for an elliptical target), with W from the
@@ -193,6 +194,9 @@ class MarginalTable:
             order = np.argsort(knots)
             knots, w_vals = knots[order], w_vals[order]
         self.certified = self.max_interp_rel_err <= self.rel_tol
+        self._message = "" if self.certified else (  # on every curve point read from it
+            f"W table certificate {self.max_interp_rel_err:.3g} above its target "
+            f"{self.rel_tol:.3g}")
 
     def _fit(self, knots, w_vals):
         """Spline log W through the knots, made non-increasing and cut after
@@ -329,13 +333,11 @@ def _table_points(table: MarginalTable, proposal: RadialModel,
     cert = table.max_interp_rel_err
     cut = _cut_errors(target, proposal, lam, cert * table.w_floor)
     ear_err, esjd_err = (errors + cert * np.abs(values[:, i]) + cut[i] for i in (0, 1))
-    message = "" if table.certified else (
-        f"W table certificate {cert:.3g} above its target {table.rel_tol:.3g}")
     for j, i in enumerate(np.nonzero(active)[0]):
         points[i] = (CurvePoint(float(lam[j]), np.nan, np.nan, np.nan, np.nan,
                                 ok=False, message=failures[j]) if j in failures else
                      CurvePoint(float(lam[j]), float(values[j, 0]), float(values[j, 1]),
-                                float(ear_err[j]), float(esjd_err[j]), message=message))
+                                float(ear_err[j]), float(esjd_err[j]), message=table._message))
     return points
 
 
@@ -356,16 +358,21 @@ def _log_grid_pass(table: MarginalTable, proposal: RadialModel, lams: np.ndarray
 
 
 def _log_grid_points(table: MarginalTable, proposal: RadialModel, lams: np.ndarray):
-    """(ear, esjd, m), m doubling from 2 until the ESJD at m / 2 and m agree to 1e-10
-    of its maximum; None, for curve to take over, if not by m = 64 or if _ear_rise."""
+    """(ear, esjd, m, ear_err, esjd_err), m doubling from 2 until the ESJD at m / 2 and
+    m agree to 1e-10 of its maximum; None, for the stacked route, if not by m = 64 or if
+    _ear_rise.  A bar is |v_m - v_(m/2)|, which the trapezoid rule's geometric convergence
+    makes a bound on the error at m, plus _table_points' cert |v| and _cut_errors."""
     _check_dimensions(table.model, proposal)
     if np.log(proposal.r_hi / proposal.r_lo) * (lams.size - 1) > 2048 * np.log(lams[-1] / lams[0]):
         return None  # a proposal over 2048 grid steps wide: 2^17 s nodes at m = 64
-    esjd = _log_grid_pass(table, proposal, lams, 2)[1]
+    vals = _log_grid_pass(table, proposal, lams, 2)
     for m in (4, 8, 16, 32, 64):
-        prev, (ear, esjd) = esjd, _log_grid_pass(table, proposal, lams, m)
-        if np.abs(esjd - prev).max() <= 1e-10 * esjd.max():
-            return None if _ear_rise(ear) is not None else (ear, esjd, m)
+        prev, vals = vals, _log_grid_pass(table, proposal, lams, m)
+        if np.abs(vals[1] - prev[1]).max() <= 1e-10 * vals[1].max():
+            cert = table.max_interp_rel_err
+            cut = _cut_errors(table.model, proposal, lams, cert * table.w_floor)
+            return None if _ear_rise(vals[0]) is not None else (*vals, m, *(
+                np.abs(v - p) + cert * np.abs(v) + c for v, p, c in zip(vals, prev, cut)))
     return None
 
 
@@ -426,20 +433,28 @@ def _check_dimensions(target: RadialModel, proposal: RadialModel) -> None:
 
 def curve(target: RadialModel, proposal: RadialModel, lambdas, *,
           method: str = "table") -> list[CurvePoint]:
-    """EAR/ESJD along a grid of scales; per-point failures are flagged, not fatal.
+    """EAR/ESJD along a grid of scales, each point with its error bar.
 
     lambdas must be a 1-d sequence of finite positive scales, and target and
-    proposal must share a dimension (else ValueError).  The table route
-    integrates the whole grid as one stacked integral; the nested route
-    takes one lambda at a time.  The computed acceptance rates are checked
-    to be non-increasing in lambda (a structural property of the exact
-    integrals); violation beyond the numerical tolerance raises EngineError.
+    proposal must share a dimension (else ValueError).  The table route reads
+    a geometric grid (log steps equal to 1e-12 relative) as one log-space
+    correlation of W, else, or if that does not converge, as one stacked
+    integral whose failed points are flagged alone; the nested route goes one
+    lambda at a time.  EAR rising with lambda beyond the numerical tolerance
+    (the exact integrals cannot) raises EngineError.
     """
     lambdas = _checked_positive(lambdas, "lambda values")
     if np.ndim(lambdas) != 1:
         raise ValueError("lambda values must form a 1-d sequence")
     if method == "table":
-        points = _table_points(get_marginal_table(target), proposal, lambdas)
+        table = get_marginal_table(target)
+        steps = np.diff(np.log(lambdas))
+        if (steps.size and steps.min() > 0.0 and np.ptp(steps) <= 1e-12 * steps.min()
+                and (fast := _log_grid_points(table, proposal, lambdas)) is not None):
+            ear, esjd, _, ear_err, esjd_err = fast  # EAR checked there
+            rows = np.column_stack([lambdas, ear, esjd, ear_err, esjd_err]).tolist()
+            return [CurvePoint(*row, message=table._message) for row in rows]
+        points = _table_points(table, proposal, lambdas)
     elif method == "nested":
         points = []
         for lam in lambdas:
@@ -450,7 +465,11 @@ def curve(target: RadialModel, proposal: RadialModel, lambdas, *,
                                          np.nan, ok=False, message=str(exc)))
     else:
         raise ValueError(f"unknown method {method!r}")
+    return _ear_checked(points)
 
+
+def _ear_checked(points: list[CurvePoint]) -> list[CurvePoint]:
+    """The points, once their EAR is checked not to rise with lambda (EngineError)."""
     good = sorted((p.lam, p.ear) for p in points if p.ok)
     if (i := _ear_rise(np.array([e for _, e in good]))) is not None:
         raise EngineError(f"acceptance rate increased with lambda near lambda={good[i][0]:.6g}"

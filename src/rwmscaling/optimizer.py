@@ -2,15 +2,15 @@
 
 Every ESJD value comes from the target's W table.  A fixed log-spaced grid
 of 512 points over the search range, one log-space correlation of W
-(engine._log_grid_points, else engine.curve), brackets every interior local
-maximum; Chebyshev fits in log(lambda) polish all brackets at once, two
-stacked calls a round, and only each polished scale, read alone
-(engine.table_point), is reported.  The global optimum breaks ties toward
-the smaller scale and carries the table's message when the table missed its
-certificate.  default_search_range is the one rule for where to search: a
-dimension sweep is optimize with that default window at each dimension, and
-a drift diagnostic classifies how the optimal transformed scale behaves as
-dimension grows.
+(engine._log_grid_points, else the stacked engine._table_points), brackets
+every interior local maximum; Chebyshev fits in log(lambda) polish all
+brackets at once, two stacked calls a round, and only each polished scale,
+read alone (engine.table_point), is reported.  The global optimum breaks
+ties toward the smaller scale and carries the table's message when the
+table missed its certificate.  default_search_range is the one rule for
+where to search: a dimension sweep is optimize with that default window at
+each dimension, and a drift diagnostic classifies how the optimal
+transformed scale behaves as dimension grows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from numpy.polynomial.chebyshev import chebder, chebval, chebvander
 
 from .asymptotics import (aos, mixing_from_spec, solve_aots, transformed_scale,
                           POINT_MASS_MU_HAT)
-from .engine import (EngineError, _log_grid_points, _table_points, curve,
+from .engine import (EngineError, _ear_checked, _log_grid_points, _table_points,
                      get_marginal_table, table_point)
 from .quadrature import QuadratureError
 from .special import _checked_dimension_list, _checked_positive
@@ -147,12 +147,12 @@ def optimize(target: RadialModel, proposal: RadialModel, *, lam_lo: float | None
              lam_hi: float | None = None) -> ScalingOptimum:
     """Maximize the ESJD curve over [lam_lo, lam_hi].
 
-    Every grid point (engine._log_grid_points, else curve, with its errors)
-    exceeding both neighbours brackets a peak; _polish refines all peaks until
-    each beats its neighbours at relative distance 1e-5, ending at the best
-    point it saw, grid point included, and each reported point is table_point
-    there, read alone.  An argmax on the boundary raises OptimizerError — the
-    window is too narrow to claim an interior optimum.
+    Every grid point (engine._log_grid_points, else _table_points with curve's
+    errors) exceeding both neighbours brackets a peak; _polish refines all
+    peaks until each beats its neighbours at relative distance 1e-5, ending at
+    the best point it saw, grid point included, and each reported point is
+    table_point there, read alone.  An argmax on the boundary raises
+    OptimizerError — the window is too narrow to claim an interior optimum.
     """
     if lam_lo is None or lam_hi is None:
         auto_lo, auto_hi = default_search_range(target, proposal)
@@ -167,7 +167,8 @@ def optimize(target: RadialModel, proposal: RadialModel, *, lam_lo: float | None
     if (fast := _log_grid_points(table, proposal, lam_g)) is not None:
         s_g = fast[1]
     else:
-        good = [p for p in curve(target, proposal, lam_g) if p.ok and np.isfinite(p.esjd)]
+        good = [p for p in _ear_checked(_table_points(table, proposal, lam_g))
+                if p.ok and np.isfinite(p.esjd)]
         if len(good) < _GRID // 4:
             raise OptimizerError(
                 f"only {len(good)} of {_GRID} grid evaluations succeeded; "

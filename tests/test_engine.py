@@ -24,7 +24,7 @@ from rwmscaling.engine import (
 from rwmscaling.optimizer import default_search_range, optimize
 from rwmscaling.quadrature import QuadratureError, adaptive_quad, stacked_quad
 from rwmscaling.special import _log_x_kernel
-from rwmscaling.targets import (_TRUNC_TAIL, RadialModel, build_example_target,
+from rwmscaling.targets import (_TRUNC_TAIL, RadialModel, _parse_pair, build_example_target,
                                 parse_target_spec)
 
 
@@ -371,11 +371,13 @@ def _per_point_reference(table, proposal, lam):
 def test_stacked_curve_matches_per_point_route(spec, d):
     # The optimizer's whole search window: it reaches scales whose
     # integration range is empty (exact zero points) for d = 10 and 30.
+    # curve reads this geometric grid by the log-space correlation, so the
+    # stacked route is called directly.
     t = parse_target_spec(spec, d)
     prop = build_example_target("gaussian", d)
     table = get_marginal_table(t)
     lams = np.geomspace(*default_search_range(t, prop), 256)
-    got = curve(t, prop, lams)
+    got = engine._table_points(table, prop, lams)
     want = [_per_point_reference(table, prop, lam) for lam in lams]
     assert [(p.lam, p.ok, p.message) for p in got] == \
         [(p.lam, p.ok, p.message) for p in want]
@@ -424,13 +426,16 @@ def _seventeen_level_seeds(target, proposal, lams):
     "lognormal", "mixture:p=0.2", "mixture:p=1/d", "mixture:p=1/d^2"])
 def test_seven_seed_levels_agree_with_seventeen(monkeypatch, spec, d):
     # Seeds only place the first panels: the outer integrals agree within
-    # their error bars, and so do the optimum and its peak count.
+    # their error bars, and so do the optimum and its peak count.  Seeds
+    # belong to the stacked route, which curve does not take on this
+    # geometric grid, so it is called directly.
     t = parse_target_spec(spec, d)
+    table = get_marginal_table(t)
     lams = np.geomspace(*default_search_range(t, t), 256)
-    got, got_opt = curve(t, t, lams), optimize(t, t)
+    got, got_opt = engine._table_points(table, t, lams), optimize(t, t)
     with monkeypatch.context() as m:
         m.setattr(engine, "_outer_seeds", _seventeen_level_seeds)
-        want, want_opt = curve(t, t, lams), optimize(t, t)
+        want, want_opt = engine._table_points(table, t, lams), optimize(t, t)
     for p, q in zip(got, want):
         assert p.ok and q.ok
         assert abs(p.ear - q.ear) <= p.ear_err + q.ear_err
@@ -588,16 +593,17 @@ def _grid_peaks(s):
 
 def test_log_grid_needs_its_doubling_and_meets_curve():
     # At d = 1000 the proposal spans ~0.35 in log radius, 13 grid steps, so
-    # one trapezoid node a step (m = 1) is ~1e3 error bars off curve; the
-    # doubled grid meets curve to a tenth of a bar, with the same peaks.
+    # one trapezoid node a step (m = 1) is ~1e3 error bars off the stacked
+    # route; the doubled grid meets it to a tenth of a bar, with the same
+    # peaks.
     t = build_example_target("gaussian", 1000)
     table = get_marginal_table(t)
     lams = np.geomspace(*default_search_range(t, t), 512)
-    pts = curve(t, t, lams)
+    pts = engine._table_points(table, t, lams)
     esjd, bar = (np.array([getattr(p, k) for p in pts]) for k in ("esjd", "esjd_err"))
     coarse = engine._log_grid_pass(table, t, lams, 1)[1]
     assert np.max(np.abs(coarse - esjd) / bar) > 300.0
-    ear, fine, m = engine._log_grid_points(table, t, lams)
+    ear, fine, m, *_ = engine._log_grid_points(table, t, lams)
     assert m == 4
     assert np.max(np.abs(fine - esjd) / bar) <= 0.1
     assert np.max(np.abs(ear - [p.ear for p in pts]) / [p.ear_err for p in pts]) <= 0.1
@@ -643,7 +649,7 @@ def test_log_grid_doubles_until_converged_and_else_gives_way(monkeypatch):
 
     # too coarse at m = 2: m = 4 and 8 agree, and m = 8's values are taken
     monkeypatch.setattr(engine, "_log_grid_pass", planted(lambda m: 1e-6 * (m == 2)))
-    ear, esjd, m = engine._log_grid_points(table, t, lams)
+    ear, esjd, m, *_ = engine._log_grid_points(table, t, lams)
     assert m == 8 and np.array_equal(esjd, exact(table, t, lams, 8)[1])
     # an error that halves with m but stays above 1e-10 up to m = 64
     monkeypatch.setattr(engine, "_log_grid_pass", planted(lambda m: 1e-6 / m))
@@ -651,6 +657,111 @@ def test_log_grid_doubles_until_converged_and_else_gives_way(monkeypatch):
     # converged, but EAR rises with lambda
     monkeypatch.setattr(engine, "_log_grid_pass", planted(lambda m: 0.0, 0.1))
     assert engine._log_grid_points(table, t, lams) is None
+
+
+def _grid(kind):
+    g = np.geomspace(0.2, 5.0, 40)
+    return {"linspace": np.linspace(0.2, 5.0, 40),
+            "random": np.sort(np.random.default_rng(3).uniform(0.2, 5.0, 40)),
+            "descending": g[::-1].copy(),
+            "repeated": np.insert(g, 10, g[10]),
+            "one": np.array([0.7]),
+            "too fine": np.geomspace(0.5, 1.0, 512),
+            "unsettled": np.geomspace(0.01, 100.0, 64)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["linspace", "random", "descending", "repeated",
+                                  "one", "too fine", "unsettled"])
+def test_curve_off_a_usable_geometric_grid_is_the_stacked_route(monkeypatch, kind):
+    # Only a strictly increasing grid of equal log steps goes to the
+    # correlation, and "too fine" (the proposal spans over 2048 of its steps)
+    # and "unsettled" (a planted error of 1e-6 / m in ESJD) give way there;
+    # every other grid is the stacked route, bit for bit.
+    t = build_example_target("gaussian", 10)
+    lams = _grid(kind)
+    if kind == "unsettled":
+        exact = engine._log_grid_pass
+
+        def slow(table, proposal, lams, m):
+            ear, esjd = exact(table, proposal, lams, m)
+            return ear, esjd * (1.0 + 1e-6 / m)
+
+        monkeypatch.setattr(engine, "_log_grid_pass", slow)
+    assert curve(t, t, lams) == engine._table_points(get_marginal_table(t), t, lams)
+
+
+@pytest.mark.parametrize("spec, proposal_spec, d", [
+    ("gaussian", "gaussian", 10), ("exponential", "exponential", 30),
+    ("mixture:p=1/d^2", "gaussian", 10), ("lognormal", "gaussian", 20)])
+def test_geometric_curve_keeps_its_scales_and_meets_the_stacked_route(
+        monkeypatch, spec, proposal_spec, d):
+    # The correlation's points carry the caller's scales bit for bit, and
+    # each lies within its own bar and the stacked route's bar of the
+    # stacked value, over the default window and its centre times 10^(+-1).
+    t, p = _parse_pair(spec, proposal_spec, d)
+    table = get_marginal_table(t)
+    lo, hi = default_search_range(t, p)
+    grids = [np.geomspace(lo, hi, 200), np.geomspace(np.sqrt(lo * hi) / 10.0,
+                                                      np.sqrt(lo * hi) * 10.0, 200)]
+    for lams in grids:
+        want = engine._table_points(table, p, lams)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_table_points", None)  # the stacked route is not taken
+            got = curve(t, p, lams)
+        assert [q.lam for q in got] == lams.tolist()
+        for q, w in zip(got, want):
+            assert q.ok and q.message == w.message == ""
+            for v, v0, bar, bar0 in ((q.ear, w.ear, q.ear_err, w.ear_err),
+                                     (q.esjd, w.esjd, q.esjd_err, w.esjd_err)):
+                assert abs(v - v0) <= min(bar, bar0)
+
+
+def test_geometric_curve_bars_cover_an_error_that_falls_with_refinement(monkeypatch):
+    # A planted error of 3e-10 max(ESJD) / m^2, which the doubling accepts at
+    # m = 4, exceeds the certificate's and the cuts' share of the bar at the
+    # small scales; the difference from m = 2 covers it.
+    t = build_example_target("gaussian", 10)
+    table = get_marginal_table(t)
+    lams = np.geomspace(0.01, 100.0, 64)
+    exact = engine._log_grid_pass
+    ear0, esjd0 = exact(table, t, lams, 64)
+
+    def planted(table, proposal, lams, m):
+        ear, esjd = exact(table, proposal, lams, m)
+        return ear + 3e-10 / m ** 2, esjd + 3e-10 * esjd0.max() / m ** 2
+
+    monkeypatch.setattr(engine, "_log_grid_pass", planted)
+    assert engine._log_grid_points(table, t, lams)[2] == 4
+    pts = curve(t, t, lams)
+    for got, want, bar in (("ear", ear0, "ear_err"), ("esjd", esjd0, "esjd_err")):
+        got, bar = (np.array([getattr(q, k) for q in pts]) for k in (got, bar))
+        assert np.all(np.abs(got - want) <= bar)
+
+
+def test_geometric_curve_bars_carry_the_table_and_see_a_planted_error(monkeypatch):
+    t = build_example_target("gaussian", 10)
+    table = get_marginal_table(t)
+    lams = np.geomspace(0.1, 10.0, 100)
+    clean = curve(t, t, lams)
+    ear, esjd = (np.array([getattr(q, k) for q in clean]) for k in ("ear", "esjd"))
+    bars = (np.array([getattr(q, k) for q in clean]) for k in ("ear_err", "esjd_err"))
+    assert all(np.all(bar >= table.max_interp_rel_err * np.abs(v))
+               for bar, v in zip(bars, (ear, esjd)))
+    with monkeypatch.context() as m:
+        w = table.w
+        m.setattr(table, "w", lambda z: w(z) * (1.0 + 1e-8))
+        planted = curve(t, t, lams)
+    moved = [abs(q.esjd - c.esjd) / c.esjd_err for q, c in zip(planted, clean)]
+    assert max(moved) > 1.0
+    # A table that missed its certificate puts its message on every point.
+    monkeypatch.setattr(MarginalTable, "max_rounds", 1)
+    t = build_example_target("gaussian", 1)
+    table = get_marginal_table(t)
+    assert not table.certified
+    want = (f"W table certificate {table.max_interp_rel_err:.3g} above its "
+            f"target {table.rel_tol:.3g}")
+    monkeypatch.setattr(engine, "_table_points", None)  # the stacked route is not taken
+    assert all(q.ok and q.message == want for q in curve(t, t, lams))
 
 
 @pytest.mark.parametrize("lambdas, match", [

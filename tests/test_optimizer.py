@@ -213,10 +213,11 @@ def test_log_grid_and_curve_bracket_the_same_optimum(monkeypatch, spec,
     (lambda lam: CurvePoint(lam, lam, 1.0, 0.0, 0.0),  # EAR rising with lambda
      EngineError, "acceptance rate increased with lambda")])
 def test_curve_fallback_keeps_its_failures(monkeypatch, point, error, match):
-    # Where the log grid gives way, curve brackets, with its own errors.
+    # Where the log grid gives way, the stacked route brackets, with curve's
+    # errors.
     t = build_example_target("gaussian", 2)
     monkeypatch.setattr(optimizer, "_log_grid_points", lambda *args: None)
-    monkeypatch.setattr(engine, "_table_points",
+    monkeypatch.setattr(optimizer, "_table_points",
                         lambda table, proposal, lams: [point(float(lam)) for lam in lams])
     with pytest.raises(error, match=match):
         optimize(t, t)
