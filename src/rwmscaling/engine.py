@@ -287,7 +287,7 @@ def _cut_errors(target: RadialModel, proposal: RadialModel, lam, w_err):
             + 4.0 * _TRUNC_TAIL * target.moment(2) / target.d)
 
 
-@dataclass
+@dataclass(slots=True)
 class CurvePoint:
     lam: float
     ear: float
@@ -341,16 +341,22 @@ def _table_points(table: MarginalTable, proposal: RadialModel,
     return points
 
 
-def _log_grid_pass(table: MarginalTable, proposal: RadialModel, lams: np.ndarray, m: int):
-    """EAR and ESJD on a geometric lambda grid of log step h: EAR = int rbar(e^s) e^s
-    W(e^(t + s) / 2) ds, s = log y, t = log lambda, is a correlation, so one W vector
-    serves every lambda; trapezoid rule at step h / m over [r_lo, r_hi], by np.correlate."""
-    h = np.log(lams[-1] / lams[0]) / (lams.size - 1)
+def _log_nodes(proposal: RadialModel, h: float, m: int):
+    """Trapezoid nodes y_k = r_lo e^(k h / m) past r_hi, weights g_k: int rbar F ~ sum g_k F."""
     n_q = int(np.ceil(np.log(proposal.r_hi / proposal.r_lo) / h)) + 1
     y = proposal.r_lo * np.exp(np.arange(n_q * m) * (h / m))
     g = proposal.radial_pdf(y) * y * (h / m)
     g[[0, -1]] *= 0.5
-    u = np.arange((lams.size - 1 + n_q) * m) * (h / m)
+    return y, g
+
+
+def _log_grid_pass(table: MarginalTable, proposal: RadialModel, lams: np.ndarray, m: int):
+    """EAR and ESJD on a geometric lambda grid of log step h: EAR = int rbar(e^s) e^s
+    W(e^(t + s) / 2) ds, s = log y, t = log lambda, is a correlation, so one W vector
+    serves every lambda; _log_nodes' sum at step h / m, by np.correlate."""
+    h = np.log(lams[-1] / lams[0]) / (lams.size - 1)
+    y, g = _log_nodes(proposal, h, m)
+    u = np.arange((lams.size - 1) * m + y.size) * (h / m)
     w = table.w(0.5 * lams[0] * proposal.r_lo * np.exp(u)).reshape(-1, m)
     ear, esjd = (sum(np.correlate(w[:, r], f[r::m], "valid") for r in range(m))
                  for f in (g, g * y * y))
@@ -360,19 +366,21 @@ def _log_grid_pass(table: MarginalTable, proposal: RadialModel, lams: np.ndarray
 def _log_grid_points(table: MarginalTable, proposal: RadialModel, lams: np.ndarray):
     """(ear, esjd, m, ear_err, esjd_err), m doubling from 2 until the ESJD at m / 2 and
     m agree to 1e-10 of its maximum; None, for the stacked route, if not by m = 64 or if
-    _ear_rise.  A bar is |v_m - v_(m/2)|, which the trapezoid rule's geometric convergence
-    makes a bound on the error at m, plus _table_points' cert |v| and _cut_errors."""
+    _ear_rise.  A bar is |v_m - v_(m/2)|, floored by n eps |v| (the rounding of n terms
+    >= 0), plus _table_points' cert |v| and _cut_errors."""
     _check_dimensions(table.model, proposal)
-    if np.log(proposal.r_hi / proposal.r_lo) * (lams.size - 1) > 2048 * np.log(lams[-1] / lams[0]):
+    steps = np.log(proposal.r_hi / proposal.r_lo) * (lams.size - 1) / np.log(lams[-1] / lams[0])
+    if steps > 2048:
         return None  # a proposal over 2048 grid steps wide: 2^17 s nodes at m = 64
     vals = _log_grid_pass(table, proposal, lams, 2)
     for m in (4, 8, 16, 32, 64):
         prev, vals = vals, _log_grid_pass(table, proposal, lams, m)
         if np.abs(vals[1] - prev[1]).max() <= 1e-10 * vals[1].max():
-            cert = table.max_interp_rel_err
+            cert, n_eps = table.max_interp_rel_err, (steps + 2.0) * m * np.finfo(float).eps
             cut = _cut_errors(table.model, proposal, lams, cert * table.w_floor)
             return None if _ear_rise(vals[0]) is not None else (*vals, m, *(
-                np.abs(v - p) + cert * np.abs(v) + c for v, p, c in zip(vals, prev, cut)))
+                np.maximum(np.abs(v - p), n_eps * np.abs(v)) + cert * np.abs(v) + c
+                for v, p, c in zip(vals, prev, cut)))
     return None
 
 

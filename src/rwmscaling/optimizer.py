@@ -4,13 +4,13 @@ Every ESJD value comes from the target's W table.  A fixed log-spaced grid
 of 512 points over the search range, one log-space correlation of W
 (engine._log_grid_points, else the stacked engine._table_points), brackets
 every interior local maximum; Chebyshev fits in log(lambda) polish all
-brackets at once, two stacked calls a round, and only each polished scale,
-read alone (engine.table_point), is reported.  The global optimum breaks
-ties toward the smaller scale and carries the table's message when the
-table missed its certificate.  default_search_range is the one rule for
-where to search: a dimension sweep is optimize with that default window at
-each dimension, and a drift diagnostic classifies how the optimal
-transformed scale behaves as dimension grows.
+brackets at once on its trapezoid sum (else stacked quadrature), and only
+each polished scale, read alone (engine.table_point), is reported.  The
+global optimum breaks ties toward the smaller scale and carries the table's
+message when the table missed its certificate.  default_search_range is the
+one rule for where to search: a dimension sweep is optimize with that
+default window at each dimension, and a drift diagnostic classifies how the
+optimal transformed scale behaves as dimension grows.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval, chebvander
+from numpy.polynomial.chebyshev import chebvander
 
 from .asymptotics import (aos, mixing_from_spec, solve_aots, transformed_scale,
                           POINT_MASS_MU_HAT)
-from .engine import (EngineError, _ear_checked, _log_grid_points, _table_points,
-                     get_marginal_table, table_point)
+from .engine import (EngineError, _ear_checked, _log_grid_points, _log_nodes,
+                     _table_points, get_marginal_table, table_point)
 from .quadrature import QuadratureError
 from .special import _checked_dimension_list, _checked_positive
 from .targets import RadialModel, _parse_pair, parse_target_spec
@@ -99,37 +99,56 @@ def default_search_range(target: RadialModel,
     return center / span, center * top
 
 
-def _polish(table, proposal, lo, hi, seen_t, seen_s):
+def _settled_sum(table, proposal, h, t):
+    """(ESJD as a function of t, its values at t): lam^2 sum_k g_k y_k^2 W(lam y_k / 2) on
+    engine._log_nodes, m doubling until it meets m / 2's (its even nodes) to 1e-10 of its
+    maximum at t, or None if not by m = 64.  End nodes under 1e-16 of the summed weight
+    are dropped, which moves ESJD by less than that share, as W <= 1."""
+    for m in (4, 8, 16, 32, 64):
+        y, g = _log_nodes(proposal, h, m)
+        g *= y * y
+        c = np.cumsum(g)
+        keep = np.nonzero((c >= 1e-16 * c[-1]) & (c[-1] - c + g >= 1e-16 * c[-1]))[0]
+        coarse, even = np.r_[2.0 * g[:-2:2], g[-2]], keep % 2 == 0  # m / 2's weights
+        y, g = y[keep], g[keep]
+        w = table.w(0.5 * np.exp(t)[..., None] * y) * np.exp(2.0 * t)[..., None]
+        if np.abs((f := w @ g) - w[..., even] @ coarse[keep[even] // 2]).max() <= 1e-10 * f.max():
+            return lambda t: np.exp(2.0 * t) * (table.w(0.5 * np.exp(t)[..., None] * y) @ g), f
+
+
+def _polish(table, proposal, h, lo, hi, seen_t, seen_s):
     """Maximize ESJD over t = log(lambda) in every bracket [lo, hi] at once.
 
-    A round fits each open bracket's Chebyshev interpolant from one stacked
-    call, runs Newton on its derivative from the best node, and reads each
-    fit's t* and t* +- _REL_TOL in a second call.  A peak is done when t*
-    beats its neighbours, the nodes and the best point seen (seen_t, seen_s,
-    updated in place; the grid point at first); else its bracket shrinks
-    fourfold about that point.  Returns seen_t and each peak's ESJD_tt at
-    its last fit's t*.
+    ESJD is _settled_sum's, else (unsettled) one stacked call a read.  A round
+    fits each open bracket's Chebyshev interpolant, runs Newton on its
+    derivative from the best node, and reads each fit's t* and t* +- _REL_TOL.
+    A peak is done when t* beats its neighbours, the nodes and the best point
+    seen (seen_t, seen_s, updated in place; the grid point at first); else its
+    bracket shrinks fourfold about that point.  Returns seen_t and each peak's
+    ESJD_tt at its last fit's t*.
     """
-    def esjd(t):  # failed points read 0, below any interior maximum
+    def stacked(t):  # failed points read 0, below any interior maximum
         pts = _table_points(table, proposal, np.exp(t.ravel()))
         return np.array([p.esjd if p.ok else 0.0 for p in pts]).reshape(t.shape)
 
-    # to_coef @ f(nodes) = interpolant coefficients; made here, not at import time
-    nodes = np.cos(np.pi * (np.arange(9) + 0.5) / 9)
+    # to_coef @ f(nodes) = interpolant coefficients, der @ them the derivative's (not
+    # der @ to_coef, which mixes the constant's rounding in); made here, not at import
+    nodes, deg = np.cos(np.pi * (np.arange(9) + 0.5) / 9), np.arange(9)[:, None]
     to_coef = chebvander(nodes, 8).T * np.r_[1.0, [2.0] * 8][:, None] / 9
+    der = np.where((deg.T > deg) & ((deg.T - deg) % 2 == 1), (2 - (deg == 0)) * deg.T, 0.0)
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     curv, todo = np.zeros(mid.size), np.arange(mid.size)
+    t = mid + half * nodes[:, None]
+    esjd, f = _settled_sum(table, proposal, h, t) or (stacked, stacked(t))
     for _ in range(_POLISH_ROUNDS):
-        t = mid[todo] + half[todo] * nodes[:, None]
-        f = esjd(t)
-        c = to_coef @ f
-        d1, d2 = chebder(c), chebder(c, 2)
+        c = der @ (to_coef @ f)
+        d = np.stack([c, der @ c])  # the fit's first and second derivatives
         x = nodes[np.argmax(f, axis=0)]
         for _ in range(8):
-            p1, p2 = chebval(x, d1, tensor=False), chebval(x, d2, tensor=False)
+            p1, p2 = (d * np.cos(deg * np.arccos(x))).sum(1)  # T_deg(x) = cos(deg acos x)
             concave = p2 < 0.0
             x = np.where(concave, np.clip(x - p1 / np.where(concave, p2, -1.0), -1, 1), x)
-        curv[todo] = chebval(x, d2, tensor=False) / half[todo] ** 2
+        curv[todo] = (d[1] * np.cos(deg * np.arccos(x))).sum(0) / half[todo] ** 2
         t3 = mid[todo] + half[todo] * x + _REL_TOL * np.array([[0.0], [-1.0], [1.0]])
         tt, ss = np.vstack([t3, t]), np.vstack([esjd(t3), f])
         k, cols = np.argmax(ss, axis=0), np.arange(todo.size)
@@ -140,6 +159,7 @@ def _polish(table, proposal, lo, hi, seen_t, seen_s):
         todo = todo[~(better & (k == 0))]
         if not todo.size:
             break
+        f = esjd(t := mid[todo] + half[todo] * nodes[:, None])
     return seen_t, curv
 
 
@@ -149,10 +169,11 @@ def optimize(target: RadialModel, proposal: RadialModel, *, lam_lo: float | None
 
     Every grid point (engine._log_grid_points, else _table_points with curve's
     errors) exceeding both neighbours brackets a peak; _polish refines all
-    peaks until each beats its neighbours at relative distance 1e-5, ending at
-    the best point it saw, grid point included, and each reported point is
-    table_point there, read alone.  An argmax on the boundary raises
-    OptimizerError — the window is too narrow to claim an interior optimum.
+    peaks on the grid's trapezoid sum until each beats its neighbours at
+    relative distance 1e-5, ending at the best point it saw, grid point
+    included; each reported point, with lambda_err, is table_point there.
+    An argmax on the boundary raises OptimizerError — the window is too
+    narrow to claim an interior optimum.
     """
     if lam_lo is None or lam_hi is None:
         auto_lo, auto_hi = default_search_range(target, proposal)
@@ -183,16 +204,15 @@ def optimize(target: RadialModel, proposal: RadialModel, *, lam_lo: float | None
             f"ESJD argmax sits at the search boundary lambda={lam_g[top]:.6g}; "
             "widen the range")
 
-    peaks = [i for i in range(1, s_g.size - 1)
-             if s_g[i] >= s_g[i - 1] and s_g[i] >= s_g[i + 1]
-             and (s_g[i] > s_g[i - 1] or s_g[i] > s_g[i + 1])]
+    left, mid, right = s_g[:-2], s_g[1:-1], s_g[2:]
+    peaks = np.nonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right)))[0] + 1
     # collapse plateau neighbours to the leftmost index
-    peaks = [i for j, i in enumerate(peaks) if j == 0 or i - peaks[j - 1] > 1]
-    if not peaks:
+    peaks = peaks[np.diff(peaks, prepend=-1) > 1]
+    if not peaks.size:
         raise OptimizerError("no interior local maximum on the grid")
 
-    t_g, peaks = np.log(lam_g), np.array(peaks)
-    t_best, curv = _polish(table, proposal, t_g[peaks - 1], t_g[peaks + 1],
+    t_g, h = np.log(lam_g), np.log(lam_hi / lam_lo) / (_GRID - 1)  # h: the grid's log step
+    t_best, curv = _polish(table, proposal, h, t_g[peaks - 1], t_g[peaks + 1],
                            t_g[peaks], s_g[peaks])
     candidates = sorted(((table_point(table, proposal, float(np.exp(t))), c)
                          for t, c in zip(t_best, curv)), key=lambda pc: pc[0].lam)
