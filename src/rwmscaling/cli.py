@@ -5,12 +5,12 @@ against the proposal scale, ``optimize`` finds the ESJD-optimal scale,
 ``sweep`` repeats that over a dimension list, ``asymptotic`` solves the
 limiting optimum for a radial mixing law, ``elliptical`` tabulates the
 eccentricity condition with the adjusted scaling rule, and ``simulate``
-runs up to 1000 Metropolis lanes in lockstep, in radius alone on a
-spherical target.  Exit codes: 0 success, 2 usage error, 3 numerical
-failure.  All numbers are printed with 10 significant digits, and the
-JSON output carries exactly the values the CSV shows.  ``main`` builds
-its parser on the first call and reuses it for every later call in the
-process; ``build_parser`` returns a new one each time.
+runs up to 1000 Metropolis lanes in lockstep, each keeping only its radii
+over the groups of equal eigenvalues (its radius on a spherical target).
+Exit codes: 0 success, 2 usage error, 3 numerical failure.  Numbers print
+with 10 significant digits, and the JSON output carries exactly the values
+the CSV shows.  ``main`` builds its parser on the first call and reuses it
+for every later call in the process; ``build_parser`` returns a new one.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 Carlo evaluation of the acceptance/jump-distance expectations.
 
 Only ``run_rwm`` is independent of the quadrature path: it runs up to 1000
-short lanes in lockstep, each from an exact stationary draw, in radius
-alone on a spherical target and in d dimensions on an elliptical one, and
-groups them into 50 superchains (error bars from the spread of their means,
-nested R-hat to flag lanes that never mixed).  Its kernels own each lane's
-radius and write every step's accepts and radii into its arrays.
+short lanes in lockstep, each from an exact stationary draw and each
+keeping only its radii over the groups of equal eigenvalues (its radius on
+a spherical target), and groups them into 50 superchains (error bars from
+the spread of their means, nested R-hat to flag lanes that never mixed).
+Its one kernel writes every step's accepts and radii into its arrays.
 ``mc_expectation`` samples the proposal radius but averages the same
 tabulated one-coordinate marginal W as the analytic route, so against
 quadrature it checks only the outer integral over the proposal radius;
@@ -75,54 +75,72 @@ class ChainStats:
                 for f in fields(self)[:10]}
 
 
-def _lockstep(x, r, lp, steps, log_u, log_pi, accepts, radii):
-    """Advance K chains, states ``x`` (K, d) with radii ``r`` and log
-    densities ``lp`` (K,), in place through the proposals ``steps`` (T, K, d).
-    A proposal is accepted when ``log_u`` (T, K) <= log_pi(r') - log_pi(r),
-    r' = |x + step|.  Step t writes its accept mask to ``accepts[t]`` and
-    the chains' radii after it to ``radii[t]``."""
-    xs, rs, ratio = np.empty_like(x), np.empty_like(r), np.empty_like(lp)
-    for t in range(len(steps)):
-        np.add(x, steps[t], xs)
-        np.sqrt(np.einsum("ij,ij->i", xs, xs, out=rs), out=rs)
+def _group_draws(rng, sizes, m, lanes):
+    """Split m x ``lanes`` uniform directions Z / |Z| in R^d over coordinate
+    groups of ``sizes`` d_g, those with d_g > 1 first: z (m, k, lanes)
+    normals, Z's component along an axis of each group; c (m, n, lanes)
+    chi-square(d_g - 1) draws, the rest of the n groups with d_g > 1; and
+    sq = z^2 (+ c), each group's part of |Z|^2 = sum sq."""
+    big = sizes[sizes > 1]
+    z = rng.standard_normal((m, len(sizes), lanes))
+    c = rng.chisquare((big - 1.0)[:, None], (m, len(big), lanes))
+    sq = np.square(z)
+    sq[:, :len(big)] += c
+    return z, c, sq
+
+
+def _group_steps(rng, proposal, lam, nus, sizes, jumps):
+    """One block of steps lam R_Y Z / |Z| for the lanes of ``jumps`` (m, K),
+    seen through the groups' eigenvalues ``nus``: group g moves s_g z_g along
+    its radius and s_g sqrt(c_g) across, s_g = nu_g lam R_Y / |Z|.  Writes
+    the Mahalanobis jumps sum_g s_g^2 sq_g to ``jumps``; returns s z, s^2 c
+    and the log uniforms."""
+    m, lanes = jumps.shape
+    s = lam * sample_radius(proposal, m * lanes, rng).reshape(m, lanes)
+    z, c, sq = _group_draws(rng, sizes, m, lanes)
+    norm = sq.sum(axis=1)
+    s /= np.sqrt(norm, out=norm)
+    np.einsum("g,tgk->tk", np.square(nus), sq, out=norm)
+    np.square(s, out=jumps)
+    c *= jumps[:, None]
+    c *= np.square(nus[:c.shape[1], None])
+    jumps *= norm
+    z *= s[:, None]
+    z *= nus[:, None]
+    return z, c, np.log(rng.random(out=norm), out=norm)
+
+
+def _grouped_lockstep(rho, r, lp, sz, q, log_u, log_pi, accepts, radii):
+    """Advance K lanes, returning their group radii ``rho`` (k, K) after the
+    last step (a group of one coordinate kept by its signed value); their
+    radii ``r`` = |rho| and log densities ``lp`` (K,) are updated in place.
+    Step t proposes x_g = rho_g + sz[t, g], and rho_g' = sqrt(x_g^2 +
+    q[t, g]) in the first n = len(q[t]) groups, accepted when log_u[t] <=
+    log_pi(r') - log_pi(r), and writes ``accepts[t]`` and ``radii[t]``."""
+    n = q.shape[1]
+    x, sq = np.empty((2, *rho.shape))
+    rs, ratio = np.empty((2, len(r)))
+    for t in range(len(sz)):
+        np.add(rho, sz[t], out=x)
+        np.square(x, out=sq)
+        sq[:n] += q[t]
+        # r'^2 sums the groups' rows; a lone group's row is its own sum.
+        np.sqrt(sq[0] if len(sq) == 1 else np.add.reduce(sq, axis=0, out=rs), out=rs)
         lps = log_pi(rs)
-        a = np.less_equal(log_u[t], np.subtract(lps, lp, ratio), out=accepts[t])
-        np.copyto(x, xs, where=a[:, None])
+        a = np.less_equal(log_u[t], np.subtract(lps, lp, out=ratio), out=accepts[t])
+        np.sqrt(sq[:n], out=x[:n])
+        rho = np.where(a, x, rho)
         np.copyto(r, rs, where=a)
         np.copyto(lp, lps, where=a)
         radii[t] = r
+    return rho
 
 
-def _radial_lockstep(r, lp, s, b, log_u, log_pi, accepts, radii):
-    """_lockstep on the radii ``r`` (K,) of spherical chains: a step of length
-    ``s`` (T, K) at cosine V = 2b - 1 to the radius, ``b`` (T, K) from
-    _cosine_split, lands at r'^2 = (r + sV)^2 + s^2 4b(1 - b)."""
-    sv, q = s * (2.0 * b - 1.0), np.square(s) * (4.0 * b * (1.0 - b))
-    rs = np.empty_like(r)
-    for t in range(len(s)):
-        np.add(r, sv[t], out=rs)
-        np.sqrt(np.add(np.square(rs, out=rs), q[t], out=rs), out=rs)
-        lps = log_pi(rs)
-        a = np.less_equal(log_u[t], lps - lp, out=accepts[t])
-        np.copyto(r, rs, where=a)
-        np.copyto(lp, lps, where=a)
-        radii[t] = r
-
-
-def _cosine_split(rng, d, shape):
-    """B = (1 + V) / 2 for the cosine V between a uniform direction in R^d
-    and a fixed axis: Beta((d - 1) / 2, (d - 1) / 2), a fair 0/1 draw at d = 1."""
-    a = (d - 1) / 2
-    return rng.integers(2, size=shape) if d == 1 else rng.beta(a, a, shape)
-
-
-def _n_lanes(n_iters: int, d: int, elliptical: bool) -> int:
+def _n_lanes(n_iters: int, k: int) -> int:
     """K = 50 M lanes, M = n_iters // 10^4 in [1, 20] (each lane keeps ~200
-    steps or more), and for an elliptical chain M <= _NORMAL_BLOCK // (50 d)."""
-    m = min(20, max(1, n_iters // (_N_SUPER * 200)))
-    if elliptical:
-        m = min(m, max(1, _NORMAL_BLOCK // (_N_SUPER * d)))
-    return _N_SUPER * m
+    steps or more) and M <= _NORMAL_BLOCK // (50 k) for k eigenvalue groups."""
+    return _N_SUPER * max(1, min(20, n_iters // (_N_SUPER * 200),
+                                 _NORMAL_BLOCK // (_N_SUPER * k)))
 
 
 def _nested_rhat(draws: np.ndarray) -> float:
@@ -148,9 +166,11 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
     """Simulate random walk Metropolis lanes in 50 superchains; summarize.
 
     The target may be spherically symmetric (any RadialModel, mixtures
-    included), whose lanes step in radius alone (_radial_lockstep), or
-    elliptical (an EllipticalSpec, whose eigenvalues scale the axes of the
-    spherical core), whose lanes move in d dimensions.  The proposal is
+    included) or elliptical (an EllipticalSpec, whose eigenvalues scale the
+    axes of the spherical core).  A lane lives where the target is spherical
+    and a proposal step is the eigenvalues times a spherical step, keeping
+    only its radii in its k groups of coordinates that share an eigenvalue
+    (k = 1 if spherical): a step costs O(k) at any d.  The proposal is
     spherically symmetric in the original coordinates with radial law
     ``proposal`` and overall scale ``lam``; for an elliptical target it must
     be the spec's own ``proposal_core`` object (else ValueError), the law
@@ -177,55 +197,34 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
             raise ValueError("an elliptical target's chain must propose from "
                              "its spec's proposal_core; pass that model")
         core = target.spherical_core
-        nus = np.asarray(target.eigenvalues, dtype=float)
+        nus, sizes = np.unique(target.eigenvalues, return_counts=True)
         label = f"elliptical({core.label})"
     else:
-        core, nus, label = target, None, target.label
+        core, nus, sizes, label = target, np.ones(1), np.array([target.d]), target.label
     _check_dimensions(core, proposal)
-    d = core.d
+    order = np.argsort(sizes == 1, kind="stable")
+    nus, sizes = nus[order], sizes[order]
 
-    k = _n_lanes(n_iters, d, nus is not None)
+    k = _n_lanes(n_iters, len(sizes))
     rng = np.random.default_rng(seed)
     r = sample_radius(core, k, rng)
     lp, start_sq = np.array(core.log_pi(r), dtype=float), np.square(r)
-    if nus is not None:
-        # An elliptical lane lives where the target is spherical, x_* = nu x:
-        # a spherical proposal step becomes nu * step there, and its squared
-        # length is the Mahalanobis jump |nu * step|^2.
-        x = rng.standard_normal((k, d))
-        x *= (r / np.linalg.norm(x, axis=1))[:, None]
+    sq = _group_draws(rng, sizes, 1, k)[2][0]
+    rho = r * np.sqrt(sq / sq.sum(axis=0))
 
-    # Lane step i = t * k + c is lane c's step t.  Only i < n_iters
-    # counts, so lanes c >= over run one step over.  An elliptical block
-    # holds at most _NORMAL_BLOCK direction normals, whatever d is.
+    # Lane step i = t * k + c is lane c's step t.  Only i < n_iters counts,
+    # so lanes c >= over run one step over.  A block has <= _NORMAL_BLOCK normals.
     n_steps = -(-n_iters // k)
     over = n_iters - (n_steps - 1) * k
     accepts = np.empty((n_steps, k), dtype=bool)
     jumps = np.empty((n_steps, k))
     radii = np.empty((n_steps, k))
-    block = _BLOCK // k
-    if nus is not None:
-        block = max(1, min(block, _NORMAL_BLOCK // (k * d)))
+    block = max(1, min(_BLOCK // k, _NORMAL_BLOCK // (k * len(sizes))))
     for t0 in range(0, n_steps, block):
-        m = min(block, n_steps - t0)
-        rows = slice(t0, t0 + m)
-        if nus is None:
-            ry = lam * sample_radius(proposal, m * k, rng).reshape(m, k)
-            b = _cosine_split(rng, d, (m, k))
-            log_u = np.log(rng.random((m, k)))
-            np.square(ry, out=jumps[rows])
-            _radial_lockstep(r, lp, ry, b, log_u, core.log_pi,
-                             accepts[rows], radii[rows])
-        else:
-            z = rng.standard_normal((m, k, d))
-            z /= np.linalg.norm(z, axis=2, keepdims=True)
-            ry = lam * sample_radius(proposal, m * k, rng).reshape(m, k)
-            steps = np.multiply(z, ry[..., None], out=z)
-            steps *= nus
-            np.square(steps).sum(axis=2, out=jumps[rows])
-            log_u = np.log(rng.random((m, k)))
-            _lockstep(x, r, lp, steps, log_u, core.log_pi,
-                      accepts[rows], radii[rows])
+        rows = slice(t0, min(t0 + block, n_steps))
+        rho = _grouped_lockstep(rho, r, lp, *_group_steps(
+            rng, proposal, lam, nus, sizes, jumps[rows]),
+            core.log_pi, accepts[rows], radii[rows])
     accepts[-1, over:] = False
     np.copyto(jumps, 0.0, where=~accepts)
     radii_sq = np.square(radii, out=radii)
@@ -256,7 +255,7 @@ def run_rwm(target: Union[RadialModel, EllipticalSpec], proposal: RadialModel,
         flags.append(f"squared radii drift from their starts by {z_drift:.3g} SE: "
                      "the kernel does not keep the target")
     return ChainStats(
-        target=label, proposal=proposal.label, d=d, lam=lam,
+        target=label, proposal=proposal.label, d=core.d, lam=lam,
         n_iters=n_iters, seed=seed,
         accept_rate=rate, accept_se=rate_se, esjd=esjd, esjd_se=esjd_se,
         mean_sq_radius=mean_and_se(radii_sq)[0], rhat=rhat,

@@ -85,6 +85,19 @@ errors, except exponential seed 1 (EAR -2.37, ESJD -2.30), whose old value
 sat 2.8 SE above the table's, and mixture:p=1/d^2 seed 2 (EAR +2.52, ESJD
 +2.29), whose old 50 chains all started in the narrow component.  Both
 mc_expectation entries, elliptical_ear_esjd and solve_aots held bit for bit.
+
+All eight run_rwm entries were re-recorded when one kernel over each lane's
+group radii (the coordinates sharing an eigenvalue; one group on a
+spherical target) replaced both the radius-only kernel and the
+d-dimensional elliptical one.  A step's direction is now drawn as one
+normal per group along its radius plus a chi-square(d_g - 1) for the rest
+of each larger group, not as a Beta cosine split (spherical) or d normals
+(elliptical), and each lane's start draws its group shares the same way.
+The chains are the same processes with other draws, so each EAR and ESJD
+moved by chance, by at most 1.17 of the two runs' combined standard errors
+(the gaussian d=2 ESJD; 1.10 for the elliptical ESJD, 0.69 at most
+elsewhere); their arguments are unchanged.  Both mc_expectation entries,
+elliptical_ear_esjd and solve_aots held bit for bit.
 """
 
 import dataclasses

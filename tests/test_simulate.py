@@ -11,9 +11,10 @@ from rwmscaling import simulate
 from rwmscaling.elliptical import EllipticalSpec, parse_eigenvalue_rule
 from rwmscaling.engine import (closed_form_gaussian_1d, get_marginal_table,
                                table_point)
-from rwmscaling.simulate import (_cosine_split, _lockstep, _nested_rhat,
-                                 _radial_lockstep, mc_expectation, run_rwm)
-from rwmscaling.targets import build_example_target, parse_target_spec
+from rwmscaling.simulate import (_group_draws, _grouped_lockstep, _nested_rhat,
+                                 mc_expectation, run_rwm)
+from rwmscaling.targets import (build_example_target, parse_target_spec,
+                                sample_radius)
 from test_elliptical import gaussian_elliptical_exact
 
 
@@ -103,24 +104,56 @@ def test_elliptical_chain_proposes_from_its_spec():
 
 
 def test_elliptical_uniform_stretch_equals_rescaled_spherical_chain():
-    # nu = (c, ..., c) only rescales the coordinates: with a shared seed the
-    # chain at nu = c and lambda sees the draws of the chain at nu = 1 and
-    # c lambda, and identical acceptance ratios (c = 2 scales exactly), and
-    # the Mahalanobis metric absorbs c, so the summaries agree exactly.  Both
-    # are d-dimensional chains; a spherical target's chain keeps only its
-    # radius and draws differently.
-    c, d = 2.0, 3
+    # nu = (c, ..., c) is one group of d coordinates: with a shared seed the
+    # chain at nu = c and lambda draws what the spherical chain at c lambda
+    # draws, its steps are those steps exactly (c = 2 scales exactly), and
+    # the Mahalanobis metric absorbs c, so the summaries agree exactly.
+    c, d, lam = 2.0, 3, 0.6
     core = build_example_target("gaussian", d)
-
-    def spec(nu):
-        return EllipticalSpec(d=d, eigenvalues=(nu,) * d, spherical_core=core,
-                              proposal_core=core)
-
-    ell = run_rwm(spec(c), core, 0.6, n_iters=20_000, seed=77)
-    unit = run_rwm(spec(1.0), core, c * 0.6, n_iters=20_000, seed=77)
-    assert ell.accept_rate == unit.accept_rate
-    assert ell.esjd == pytest.approx(unit.esjd, rel=1e-12)
+    spec = EllipticalSpec(d=d, eigenvalues=(c,) * d, spherical_core=core,
+                          proposal_core=core)
+    ell = run_rwm(spec, core, lam, n_iters=20_000, seed=77)
+    sph = run_rwm(core, core, c * lam, n_iters=20_000, seed=77)
+    for name in ("accept_rate", "accept_se", "esjd", "esjd_se",
+                 "mean_sq_radius", "rhat", "flag"):
+        assert getattr(ell, name) == getattr(sph, name), name
     assert ell.target.startswith("elliptical(")
+
+
+def _d_dimensional_chain(core, proposal, nus, lam, n_iters, seed, lanes=1000):
+    """Reference for run_rwm: ``lanes`` independent lanes of the full
+    d-dimensional walk, each from an exact stationary draw, with the state x
+    kept where the target is spherical, so a proposal step is nu * (lam R_Y
+    U), U uniform on the sphere.  Returns the acceptance rate and the
+    Mahalanobis ESJD, each with the standard error of the lanes' means."""
+    rng = np.random.default_rng(seed)
+    nus = np.asarray(nus, dtype=float)
+
+    def directions():
+        u = rng.standard_normal((lanes, core.d))
+        return u / np.linalg.norm(u, axis=1)[:, None]
+
+    x = directions() * sample_radius(core, lanes, rng)[:, None]
+    lp = core.log_pi(np.linalg.norm(x, axis=1))
+    accepts, jumps = np.zeros(lanes), np.zeros(lanes)
+    n_steps = n_iters // lanes
+    for _ in range(n_steps):
+        step = directions() * (lam * sample_radius(proposal, lanes, rng))[:, None]
+        step *= nus
+        xs = x + step
+        lps = core.log_pi(np.linalg.norm(xs, axis=1))
+        a = np.log(rng.random(lanes)) <= lps - lp
+        x[a], lp[a] = xs[a], lps[a]
+        accepts += a
+        jumps += a * np.einsum("ij,ij->i", step, step)
+    return [(v.mean() / n_steps, v.std(ddof=1) / n_steps / math.sqrt(lanes))
+            for v in (accepts, jumps)]
+
+
+def _assert_agrees_with_the_d_dimensional_chain(chain, ref):
+    (ear, ear_se), (esjd, esjd_se) = ref
+    assert abs(chain.accept_rate - ear) <= 3 * math.hypot(chain.accept_se, ear_se)
+    assert abs(chain.esjd - esjd) <= 3 * math.hypot(chain.esjd_se, esjd_se)
 
 
 @pytest.mark.parametrize("t_spec,p_spec,d,lam,seed", [
@@ -130,21 +163,60 @@ def test_elliptical_uniform_stretch_equals_rescaled_spherical_chain():
 ])
 def test_radial_chain_agrees_with_the_d_dimensional_chain(t_spec, p_spec, d,
                                                           lam, seed):
-    # With nu = 1 the elliptical path is the spherical chain in d
-    # dimensions, so the radial chain and it estimate the same EAR and ESJD.
+    # The spherical chain keeps only each lane's radius; the reference moves
+    # every coordinate, and both estimate the same EAR and ESJD.
     t, p = parse_target_spec(t_spec, d), parse_target_spec(p_spec, d)
-    full = run_rwm(EllipticalSpec(d=d, eigenvalues=(1.0,) * d, spherical_core=t,
-                                  proposal_core=p), p, lam, n_iters=200_000,
-                   seed=seed)
-    radial = run_rwm(t, p, lam, n_iters=200_000, seed=seed)
-    for est, se in (("accept_rate", "accept_se"), ("esjd", "esjd_se")):
-        a, b = getattr(radial, est), getattr(full, est)
-        assert abs(a - b) <= 3 * math.hypot(getattr(radial, se), getattr(full, se))
+    _assert_agrees_with_the_d_dimensional_chain(
+        run_rwm(t, p, lam, n_iters=200_000, seed=seed),
+        _d_dimensional_chain(t, p, np.ones(d), lam, 200_000, seed + 1000))
+
+
+@pytest.mark.parametrize("rule,d,lam,seed", [
+    ("iota", 10, 0.1, 111),
+    ("spike:1", 10, 0.2, 112),
+    ((1.0, 3.0), 2, 0.4, 113),
+    ("file", 8, 0.3, 114),
+])
+def test_grouped_chain_agrees_with_the_d_dimensional_chain(rule, d, lam, seed,
+                                                           tmp_path):
+    # The elliptical chain keeps each lane's radius over every group of
+    # equal eigenvalues: ten groups for iota, a group of 9 and one of 1 for
+    # spike, and for the file rule (1, 1, 2, 2, 2, 0.5 padded to d = 8)
+    # groups of 2, 3 and 3.
+    if rule == "file":
+        path = tmp_path / "nus.txt"
+        path.write_text("1\n1\n2\n2\n2\n0.5\n")
+        rule = f"file:{path}"
+    nus = (tuple(parse_eigenvalue_rule(rule, d)) if isinstance(rule, str)
+           else rule)
+    core = build_example_target("gaussian", d)
+    spec = EllipticalSpec(d=d, eigenvalues=nus, spherical_core=core,
+                          proposal_core=core)
+    _assert_agrees_with_the_d_dimensional_chain(
+        run_rwm(spec, core, lam, n_iters=200_000, seed=seed),
+        _d_dimensional_chain(core, core, nus, lam, 200_000, seed + 1000))
+
+
+@pytest.mark.parametrize("rule,d,seed", [("spike:1", 100, 121), ("const:2", 10, 122)])
+def test_grouped_chain_agrees_with_the_transformed_average(rule, d, seed):
+    # Against the sampled |Y_*| average at lambda = 2.38 / sqrt(d mean nu^2).
+    # At d = 100 the spiked chain's lanes are too short for nested R-hat, so
+    # only agreement is asserted.
+    from rwmscaling.elliptical import elliptical_ear_esjd
+
+    core = build_example_target("gaussian", d)
+    spec = EllipticalSpec(d=d, eigenvalues=tuple(parse_eigenvalue_rule(rule, d)),
+                          spherical_core=core, proposal_core=core)
+    lam = 2.38 / math.sqrt(d * spec.mean_sq)
+    chain = run_rwm(spec, core, lam, n_iters=200_000, seed=seed)
+    ref = elliptical_ear_esjd(spec, lam, n_draws=400_000)
+    assert abs(chain.accept_rate - ref.ear) <= 3 * math.hypot(chain.accept_se, ref.ear_se)
+    assert abs(chain.esjd - ref.esjd) <= 3 * math.hypot(chain.esjd_se, ref.esjd_se)
 
 
 def test_radial_chain_matches_the_exact_gaussian_value_at_d_1000():
-    # An independent large-d check: the radial chain costs the same per step
-    # at any d, and the Gaussian EAR and ESJD are exact one-dimensional
+    # An independent large-d check: the spherical chain costs the same per
+    # step at any d, and the Gaussian EAR and ESJD are exact one-dimensional
     # integrals, with no W table.  Only agreement is asserted: at 200k steps
     # each of the 1000 lanes takes 200 steps, far fewer than the squared
     # radius needs to decorrelate at d = 1000, so nested R-hat flags the run.
@@ -174,9 +246,9 @@ def test_elliptical_chain_matches_transformed_average():
 
 
 def test_elliptical_chain_holds_bounded_memory_in_d():
-    # A block of elliptical steps holds at most 2^18 direction normals
-    # (engine._NORMAL_BLOCK), so the peak stays near the chain's (steps, lanes)
-    # records (~2 MB at 100k steps) at any d.
+    # iota has a group per coordinate, and a block of steps holds at most 2^18
+    # normals (engine._NORMAL_BLOCK), so the peak stays near the chain's
+    # (steps, lanes) records (~2 MB at 100k steps) at any d.
     core = build_example_target("gaussian", 300)
     spec = EllipticalSpec(d=300, eigenvalues=tuple(parse_eigenvalue_rule("iota", 300)),
                           spherical_core=core, proposal_core=core)
@@ -229,126 +301,87 @@ def test_mixture_target_chain_agrees_with_quadrature():
     assert stats.mean_sq_radius == pytest.approx(t.moment(2), rel=0.05)
 
 
-def _scalar_metropolis(x0, r0, lp0, steps, log_u, log_pi):
-    """Reference chain: one chain at a time, one proposal at a time; returns
-    the accept mask, the radius after each step and the final states."""
+def _scalar_grouped_metropolis(rho0, lp0, z, c, s, log_u, log_pi):
+    """Reference kernel: one lane at a time, one proposal at a time, through
+    the draws z (T, k, K) and c (T, n, K) and the group step scales s
+    (T, k, K); returns the accept mask, the radius after each step and the
+    final group radii."""
+    n = c.shape[1]
     accepts = np.zeros(log_u.shape, dtype=bool)
     radii = np.empty(log_u.shape)
-    final = np.empty_like(x0)
-    for c in range(len(x0)):
-        x, r, lp = x0[c].copy(), float(r0[c]), float(lp0[c])
-        for t in range(len(steps)):
-            xs = x + steps[t, c]
-            # |xs| as the kernel sums it (einsum's order of the squares), so
-            # the radii compare exactly.
-            rs = float(np.sqrt(np.einsum("ij,ij->i", xs[None], xs[None]))[0])
+    final = np.empty_like(rho0)
+    for lane in range(rho0.shape[1]):
+        rho, lp = [float(v) for v in rho0[:, lane]], float(lp0[lane])
+        r = math.sqrt(sum(v * v for v in rho))
+        for t in range(len(z)):
+            new, sq = [], []
+            for g, v in enumerate(rho):
+                sg = float(s[t, g, lane])
+                x = v + sg * float(z[t, g, lane])
+                if g < n:
+                    sq.append(x * x + (sg * sg) * float(c[t, g, lane]))
+                    new.append(math.sqrt(sq[-1]))
+                else:
+                    sq.append(x * x)
+                    new.append(x)
+            rs = math.sqrt(sum(sq))
             lps = float(log_pi(np.array([rs]))[0])
-            if log_u[t, c] <= lps - lp:
-                accepts[t, c] = True
-                x, r, lp = xs, rs, lps
-            radii[t, c] = r
-        final[c] = x
+            if log_u[t, lane] <= lps - lp:
+                accepts[t, lane] = True
+                rho, r, lp = new, rs, lps
+            radii[t, lane] = r
+        final[:, lane] = rho
     return accepts, radii, final
 
 
-@pytest.mark.parametrize("spec,nus", [
-    ("gaussian", None),
-    ("mixture:p=0.3", None),
-    ("gaussian", (1.0, 2.0, 3.0)),
+@pytest.mark.parametrize("spec,sizes", [
+    pytest.param("gaussian", (1,), id="gaussian-1"),
+    pytest.param("gaussian", (3,), id="gaussian-3"),
+    pytest.param("mixture:p=0.3", (3,), id="mixture:p=0.3-3"),
+    pytest.param("gaussian", (1, 1, 1), id="gaussian-1,1,1"),
+    pytest.param("gaussian", (2, 1), id="gaussian-2,1"),
 ])
-def test_lockstep_kernel_matches_scalar_chains(spec, nus):
-    d, k, n = 3, 7, 400
-    rng = np.random.default_rng(8)
-    log_pi = parse_target_spec(spec, d).log_pi
-    # Half-integer starts make |x| exact in any summation order, so the
-    # first proposal, a reflection x -> -x with log u = 0, is an exact tie
-    # that the rule log u <= log ratio must accept.
-    x0 = rng.integers(-4, 5, size=(k, d)) * 0.5 + 0.5
-    steps = 0.9 * rng.standard_normal((n, k, d))
-    steps[0] = -2.0 * x0
-    if nus is not None:
-        # An elliptical chain runs where the target is spherical, with
-        # states and steps scaled by nu; for integer nu the reflection
-        # stays an exact tie.
-        x0, steps = x0 * np.asarray(nus), steps * np.asarray(nus)
-    log_u = np.log(rng.random((n, k)))
-    log_u[0] = 0.0
-    r0 = np.sqrt(np.einsum("ij,ij->i", x0, x0))
-    lp0 = log_pi(r0)
-
-    want_acc, want_radii, want_x = _scalar_metropolis(x0, r0, lp0, steps,
-                                                      log_u, log_pi)
-    x, r, lp = x0.copy(), r0.copy(), lp0.copy()
-    acc, radii = np.empty(log_u.shape, dtype=bool), np.empty(log_u.shape)
-    _lockstep(x, r, lp, steps, log_u, log_pi, acc, radii)
-    assert acc[0].all()
-    assert 0.2 < want_acc.mean() < 0.9
-    np.testing.assert_array_equal(acc, want_acc)
-    np.testing.assert_array_equal(radii, want_radii)
-    np.testing.assert_array_equal(x, want_x)
-    np.testing.assert_array_equal(r, radii[-1])
-    np.testing.assert_allclose(lp, log_pi(np.linalg.norm(x, axis=1)),
-                               rtol=1e-13)
-
-
-def _scalar_radial_metropolis(r0, lp0, s, b, log_u, log_pi):
-    """Reference radial chain: one chain at a time, one proposal at a time;
-    returns the accept mask and the radius after each step."""
-    accepts = np.zeros(log_u.shape, dtype=bool)
-    radii = np.empty(log_u.shape)
-    for c in range(len(r0)):
-        r, lp = float(r0[c]), float(lp0[c])
-        for t in range(len(s)):
-            st, bt = float(s[t, c]), float(b[t, c])
-            along = r + st * (2.0 * bt - 1.0)
-            rs = math.sqrt(along * along + (st * st) * (4.0 * bt * (1.0 - bt)))
-            lps = float(log_pi(np.array([rs]))[0])
-            if log_u[t, c] <= lps - lp:
-                accepts[t, c] = True
-                r, lp = rs, lps
-            radii[t, c] = r
-    return accepts, radii
-
-
-@pytest.mark.parametrize("spec,d", [
-    ("gaussian", 1),
-    ("gaussian", 3),
-    ("mixture:p=0.3", 3),
-])
-def test_radial_kernel_matches_scalar_chains(spec, d):
-    k, n = 7, 400
+def test_radial_kernel_matches_scalar_chains(spec, sizes):
+    lanes, n_steps = 7, 400
+    k, sizes = len(sizes), np.array(sizes)
     rng = np.random.default_rng(9)
-    log_pi = parse_target_spec(spec, d).log_pi
-    # Half-integer radii square exactly, so the first proposal, a step of
-    # length 2r straight through the origin (b = 0, V = -1) with log u = 0,
-    # lands back on r: an exact tie that log u <= log ratio must accept.
-    r0 = rng.integers(1, 9, size=k) * 0.5
-    s = 1.2 * np.abs(rng.standard_normal((n, k)))
-    b = _cosine_split(rng, d, (n, k))
-    s[0], b[0] = 2.0 * r0, 0.0
-    log_u = np.log(rng.random((n, k)))
+    log_pi = parse_target_spec(spec, int(sizes.sum())).log_pi
+    # Half-integer group radii square exactly, so the first proposal, a
+    # step of 2 rho_g straight through each group's origin (z = -1, c = 0)
+    # with log u = 0, lands back on the same radius: an exact tie that
+    # log u <= log ratio must accept.
+    rho0 = rng.integers(1, 9, size=(k, lanes)) * 0.5
+    z, c, _ = _group_draws(rng, sizes, n_steps, lanes)
+    s = 1.2 * np.abs(rng.standard_normal((n_steps, k, lanes)))
+    s[0], z[0], c[0] = 2.0 * rho0, -1.0, 0.0
+    log_u = np.log(rng.random((n_steps, lanes)))
     log_u[0] = 0.0
+    r0 = np.sqrt(np.square(rho0).sum(axis=0))
     lp0 = log_pi(r0)
 
-    want_acc, want_radii = _scalar_radial_metropolis(r0, lp0, s, b, log_u,
-                                                     log_pi)
+    want_acc, want_radii, want_rho = _scalar_grouped_metropolis(
+        rho0, lp0, z, c, s, log_u, log_pi)
     r, lp = r0.copy(), lp0.copy()
     acc, radii = np.empty(log_u.shape, dtype=bool), np.empty(log_u.shape)
-    _radial_lockstep(r, lp, s, b, log_u, log_pi, acc, radii)
+    rho = _grouped_lockstep(rho0.copy(), r, lp, s * z,
+                            np.square(s[:, :c.shape[1]]) * c, log_u, log_pi,
+                            acc, radii)
     assert acc[0].all()
     assert 0.2 < want_acc.mean() < 0.9
     np.testing.assert_array_equal(acc, want_acc)
     np.testing.assert_array_equal(radii, want_radii)
+    np.testing.assert_array_equal(rho, want_rho)
     np.testing.assert_array_equal(r, radii[-1])
     np.testing.assert_array_equal(lp, log_pi(r))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 10, 1000])
 def test_cosine_split_follows_the_uniform_direction_law(d):
-    # V = 2B - 1 is the cosine between a uniform direction and an axis:
-    # E V^2 = 1/d and E V^4 = 3 / (d (d + 2)).
+    # With one group, V = z / |Z| is the cosine between a uniform direction
+    # and an axis: E V^2 = 1/d and E V^4 = 3 / (d (d + 2)).
     n = 200_000
-    v = 2.0 * _cosine_split(np.random.default_rng(d), d, n) - 1.0
+    z, _, sq = _group_draws(np.random.default_rng(d), np.array([d]), n, 1)
+    v = (z / np.sqrt(sq.sum(axis=1, keepdims=True))).ravel()
     for power, want in ((2, 1.0 / d), (4, 3.0 / (d * (d + 2)))):
         vp = v ** power
         assert abs(vp.mean() - want) <= 4 * vp.std(ddof=1) / math.sqrt(n)
@@ -356,6 +389,17 @@ def test_cosine_split_follows_the_uniform_direction_law(d):
         assert set(np.unique(v)) == {-1.0, 1.0}
     else:
         assert np.all(np.abs(v) < 1.0)
+
+
+def test_group_draws_share_the_squared_length_by_group_size():
+    # Group g's share of |Z|^2 is Beta(d_g / 2, (d - d_g) / 2), mean d_g / d.
+    sizes, n = np.array([4, 3, 1, 1, 1]), 100_000
+    z, c, sq = _group_draws(np.random.default_rng(5), sizes, n, 1)
+    assert z.shape == (n, 5, 1) and c.shape == (n, 2, 1)
+    shares = (sq / sq.sum(axis=1, keepdims=True))[..., 0]
+    for g, size in enumerate(sizes):
+        mean, se = shares[:, g].mean(), shares[:, g].std(ddof=1) / math.sqrt(n)
+        assert abs(mean - size / sizes.sum()) <= 4 * se
 
 
 def test_chain_standard_errors_match_the_seed_to_seed_spread():
@@ -420,15 +464,16 @@ def test_stationarity_check_catches_a_kernel_that_misses_the_target(monkeypatch)
     # 2 log pi.
     t = build_example_target("gaussian", 10)
     honest = [run_rwm(t, t, 0.75, n_iters=20_000, seed=s) for s in range(10)]
-    true_kernel = simulate._radial_lockstep
+    true_kernel = simulate._grouped_lockstep
 
-    def mutant(r, lp, s, b, log_u, log_pi, accepts, radii):
+    def mutant(rho, r, lp, sz, q, log_u, log_pi, accepts, radii):
         lp *= 2.0
-        true_kernel(r, lp, s, b, log_u, lambda x: 2.0 * log_pi(x), accepts,
-                    radii)
+        rho = true_kernel(rho, r, lp, sz, q, log_u, lambda x: 2.0 * log_pi(x),
+                          accepts, radii)
         lp /= 2.0
+        return rho
 
-    monkeypatch.setattr(simulate, "_radial_lockstep", mutant)
+    monkeypatch.setattr(simulate, "_grouped_lockstep", mutant)
     planted = [run_rwm(t, t, 0.75, n_iters=20_000, seed=s) for s in range(10)]
     for a, b in zip(honest, planted):
         assert "does not keep the target" not in a.flag
