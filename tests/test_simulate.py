@@ -375,6 +375,98 @@ def test_radial_kernel_matches_scalar_chains(spec, sizes):
     np.testing.assert_array_equal(lp, log_pi(r))
 
 
+def _scalar_metropolis(x0, steps, log_u, log_pi):
+    """Reference d-dimensional chain: one lane at a time, one proposal at a
+    time, x -> x + steps[t]; returns the accept mask, the radius after each
+    step and the state before each step (T, K, d)."""
+    accepts = np.zeros(log_u.shape, dtype=bool)
+    radii = np.empty(log_u.shape)
+    states = np.empty_like(steps)
+    for lane in range(x0.shape[0]):
+        x = x0[lane].copy()
+        r = math.sqrt(float(x @ x))
+        lp = float(log_pi(np.array([r]))[0])
+        for t in range(len(steps)):
+            states[t, lane] = x
+            xs = x + steps[t, lane]
+            rs = math.sqrt(float(xs @ xs))
+            lps = float(log_pi(np.array([rs]))[0])
+            if log_u[t, lane] <= lps - lp:
+                accepts[t, lane] = True
+                x, r, lp = xs, rs, lps
+            radii[t, lane] = r
+    return accepts, radii, states
+
+
+@pytest.mark.parametrize("spec,nus", [
+    ("gaussian", None),
+    ("mixture:p=0.3", None),
+    pytest.param("gaussian", (1.0, 1.0, 2.0), id="gaussian-1,1,2"),
+])
+def test_lockstep_kernel_matches_scalar_chains(spec, nus):
+    # The grouped kernel, fed each d-dimensional step split along and across
+    # every group's radius at the reference chain's state, takes the same
+    # accept decisions and radii as the d-dimensional chain.
+    d, lanes, n_steps = 3, 7, 400
+    rng = np.random.default_rng(8)
+    log_pi = parse_target_spec(spec, d).log_pi
+    nus = np.ones(d) if nus is None else np.asarray(nus)
+    # Groups of coordinates that share an eigenvalue, those of two or more
+    # coordinates first, as run_rwm orders them.
+    groups = sorted((np.flatnonzero(nus == v) for v in np.unique(nus)),
+                    key=lambda idx: len(idx) == 1)
+    n_big = sum(len(idx) > 1 for idx in groups)
+    # Half-integer starts; the first proposal, a reflection x -> -x with
+    # log u = 0, moves every group's radius straight through its origin and
+    # back onto itself: an exact tie that log u <= log ratio must accept.
+    x0 = (rng.integers(-4, 5, size=(lanes, d)) * 0.5 + 0.5) * nus
+    steps = 0.9 * rng.standard_normal((n_steps, lanes, d)) * nus
+    steps[0] = -2.0 * x0
+    log_u = np.log(rng.random((n_steps, lanes)))
+    log_u[0] = 0.0
+
+    def split(x, step):
+        """Group radii of x (k, ...), and step's part along each (k, ...)
+        and the squared length of its rest in the first n_big groups."""
+        rho, sz, q = [], [], []
+        for idx in groups:
+            xg, sg = x[..., idx], step[..., idx]
+            if len(idx) == 1:
+                rho.append(xg[..., 0])
+                sz.append(sg[..., 0])
+                continue
+            norm = np.sqrt(np.einsum("...i,...i->...", xg, xg))
+            along = np.einsum("...i,...i->...", sg, xg) / norm
+            rest = sg - along[..., None] * xg / norm[..., None]
+            rho.append(norm)
+            sz.append(along)
+            q.append(np.einsum("...i,...i->...", rest, rest))
+        return (np.stack(rho), np.stack(sz, axis=-2),
+                np.stack(q, axis=-2) if q else np.empty((*x.shape[:-2], 0, lanes)))
+
+    rho0 = split(x0, x0)[0]
+    r0 = np.sqrt(np.square(rho0).sum(axis=0))
+    lp0 = log_pi(r0)
+    want_acc, want_radii, states = _scalar_metropolis(x0, steps, log_u, log_pi)
+    _, sz, q = split(states, steps)
+    # The reflection lies along each radius, with nothing across it.
+    sz[0], q[0] = -2.0 * rho0, 0.0
+
+    r, lp = r0.copy(), lp0.copy()
+    acc, radii = np.empty(log_u.shape, dtype=bool), np.empty(log_u.shape)
+    rho = _grouped_lockstep(rho0.copy(), r, lp, sz, q, log_u, log_pi, acc,
+                            radii)
+    assert acc[0].all()
+    assert 0.2 < want_acc.mean() < 0.9
+    np.testing.assert_array_equal(acc, want_acc)
+    np.testing.assert_allclose(radii, want_radii, rtol=1e-12)
+    final = states[-1] + np.where(want_acc[-1, :, None], steps[-1], 0.0)
+    np.testing.assert_allclose(rho, split(final, final)[0], rtol=1e-12,
+                               atol=1e-12)
+    np.testing.assert_array_equal(r, radii[-1])
+    np.testing.assert_array_equal(lp, log_pi(r))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 10, 1000])
 def test_cosine_split_follows_the_uniform_direction_law(d):
     # With one group, V = z / |Z| is the cosine between a uniform direction
