@@ -93,10 +93,11 @@ def _tail_weight_many(model: RadialModel, z: np.ndarray, *, epsabs: float,
     integrand smooth there for every d, so x = z needs no seeds of its own.
 
     The table's integrand is 2u exp(log(x^(d-1) K_d(z/x)) + log pi(x) -
-    log_norm), with x^2 - z^2 = u^2 (2z + u^2) exact (special._log_x_kernel),
-    x and z in units of the median radius s so no term of size d log x rounds
-    near the mass.  ``literal`` gives the nested route its own 2u fbar(x)
-    K_d(z/x) through kernel_K, so the routes check each other.
+    log_norm), with x^2 - z^2 = u^2 (2z + u^2) exact and K_d's excess g_d read
+    from its cubic table (special._log_x_kernel), x and z in units of the
+    median radius s so no term of size d log x rounds near the mass.
+    ``literal`` gives the nested route its own 2u fbar(x) K_d(z/x) through
+    kernel_K, which sums g_d's Chebyshev series, so the routes check each other.
     """
     d = model.d
     z = np.asarray(z, dtype=float)

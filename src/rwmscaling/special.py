@@ -22,7 +22,9 @@ How K_d is evaluated:
   to round-off: degree 17-19 for d <= 20, 28 at d = 100, 47 at d = 1000.
   Against 50-digit values its relative error is below 1.2e-13 for
   x <= 0.99999 wherever K_d >= 1e-300.  The incomplete beta of x^2 loses up
-  to 7e-11 there (d = 128), because x^2 rounds near x = 1.
+  to 7e-11 there (d = 128), because x^2 rounds near x = 1.  kernel_K sums
+  the series; W's integrand reads its cubic Hermite table of 1024-4096 equal
+  pieces (within 1e-13 of it below d = 100, 1.1e-12 at d = 1000).
 * d > 1000: the complemented incomplete beta of x^2.  There the fit's error
   grows with d (2.5e-13 at d = 2000) while the incomplete beta's falls
   (3e-14), as K_d underflows long before x^2 rounding matters.
@@ -33,6 +35,7 @@ through _log_x_kernel, with x^2 - z^2 = gap (2z + gap) exact.
 
 from __future__ import annotations
 
+import mmap
 from functools import lru_cache
 
 import numpy as np
@@ -50,8 +53,10 @@ _FIT_DEGREE = 128
 _FIT_TAIL = 16
 # Largest d evaluated through the fit; above it, the incomplete beta.
 _FIT_MAX_D = 1000
-# Points per Clenshaw pass: its four buffers (256 KB) still stay in L2 cache.
+# Points per Clenshaw pass (kernel_K): its four buffers (256 KB) stay in L2 cache.
 _CHUNK = 8192
+# At most this many pieces (128 KB) in a table of g_d, chosen for this error.
+_MAX_PIECES, _TABLE_TOL = 4096, 1e-13
 
 
 # The package's only copies of its input rules: counts, dimensions and their
@@ -192,6 +197,39 @@ def _fitted_excess(coef, flat):
     return out
 
 
+@lru_cache(maxsize=64)
+def _excess_table(d: int):
+    """(4, n) Horner coefficients in u of g_d's cubic Hermite interpolant on
+    piece j, x = (j + u) / n in [0, 1]: n, a power of two up to _MAX_PIECES,
+    meets _TABLE_TOL by the error bound max|g_d^(4)| / (384 n^4)."""
+    c = _excess_coeffs(d)
+    g4 = 16.0 * np.abs(_cheb.chebval(np.linspace(-1.0, 1.0, 1025), _cheb.chebder(c, 4))).max()
+    n = min(_MAX_PIECES, 2 ** int(np.ceil(np.log2(g4 / (384.0 * _TABLE_TOL)) / 4.0)))
+    t = np.linspace(-1.0, 1.0, n + 1)  # the knots j / n in t = 2x - 1
+    v, m = _cheb.chebval(t, c), _cheb.chebval(t, _cheb.chebder(c)) * (2.0 / n)
+    dv, m0, m1 = np.diff(v), m[:-1], m[1:]
+    # Pages of its own: a lasting block in malloc's heap raised peak RSS.
+    table = np.frombuffer(mmap.mmap(-1, 32 * n)).reshape(4, n)
+    table[:] = [v[:-1], m0, 3.0 * dv - 2.0 * m0 - m1, m0 + m1 - 2.0 * dv]
+    table.flags.writeable = False
+    return table
+
+
+def _tabled_excess(d: int, x, acc, row):
+    """g_d at 1-d x in [0, 1] from _excess_table into acc, with x and row (same
+    size) as scratch; x = 1 reads the last piece and NaN reads NaN."""
+    table = _excess_table(d)
+    n = table.shape[1]
+    x *= n
+    i = np.fmin(x, n - 1, out=row).astype(np.intp)  # fmin sends NaN to n - 1
+    x -= i
+    table[3].take(i, out=acc, mode="clip")
+    for k in (2, 1, 0):
+        acc *= x
+        acc += table[k].take(i, out=row, mode="clip")
+    return acc
+
+
 def kernel_K(d: int, x):
     """Projection kernel K_d(x) = 1 - G_d(x^2) on x >= 0.
 
@@ -236,8 +274,9 @@ def _log_x_kernel(d: int, z, gap):
     """log(x^(d-1) K_d(z/x)) at x = z + gap, for 1-d arrays z >= 0, gap > 0.
 
     x^2 - z^2 = gap (2z + gap) is exact where 1 - (z/x)^2 would cancel.  For
-    4 <= d <= 1000 x^(d-1) cancels into b log(x^2 - z^2) + g_d(z/x); d = 2
-    takes arccos(z/x) as atan2(sqrt(x^2 - z^2), z) and d = 3 x K_3 as gap.
+    4 <= d <= 1000 x^(d-1) cancels into b log(x^2 - z^2) + g_d(z/x), g_d read
+    from its table (_tabled_excess) with z and gap, overwritten, as scratch;
+    d = 2 takes arccos(z/x) as atan2(sqrt(x^2 - z^2), z) and d = 3 x K_3 as gap.
     """
     x, x2_z2 = z + gap, gap * (2.0 * z + gap)
     with np.errstate(divide="ignore"):
@@ -250,6 +289,6 @@ def _log_x_kernel(d: int, z, gap):
         if d <= _FIT_MAX_D:  # in place: fresh arrays cost more than the arithmetic
             np.log(x2_z2, out=x2_z2)
             x2_z2 *= 0.5 * (d - 1)
-            x2_z2 += _fitted_excess(_excess_coeffs(d), np.divide(z, x, out=x))
+            x2_z2 += _tabled_excess(d, np.divide(z, x, out=x), z, gap)
             return x2_z2
         return (d - 1) * np.log(x) + np.log(_sp.betaincc(0.5, 0.5 * (d - 1), (z / x) ** 2))

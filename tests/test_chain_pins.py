@@ -98,6 +98,14 @@ moved by chance, by at most 1.17 of the two runs' combined standard errors
 (the gaussian d=2 ESJD; 1.10 for the elliptical ESJD, 0.69 at most
 elsewhere); their arguments are unchanged.  Both mc_expectation entries,
 elliptical_ear_esjd and solve_aots held bit for bit.
+
+The three entries that read a W table were re-recorded when W's integrand
+(special._log_x_kernel) came to read K_d's excess g_d from a cubic Hermite
+table of its Chebyshev series (special._excess_table, 1024 pieces at d = 10)
+instead of summing the series at every node.  All twelve of their fields
+moved, by 1.8e-15 to 2.2e-14 relative (16-145 ulp): mc_expectation gaussian
+at most 1.8e-14, exponential 1.9e-14, elliptical_ear_esjd 2.2e-14.  Every
+run_rwm and solve_aots entry held bit for bit.
 """
 
 import dataclasses

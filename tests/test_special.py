@@ -5,7 +5,9 @@ import pytest
 from scipy import special
 from scipy.stats import norm
 
-from rwmscaling.special import gaussian_cdf, gaussian_pdf, kernel_K
+from rwmscaling.special import (_MAX_PIECES, _excess_coeffs, _excess_table, _fitted_excess,
+                                _log_x_kernel, _tabled_excess, gaussian_cdf,
+                                gaussian_pdf, kernel_K)
 
 
 def test_gaussian_cdf_matches_reference_values():
@@ -97,6 +99,56 @@ def test_kernel_fit_is_chunked_consistently():
     whole = kernel_K(12, x)
     assert np.array_equal(whole[::997], [kernel_K(12, v) for v in x[::997]])
     assert kernel_K(12, x.reshape(73, 137)).shape == (73, 137)
+
+
+_TABLE_DIMS = [4, 5, 10, 30, 100, 128, 300, 1000]
+
+
+def _tabled(d, x):
+    return _tabled_excess(d, x.copy(), np.empty(x.size), np.empty(x.size))
+
+
+@pytest.mark.parametrize("d", _TABLE_DIMS)
+def test_excess_table_meets_the_series(d):
+    # W's integrand reads g_d from a cubic table of the series kernel_K sums;
+    # at 1e5 random points, both ends and every knot the two differ by at
+    # most 2e-12 (measured: 7.0e-14 at d = 10, 1.3e-14 at 100, 1.1e-12 at 1000).
+    n = _excess_table(d).shape[1]
+    assert n <= _MAX_PIECES and n & (n - 1) == 0
+    x = np.concatenate([np.random.default_rng(d).random(100_000), [0.0, 1.0],
+                        np.arange(n + 1) / n])
+    series = _fitted_excess(_excess_coeffs(d), x)
+    assert np.max(np.abs(_tabled(d, x) - series)) <= 2e-12
+
+
+@pytest.mark.parametrize("d", _TABLE_DIMS)
+def test_log_x_kernel_matches_kernel_K(d):
+    # log(x^(d-1) K_d(z/x)) through the table, against kernel_K's series, at
+    # x = 2^k with z/x dyadic, so z, gap = x - z and z/x are exact: ratios
+    # from 0 to 1 - 2^-40 (gap/z down to 9.1e-13), wherever K_d >= 1e-300
+    # (measured: at most 7.5e-14 to d = 30, 2.3e-13 at 100, 1.8e-12 at 1000).
+    r = np.concatenate([np.floor(np.random.default_rng(d).random(2000) * 2.0**52) / 2.0**52,
+                        1.0 - 2.0 ** -np.arange(1, 41), [0.0]])
+    for x in (0.125, 1.0, 8.0):
+        z, gap = r * x, (1.0 - r) * x
+        assert np.array_equal(z + gap, np.full(r.size, x))
+        got = _log_x_kernel(d, z, gap)
+        k = kernel_K(d, r)
+        keep = k >= 1e-300
+        assert keep.sum() >= 100
+        want = (d - 1) * np.log(x) + np.log(k[keep])
+        assert np.max(np.abs(got[keep] - want)) <= 1e-11
+
+
+def test_excess_table_reads_its_ends():
+    # z/x = 1 reads the last piece at its right end, and a NaN ratio gives
+    # NaN (its piece index is the last piece's) with no warning or IndexError.
+    table = _excess_table(10)
+    c0, c1, c2, c3 = table[:, -1]
+    assert _tabled(10, np.array([1.0]))[0] == ((c3 + c2) + c1) + c0
+    assert _tabled(10, np.array([0.0]))[0] == table[0, 0]
+    got = _log_x_kernel(10, np.array([np.nan, 1.0]), np.array([1.0, 1.0]))
+    assert np.isnan(got[0]) and np.isfinite(got[1])
 
 
 def test_kernel_above_fit_range_is_the_incomplete_beta():
